@@ -3,9 +3,11 @@
 Descent directions that treat several losses at once: the equiangular
 direction (min-norm combination of *normalized* gradients, rescaled back
 onto the gradients' scale) and the classic min-norm hull direction, both
-driven by a Frank-Wolfe simplex solver. Includes analytic benchmarks,
-small hand-backpropagated networks, dataset utilities for imbalanced and
-two-task experiments, and a config-driven experiment CLI.
+driven by an exact simplex solver (Wolfe's min-norm-point method; its
+public names keep their Frank-Wolfe-era spelling for compatibility).
+Includes analytic benchmarks, small hand-backpropagated networks, dataset
+utilities for imbalanced and two-task experiments, and a config-driven
+experiment CLI.
 """
 
 from .direction import (

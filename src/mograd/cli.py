@@ -489,9 +489,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--method", help="edm | mgda | weighted_sum (sgd for imbalanced)")
         p.add_argument("--lr", type=float, help="learning rate")
         p.add_argument("--eps", type=float, help="stopping tolerance on the direction norm")
-        p.add_argument("--fw-tol", dest="fw_tol", type=float, help="simplex solver tolerance")
+        p.add_argument("--fw-tol", dest="fw_tol", type=float, help="relative duality-gap tolerance")
         p.add_argument("--fw-max-iters", dest="fw_max_iters", type=int,
-                       help="simplex solver iteration cap")
+                       help="simplex solver major-cycle cap")
         p.add_argument("--seed", type=int)
         p.add_argument("--repeats", type=int, help="number of seeds to run")
         p.add_argument("--out-dir", dest="out_dir", help="output directory")

@@ -26,7 +26,6 @@ from .minnorm import FwConfig, frank_wolfe_min_norm, gram_matrix
 
 __all__ = [
     "ZERO_GRADIENT_THRESHOLD",
-    "SUPPORT_THRESHOLD",
     "GradientSet",
     "DirectionResult",
     "edm_direction",
@@ -39,10 +38,6 @@ __all__ = [
 # Gradients with norm at or below this are treated as exactly zero: their
 # objective is locally stationary and normalizing them would divide by ~0.
 ZERO_GRADIENT_THRESHOLD = 1e-12
-
-# Weights above this count as support; the solver leaves tiny positive dust
-# on vertices it has abandoned.
-SUPPORT_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,8 @@ class DirectionResult:
     equiangular method and is None otherwise; ``normalized_direction`` is
     ``gamma * raw_direction`` when gamma is present and equals
     ``raw_direction`` when it is not. ``direction_norm`` is the Euclidean
-    norm of ``raw_direction``.
+    norm of ``raw_direction``. ``support`` lists the objectives with
+    positive weight; the solver leaves exact zeros everywhere else.
     """
 
     weights: np.ndarray
@@ -155,7 +151,7 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
         gamma=gamma,
         normalized_direction=gamma * raw,
         direction_norm=float(np.sqrt(raw @ raw)),
-        support=np.flatnonzero(weights > SUPPORT_THRESHOLD),
+        support=np.flatnonzero(weights > 0),
     )
 
 
@@ -175,7 +171,7 @@ def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
         gamma=None,
         normalized_direction=raw,
         direction_norm=float(np.sqrt(raw @ raw)),
-        support=np.flatnonzero(sol.weights > SUPPORT_THRESHOLD),
+        support=np.flatnonzero(sol.weights > 0),
     )
 
 

@@ -1,10 +1,19 @@
-"""Minimum-norm point in the convex hull of vectors, via Frank-Wolfe on the simplex.
+"""Minimum-norm point in the convex hull of vectors, via Wolfe's method.
 
 Given vectors v_1, ..., v_T, the weights beta minimizing
 ``|| sum_i beta_i v_i ||^2`` over the probability simplex are found by
-conditional-gradient iterations on the Gram matrix M_ij = <v_i, v_j>.
-Every step moves toward a single vertex with an exact, closed-form step
-size, so the objective never increases.
+Wolfe's min-norm-point active-set method (Wolfe 1976, Math. Programming
+11) on the Gram matrix M_ij = <v_i, v_j>. Each major cycle adds one
+vertex to a working set (the corral) and strictly decreases the
+objective; on a corral the optimum is the solution of a small linear
+system, so the method is exact on every face. It stops on the relative
+duality gap of the simplex problem.
+
+The solver's public names (``FwConfig``, ``FwResult``,
+``frank_wolfe_min_norm``) keep their spelling from the Frank-Wolfe solver
+this module used to run, so existing callers and configurations still
+work. ``fw_line_search``, the exact Frank-Wolfe step, stays as a
+standalone helper.
 """
 
 from __future__ import annotations
@@ -12,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .exceptions import NumericalError
 
 __all__ = [
     "FwConfig",
@@ -28,10 +39,11 @@ _DENOM_GUARD = 1e-18
 
 @dataclass(frozen=True)
 class FwConfig:
-    """Stopping parameters for the Frank-Wolfe solver.
+    """Stopping parameters for the min-norm solver.
 
-    ``tolerance`` bounds the exact step size: once the optimal step is at
-    or below it, the iterate cannot move meaningfully and we stop.
+    ``tolerance`` bounds the relative duality gap
+    ``(beta^T M beta - min_i (M beta)_i) / max_i M_ii``: the solve stops
+    once the gap is at or below it. ``max_iters`` caps the major cycles.
     """
 
     tolerance: float = 1e-10
@@ -48,10 +60,11 @@ class FwConfig:
 class FwResult:
     """Solver output: simplex weights plus convergence diagnostics.
 
-    ``last_eta`` is the final exact step size; values above the configured
-    tolerance mean the iteration budget ran out before the stopping test
-    fired. ``objectives[k]`` is the quadratic form at the iterate after k
-    updates (index 0 is the uniform starting point).
+    ``last_eta`` is the final relative duality gap; values above the
+    configured tolerance mean the major-cycle budget ran out before the
+    stopping test fired. ``iterations`` counts major cycles.
+    ``objectives[k]`` is the quadratic form after k major cycles (index 0
+    is the starting vertex); it never increases.
     """
 
     weights: np.ndarray
@@ -79,12 +92,11 @@ def gram_matrix(vectors) -> np.ndarray:
         V = V[None, :]
     if V.ndim != 2 or V.shape[0] < 1 or V.shape[1] < 1:
         raise ValueError(f"expected at least one vector of dimension >= 1, got shape {V.shape}")
-    T = V.shape[0]
-    M = np.empty((T, T))
-    for i in range(T):
-        for j in range(i, T):
-            M[i, j] = M[j, i] = float(np.dot(V[i], V[j]))
-    return M
+    # BLAS may round M_ij and M_ji differently. Taking the larger of the two
+    # symmetrizes without arithmetic, so nothing rounds or overflows (an
+    # average would for entries above half the float max).
+    M = V @ V.T
+    return np.maximum(M, M.T)
 
 
 def combination_norm_sq(M, w) -> float:
@@ -128,74 +140,58 @@ def fw_line_search(M, w, target: int) -> float:
     return min(max(eta, 0.0), 1.0)
 
 
-def _face_refinement(M: np.ndarray, beta: np.ndarray) -> np.ndarray | None:
-    """Exact weights on the face the iterate has settled on, or None.
+def _affine_minimizer(M_SS: np.ndarray, scale: float) -> np.ndarray:
+    """Weights summing to one that minimize ``y^T M_SS y``, ignoring signs.
 
-    Toward-vertex steps converge sublinearly when the optimum lies on a
-    proper face: weights of abandoned vertices decay too slowly to ever
-    look like exact zeros. This solves the stationarity system of the
-    sum-one quadratic program restricted to the currently heavy
-    coordinates (a bordered system, solved by least squares so that
-    rank-deficient faces, where the minimum value is zero, work too),
-    dropping coordinates the solution makes negative and admitting
-    vertices that still beat the candidate. The final answer carries
-    exact zeros off the identified face.
+    Solves the bordered system ``[M_SS s1; s1^T 0] [y; mu] = [0; s]`` by
+    least squares, so corrals whose points are affinely dependent (where
+    the system is singular) still get a minimizer. The border carries the
+    matrix's own scale s, which keeps the system balanced at any
+    magnitude of M.
     """
-    T = beta.shape[0]
-    scale = max(1.0, float(np.max(np.abs(np.diag(M)))))
-    support = np.flatnonzero(beta > 1e-7)
-    if support.size == 0:
-        return None
-    best: np.ndarray | None = None
-    best_value = np.inf
-    for _ in range(4 * T + 8):
-        k = support.size
-        bordered = np.zeros((k + 1, k + 1))
-        bordered[:k, :k] = 2.0 * M[np.ix_(support, support)]
-        bordered[:k, k] = 1.0
-        bordered[k, :k] = 1.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        x = np.linalg.lstsq(bordered, rhs, rcond=None)[0][:k]
-        total = float(x.sum())
-        if not np.all(np.isfinite(x)) or total <= 1e-300:
-            return best
-        x = x / total
-        if float(x.min()) < -1e-12:
-            support = np.delete(support, int(np.argmin(x)))
-            if support.size == 0:
-                return best
-            continue
-        candidate = np.zeros(T)
-        candidate[support] = np.maximum(x, 0.0)
-        candidate /= candidate.sum()
-        value = combination_norm_sq(M, candidate)
-        if value < best_value:
-            best, best_value = candidate, value
-        slack = value - M @ candidate
-        slack[support] = 0.0
-        worst = int(np.argmax(slack))
-        if slack[worst] > 1e-12 * scale:
-            support = np.sort(np.append(support, worst))
-            continue
-        return candidate
-    return best
+    k = M_SS.shape[0]
+    bordered = np.full((k + 1, k + 1), scale)
+    bordered[:k, :k] = M_SS
+    bordered[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = scale
+    return np.linalg.lstsq(bordered, rhs, rcond=None)[0][:k]
+
+
+def _minor_cycles(M: np.ndarray, beta: np.ndarray, corral: list[int], scale: float) -> None:
+    """Move beta to the minimizer over the corral's affine hull, staying feasible.
+
+    While that minimizer has a negative weight, step from beta toward it
+    only as far as the simplex boundary and drop the corral vertex whose
+    weight reaches zero there. Updates ``beta`` and ``corral`` in place;
+    weights off the corral stay exact zeros.
+    """
+    while True:
+        y = _affine_minimizer(M[np.ix_(corral, corral)], scale)
+        out = np.flatnonzero(y < 0.0)
+        if out.size == 0:
+            beta[corral] = y
+            return
+        x = beta[corral]
+        ratio = x[out] / (x[out] - y[out])
+        x = np.maximum(x + ratio.min() * (y - x), 0.0)
+        x[out[np.argmin(ratio)]] = 0.0
+        beta[corral] = x
+        corral[:] = [i for i in corral if beta[i] > 0.0]
 
 
 def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     """Minimize ``beta^T M beta`` over the probability simplex.
 
-    Starts from the uniform point. Each iteration picks the vertex whose
-    coordinate of the objective gradient ``M beta`` is smallest (ties go to
-    the smallest index), takes the exact step toward it, and stops once the
-    exact step size drops to the configured tolerance.
-
-    Because toward-vertex steps leave slowly decaying weight on abandoned
-    vertices, a terminal refinement re-solves the optimality system on the
-    face the iterate identified; it is kept only when it does not increase
-    the objective, so the recorded objective sequence stays non-increasing.
-    The returned weights are renormalized once at exit so they sum to one
-    despite float drift.
+    Wolfe's min-norm-point method. Starts at the vertex with the smallest
+    ``M_ii``. Each major cycle adds to the corral the vertex whose
+    coordinate of the objective gradient ``M beta`` is smallest (ties go
+    to the smallest index), then minor cycles move to the minimizer over
+    the corral's affine hull, stepping back to the simplex boundary and
+    dropping the vertex that hits zero while that minimizer has a
+    negative weight. The solve stops once the relative duality gap is at
+    or below the configured tolerance, or when the chosen vertex is
+    already in the corral. Weights off the corral are exact zeros.
 
     Parameters
     ----------
@@ -213,38 +209,30 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     T = M.shape[0]
     if T == 0:
         raise ValueError("need at least one vector")
-    if T == 1:
-        return FwResult(
-            weights=np.ones(1),
-            last_eta=0.0,
-            iterations=0,
-            objectives=np.array([max(float(M[0, 0]), 0.0)]),
-        )
+    if not np.all(np.isfinite(M)):
+        raise NumericalError("non-finite Gram matrix entries")
 
-    beta = np.full(T, 1.0 / T)
+    diag = np.diag(M)
+    scale = float(diag.max())
+    corral = [int(np.argmin(diag))]
+    beta = np.zeros(T)
+    beta[corral[0]] = 1.0
     objectives = [combination_norm_sq(M, beta)]
-    last_eta = 0.0
     iterations = 0
-    for _ in range(cfg.max_iters):
-        i_star = int(np.argmin(M @ beta))
-        eta = fw_line_search(M, beta, i_star)
-        last_eta = eta
-        if eta <= cfg.tolerance:
+    while True:
+        Mb = M @ beta
+        j = int(np.argmin(Mb))
+        gap = max(float(beta @ Mb - Mb[j]), 0.0) / scale if scale > 0.0 else 0.0
+        if gap <= cfg.tolerance or j in corral or iterations == cfg.max_iters:
             break
-        beta *= 1.0 - eta
-        beta[i_star] += eta
+        corral.append(j)
         iterations += 1
+        _minor_cycles(M, beta, corral, scale)
         objectives.append(combination_norm_sq(M, beta))
 
-    refined = _face_refinement(M, beta)
-    if refined is not None and combination_norm_sq(M, refined) <= objectives[-1]:
-        beta = refined
-        objectives.append(combination_norm_sq(M, beta))
-
-    beta = beta / beta.sum()
     return FwResult(
-        weights=beta,
-        last_eta=last_eta,
+        weights=beta / beta.sum(),
+        last_eta=gap,
         iterations=iterations,
         objectives=np.asarray(objectives),
     )

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from mograd.direction import edm_direction, mgda_direction
+from mograd.exceptions import NumericalError
 from mograd.minnorm import (
     FwConfig,
     combination_norm_sq,
@@ -13,6 +17,54 @@ from mograd.minnorm import (
 def random_psd(rng, T):
     A = rng.standard_normal((T, rng.integers(1, T + 3)))
     return gram_matrix(A)
+
+
+def relative_gap(M, w):
+    """Duality gap ``w'Mw - min(Mw)`` of the simplex QP over the largest diagonal entry."""
+    Mw = M @ w
+    return max(float(w @ Mw - Mw.min()), 0.0) / float(np.max(np.diag(M)))
+
+
+def hard_gradient_sets(rng, T, d=60):
+    """One seeded set of each degenerate family, as ``(name, G)`` pairs."""
+    scales = np.exp(rng.uniform(-2.0, 2.0, size=(T, 1)))
+    rank4 = (rng.standard_normal((T, 4)) @ rng.standard_normal((4, d))) * scales
+    base = rng.standard_normal((T // 2, d))
+    signs = np.where(rng.random(T // 2) < 0.5, -1.0, 1.0)[:, None]
+    duplicate = np.concatenate([base, signs * rng.uniform(0.5, 2.0, (T // 2, 1)) * base])
+    near = rng.standard_normal((T, d)) * scales
+    near -= rng.dirichlet(np.ones(T)) @ near
+    near += 1e-7 * rng.standard_normal(d)
+    wide = rng.standard_normal((T, 5)) * scales
+    return [
+        ("rank_deficient", rank4),
+        ("duplicate", duplicate[rng.permutation(T)]),
+        ("near_stationary", near),
+        ("more_objectives_than_dims", wide),
+    ]
+
+
+def kkt_oracle(M):
+    """Best feasible point over the optimality systems of every support.
+
+    On each support S the bordered system ``[M_SS 1; 1' 0] [x; mu] = [0; 1]``
+    gives the minimizer over the affine hull of S (by pseudo-inverse, so
+    affinely dependent supports work too); the simplex optimum is the best
+    such point with nonnegative weights.
+    """
+    T = M.shape[0]
+    best = np.inf
+    for k in range(1, T + 1):
+        supports = np.array(list(itertools.combinations(range(T), k)))
+        bordered = np.ones((len(supports), k + 1, k + 1))
+        bordered[:, :k, :k] = M[supports[:, :, None], supports[:, None, :]]
+        bordered[:, k, k] = 0.0
+        x = np.linalg.pinv(bordered)[:, :k, k]
+        values = np.einsum("ni,nij,nj->n", x, bordered[:, :k, :k], x)
+        feasible = np.all(x >= 0.0, axis=1) & (np.abs(x.sum(axis=1) - 1.0) <= 1e-9)
+        if np.any(feasible):
+            best = min(best, float(values[feasible].min()))
+    return best
 
 
 class TestGramMatrix:
@@ -31,6 +83,10 @@ class TestGramMatrix:
         rng = np.random.default_rng(0)
         M = gram_matrix(rng.standard_normal((6, 40)))
         assert np.array_equal(M, M.T)
+
+    def test_entries_near_float_max_stay_finite(self):
+        M = gram_matrix([(1e154, 0.0), (0.0, 1e154), (1e154, 0.0)])
+        assert np.array_equal(M, 1e308 * np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]]))
 
     def test_unit_vectors_have_unit_diagonal(self):
         rng = np.random.default_rng(1)
@@ -126,6 +182,10 @@ class TestFrankWolfe:
         with pytest.raises(ValueError):
             frank_wolfe_min_norm(np.empty((0, 0)))
 
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(NumericalError):
+            frank_wolfe_min_norm(np.array([[np.inf, 1.0], [1.0, 1.0]]))
+
     def test_weights_satisfy_simplex_invariants(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -183,6 +243,40 @@ class TestFrankWolfe:
     def test_exposes_last_step_size(self):
         res = frank_wolfe_min_norm(gram_matrix([(1, 0), (0, 1)]))
         assert res.last_eta <= FwConfig().tolerance
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("T", [8, 16, 32])
+    def test_relative_gap_at_round_off_on_degenerate_sets(self, T):
+        rng = np.random.default_rng(100 + T)
+        for _ in range(6):
+            for name, G in hard_gradient_sets(rng, T):
+                norms = np.linalg.norm(G, axis=1)
+                unit_gram = gram_matrix(G / norms[:, None])
+                for M in (gram_matrix(G), unit_gram):
+                    assert relative_gap(M, frank_wolfe_min_norm(M).weights) <= 1e-12, name
+                assert relative_gap(G @ G.T, mgda_direction(G).weights) <= 1e-12, name
+                assert relative_gap(unit_gram, edm_direction(G).weights) <= 1e-12, name
+
+    def test_matches_kkt_enumeration_oracle(self):
+        rng = np.random.default_rng(101)
+        for _ in range(120):
+            T = int(rng.integers(2, 9))
+            sets = [G for _, G in hard_gradient_sets(rng, 8)]
+            sets.append(rng.standard_normal((T, int(rng.integers(2, 12)))))
+            for G in sets:
+                M = gram_matrix(G)
+                solver = combination_norm_sq(M, frank_wolfe_min_norm(M).weights)
+                assert abs(solver - kkt_oracle(M)) <= 1e-12 * float(np.max(np.diag(M)))
+
+    def test_exhausted_budget_reports_gap_above_tolerance(self):
+        rng = np.random.default_rng(102)
+        M = gram_matrix(rng.standard_normal((8, 20)))
+        cfg = FwConfig(max_iters=1)
+        res = frank_wolfe_min_norm(M, cfg)
+        assert res.iterations == 1
+        assert res.last_eta > cfg.tolerance
+        assert res.last_eta == pytest.approx(relative_gap(M, res.weights), rel=1e-9)
 
 
 class TestFwConfig:
