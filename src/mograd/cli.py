@@ -217,9 +217,13 @@ def _read_gradients(path: Path) -> np.ndarray:
     return np.asarray(rows)
 
 
+def _fw_config(opts: dict) -> FwConfig:
+    return FwConfig(tolerance=opts["fw_tol"], max_iters=opts["fw_max_iters"])
+
+
 def cmd_direction(opts: dict) -> int:
     gradients = _read_gradients(Path(opts["gradients_file"]))
-    fw = FwConfig(tolerance=opts["fw_tol"], max_iters=opts["fw_max_iters"])
+    fw = _fw_config(opts)
     gs = GradientSet.from_gradients(gradients)
     if opts["method"] == "edm":
         res = edm_direction(gs, fw)
@@ -290,7 +294,7 @@ def cmd_solve(opts: dict) -> int:
             max_iters=opts["iters"],
             stop_tolerance=opts["eps"],
             weights=weights,
-            fw=FwConfig(tolerance=opts["fw_tol"], max_iters=opts["fw_max_iters"]),
+            fw=_fw_config(opts),
             seed=seed,
         )
         t0 = time.perf_counter()
@@ -352,7 +356,7 @@ def cmd_imbalanced(opts: dict) -> int:
         raise ValueError(f"mu must be positive, got {opts['mu']}")
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    fw = FwConfig(tolerance=opts["fw_tol"], max_iters=opts["fw_max_iters"])
+    fw = _fw_config(opts)
 
     summaries = []
     for repeat in range(opts["repeats"]):
@@ -412,7 +416,7 @@ def cmd_multitask(opts: dict) -> int:
             max_iters=opts["epochs"],
             stop_tolerance=1e-300,
             weights=np.ones(2) if opts["method"] == "weighted_sum" else None,
-            fw=FwConfig(tolerance=opts["fw_tol"], max_iters=opts["fw_max_iters"]),
+            fw=_fw_config(opts),
             seed=seed + 10_000,
         )
         t0 = time.perf_counter()
@@ -445,8 +449,8 @@ _COMMON_DEFAULTS = {
     "method": "edm",
     "lr": 0.01,
     "eps": 1e-6,
-    "fw_tol": 1e-10,
-    "fw_max_iters": 500,
+    "fw_tol": FwConfig().tolerance,
+    "fw_max_iters": FwConfig().max_iters,
     "seed": 0,
     "repeats": 1,
     "out_dir": "runs",

@@ -11,8 +11,12 @@ point:
   of the raw gradients, which is zero exactly when the gradients certify a
   stationary point.
 
-Normalizing first makes the equiangular direction invariant to rescaling
-any single loss; the min-norm hull direction is not.
+Both solve their simplex problem on the Gram matrix ``M = G G^T`` of the
+gradients and only then combine the rows of ``G``. Normalizing the rows
+turns ``M`` into ``D^-1 M D^-1`` with ``D = diag(sqrt(M_ii))``, so the
+equiangular direction never forms a normalized copy of the gradients. That
+normalization makes it invariant to rescaling any single loss; the
+min-norm hull direction is not.
 """
 
 from __future__ import annotations
@@ -42,15 +46,16 @@ ZERO_GRADIENT_THRESHOLD = 1e-12
 
 @dataclass(frozen=True)
 class GradientSet:
-    """Per-objective gradients with cached norms and unit-norm copies.
+    """Per-objective gradients with their Gram matrix and norms.
 
-    ``normalized`` rows are defined only for ``active`` objectives (norm
-    above the zero threshold); inactive rows are zero.
+    ``gram`` is ``gram_matrix(gradients)`` and ``norms`` is the square root
+    of its diagonal; ``active`` lists the objectives whose norm is above
+    the zero threshold.
     """
 
     gradients: np.ndarray  # (T, d)
+    gram: np.ndarray  # (T, T)
     norms: np.ndarray  # (T,)
-    normalized: np.ndarray  # (T, d)
     active: np.ndarray  # indices with norm above ZERO_GRADIENT_THRESHOLD
 
     @classmethod
@@ -62,25 +67,17 @@ class GradientSet:
             raise ValueError(f"expected (T, d) gradients with T, d >= 1, got shape {G.shape}")
         if not np.all(np.isfinite(G)):
             raise NumericalError("non-finite gradient entries")
-        # sqrt of an explicit square-sum: rescaling a row by a power of two
-        # rescales its norm exactly, which keeps normalized rows bitwise
-        # stable under per-objective rescaling.
         with np.errstate(over="ignore"):
-            norms = np.sqrt((G * G).sum(axis=1))
-        if not np.all(np.isfinite(norms)):
+            gram = gram_matrix(G)
+        if not np.all(np.isfinite(gram)):
             raise NumericalError("gradient norm overflow")
+        norms = np.sqrt(np.diag(gram))
         active = np.flatnonzero(norms > ZERO_GRADIENT_THRESHOLD)
-        U = np.zeros_like(G)
-        U[active] = G[active] / norms[active, None]
-        return cls(gradients=G, norms=norms, normalized=U, active=active)
+        return cls(gradients=G, gram=gram, norms=norms, active=active)
 
     @property
     def n_objectives(self) -> int:
         return self.gradients.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.gradients.shape[1]
 
 
 @dataclass(frozen=True)
@@ -89,8 +86,9 @@ class DirectionResult:
 
     ``raw_direction`` is the plain convex combination (of normalized
     gradients for the equiangular method, of raw gradients for the
-    min-norm hull method). ``gamma`` is the rescaling factor of the
-    equiangular method and is None otherwise; ``normalized_direction`` is
+    min-norm hull method), formed as ``coef @ gradients`` from the solved
+    weights. ``gamma`` is the rescaling factor of the equiangular method
+    and is None otherwise; ``normalized_direction`` is
     ``gamma * raw_direction`` when gamma is present and equals
     ``raw_direction`` when it is not. ``direction_norm`` is the Euclidean
     norm of ``raw_direction``. ``support`` lists the objectives with
@@ -123,15 +121,29 @@ def _stationary_result(T: int, d: int) -> DirectionResult:
     )
 
 
+def _combine(gs: GradientSet, weights, coef, gamma) -> DirectionResult:
+    raw = coef @ gs.gradients
+    return DirectionResult(
+        weights=weights,
+        raw_direction=raw,
+        gamma=gamma,
+        normalized_direction=raw if gamma is None else gamma * raw,
+        direction_norm=float(np.sqrt(raw @ raw)),
+        support=np.flatnonzero(weights > 0),
+    )
+
+
 def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     """Equiangular descent direction with its rescaling factor.
 
-    Solves the min-norm problem over the *normalized* active gradients,
-    forms ``d_b`` from the resulting weights, and rescales it by
-    ``gamma = 1 / sum_i(beta_i / ||g_i||)``. Objectives whose gradient is
-    below the zero threshold get weight zero; if every gradient is below
-    it, the result is the zero direction with ``direction_norm`` 0, which
-    signals a stationary point rather than raising.
+    Solves the min-norm problem over the *normalized* active gradients on
+    their Gram matrix ``M_ij / (||g_i|| ||g_j||)``, forms
+    ``d_b = sum_i (beta_i / ||g_i||) g_i`` from the resulting weights, and
+    rescales it by ``gamma = 1 / sum_i(beta_i / ||g_i||)``. Objectives
+    whose gradient is below the zero threshold get weight zero; if every
+    gradient is below it, the result is the zero direction with
+    ``direction_norm`` 0, which signals a stationary point rather than
+    raising.
     """
     gs = _as_gradient_set(grads)
     T, d = gs.gradients.shape
@@ -139,20 +151,15 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     if act.size == 0:
         return _stationary_result(T, d)
 
-    U = gs.normalized[act]
-    sol = frank_wolfe_min_norm(gram_matrix(U), cfg)
+    # Scaling row i by 2^k scales M_ij, ||g_i|| and g_i exactly, so the
+    # solve, beta and every term (beta_i / ||g_i||) g_i are bitwise unchanged.
+    n = gs.norms[act]
+    sol = frank_wolfe_min_norm(gs.gram[np.ix_(act, act)] / np.outer(n, n), cfg)
     weights = np.zeros(T)
     weights[act] = sol.weights
-    raw = sol.weights @ U
-    gamma = normalization_factor(sol.weights, gs.norms[act])
-    return DirectionResult(
-        weights=weights,
-        raw_direction=raw,
-        gamma=gamma,
-        normalized_direction=gamma * raw,
-        direction_norm=float(np.sqrt(raw @ raw)),
-        support=np.flatnonzero(weights > 0),
-    )
+    coef = np.zeros(T)
+    coef[act] = sol.weights / n
+    return _combine(gs, weights, coef, normalization_factor(sol.weights, n))
 
 
 def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
@@ -163,16 +170,8 @@ def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     is already stationary for that objective alone).
     """
     gs = _as_gradient_set(grads)
-    sol = frank_wolfe_min_norm(gram_matrix(gs.gradients), cfg)
-    raw = sol.weights @ gs.gradients
-    return DirectionResult(
-        weights=sol.weights,
-        raw_direction=raw,
-        gamma=None,
-        normalized_direction=raw,
-        direction_norm=float(np.sqrt(raw @ raw)),
-        support=np.flatnonzero(sol.weights > 0),
-    )
+    sol = frank_wolfe_min_norm(gs.gram, cfg)
+    return _combine(gs, sol.weights, sol.weights, None)
 
 
 def bisector_two(g1, g2) -> np.ndarray:

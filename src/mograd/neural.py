@@ -27,7 +27,6 @@ __all__ = [
     "forward",
     "cross_entropy",
     "per_class_losses",
-    "weighted_total_gradient",
     "two_task_gradients",
     "predict_two_task",
 ]
@@ -225,16 +224,6 @@ def per_class_losses(
         dlogits[mask] = dlogits_all[mask]
         grads[i], _ = _backward(net, activations, dlogits)
     return losses, grads
-
-
-def weighted_total_gradient(per_class_gradients, spec: ClassLossSpec) -> np.ndarray:
-    """Weighted sum of the per-class gradients, using the given class weights."""
-    G = np.asarray(per_class_gradients, dtype=float)
-    if G.ndim != 2 or G.shape[0] != spec.n_classes:
-        raise ValueError(
-            f"expected {spec.n_classes} per-class gradients, got shape {G.shape}"
-        )
-    return spec.class_weights @ G
 
 
 @dataclass

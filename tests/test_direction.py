@@ -9,7 +9,8 @@ from mograd.direction import (
     normalization_factor,
     stationarity_residual,
 )
-from mograd.minnorm import FwConfig
+from mograd.exceptions import NumericalError
+from mograd.minnorm import FwConfig, frank_wolfe_min_norm, gram_matrix
 
 
 def random_gradients(rng, T=None, d=None, spread=2.0):
@@ -18,20 +19,43 @@ def random_gradients(rng, T=None, d=None, spread=2.0):
     return rng.standard_normal((T, d)) * np.exp(rng.uniform(-spread, spread, (T, 1)))
 
 
+def degenerate_gradient_sets(rng, T, d=40):
+    """One seeded set of each family: generic, rank-deficient,
+    duplicate/antiparallel and near-stationary, all rows nonzero."""
+    scales = np.exp(rng.uniform(-2.0, 2.0, size=(T, 1)))
+    generic = rng.standard_normal((T, d)) * scales
+    rank3 = (rng.standard_normal((T, 3)) @ rng.standard_normal((3, d))) * scales
+    base = rng.standard_normal(((T + 1) // 2, d))
+    signs = np.where(rng.random((T + 1) // 2) < 0.5, -1.0, 1.0)[:, None]
+    duplicate = np.concatenate([base, signs * rng.uniform(0.5, 2.0, ((T + 1) // 2, 1)) * base])
+    near = rng.standard_normal((T, d)) * scales
+    near -= rng.dirichlet(np.ones(T)) @ near
+    near += 1e-7 * rng.standard_normal(d)
+    return [generic, rank3, duplicate[rng.permutation(T)], near]
+
+
 class TestGradientSet:
-    def test_norms_and_unit_rows(self):
+    def test_norms_and_gram(self):
         rng = np.random.default_rng(0)
         G = random_gradients(rng, T=5, d=20)
         gs = GradientSet.from_gradients(G)
         expected = np.linalg.norm(G, axis=1)
         assert np.all(np.abs(gs.norms - expected) <= 1e-12 * expected)
-        for i in gs.active:
-            assert abs(np.linalg.norm(gs.normalized[i]) - 1.0) <= 1e-12
+        gram = G @ G.T
+        assert np.max(np.abs(gs.gram - gram)) <= 1e-12 * np.max(np.abs(gram))
+        diag = np.diag(gs.gram)
+        assert np.all(np.abs(gs.norms**2 - diag) <= 1e-15 * diag)
 
     def test_zero_rows_marked_inactive(self):
         gs = GradientSet.from_gradients([(0.0, 0.0), (1.0, 2.0)])
         assert list(gs.active) == [1]
-        assert np.array_equal(gs.normalized[0], np.zeros(2))
+        assert np.array_equal(gs.gram[0], np.zeros(2))
+
+    def test_squared_norm_overflow_rejected(self):
+        # every entry is finite, but the squared norm of row 0 is not
+        for direction in (edm_direction, mgda_direction):
+            with pytest.raises(NumericalError, match="gradient norm overflow"):
+                direction([(1e155, 0.0), (0.0, 1.0)])
 
 
 class TestEdmDirection:
@@ -84,13 +108,27 @@ class TestEdmDirection:
             res = edm_direction(gs)
             nb2 = float(res.raw_direction @ res.raw_direction)
             for i in gs.active:
-                assert res.raw_direction @ gs.normalized[i] >= nb2 - 1e-6
+                assert res.raw_direction @ (G[i] / gs.norms[i]) >= nb2 - 1e-6
+
+    def test_matches_normalize_first_reference(self):
+        # the min-norm point is unique where the weights need not be, so
+        # compare directions
+        rng = np.random.default_rng(9)
+        for T in (2, 3, 8, 16, 32):
+            for _ in range(3):
+                for G in degenerate_gradient_sets(rng, T):
+                    U = G / np.linalg.norm(G, axis=1)[:, None]
+                    expected = frank_wolfe_min_norm(gram_matrix(U)).weights @ U
+                    got = edm_direction(G).raw_direction
+                    assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_scale_invariance_bitwise(self):
-        # power-of-two rescalings keep the normalized rows bitwise identical
+        # power-of-two rescalings keep the normalized Gram matrix bitwise identical
         rng = np.random.default_rng(3)
-        for _ in range(100):
+        for trial in range(120):
             G = random_gradients(rng, spread=1.0)
+            if trial >= 100:
+                G[rng.integers(G.shape[0])] = 0.0
             scales = 2.0 ** rng.integers(-20, 21, size=G.shape[0])
             base = edm_direction(G)
             scaled = edm_direction(G * scales[:, None])

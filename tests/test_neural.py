@@ -12,7 +12,6 @@ from mograd.neural import (
     per_class_losses,
     predict_two_task,
     two_task_gradients,
-    weighted_total_gradient,
 )
 from mograd.problems import finite_diff_gradient
 
@@ -139,27 +138,6 @@ class TestPerClassLosses:
         net = init_mlp([2, 3, 2], 0)
         with pytest.raises(ValueError):
             per_class_losses(net, np.zeros((1, 2)), np.array([5]), ClassLossSpec(np.ones(2)))
-
-
-class TestWeightedTotalGradient:
-    def test_unit_weights_sum(self):
-        grads = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = weighted_total_gradient(grads, ClassLossSpec(np.ones(2)))
-        assert np.array_equal(out, np.array([4.0, 6.0]))
-
-    def test_minor_weight_scales_exactly(self):
-        grads = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = weighted_total_gradient(grads, ClassLossSpec(np.array([1.0, 10.0])))
-        assert np.array_equal(out, np.array([1.0, 10.0]))
-
-    def test_zero_weight_on_empty_class(self):
-        grads = np.array([[1.0, 2.0], [0.0, 0.0]])
-        out = weighted_total_gradient(grads, ClassLossSpec(np.array([1.0, 0.0])))
-        assert np.array_equal(out, grads[0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_total_gradient(np.zeros((3, 4)), ClassLossSpec(np.ones(2)))
 
 
 class TestTwoHead:
