@@ -126,11 +126,12 @@ def _aggregate(path: Path, name: str, summaries: list[dict], accuracy_key: str) 
 # experiment cores (also used by the demo scripts and the acceptance suite)
 
 
-def _epoch_batch_oracle(dims, spec, X, y, plan, epochs):
+def _epoch_batch_oracle(net, spec, X, y, plan, epochs):
     """Stateful problem oracle: each call evaluates the next per-class batch.
 
-    Single-consumer (the descent loop); one spare epoch is generated
-    because the loop evaluates the oracle once more at the final point.
+    Writes ``theta`` into ``net``'s buffer in place. Single-consumer (the
+    descent loop); one spare epoch is generated because the loop evaluates
+    the oracle once more at the final point.
     """
     batch_iter = (
         np.concatenate(batch)
@@ -139,7 +140,7 @@ def _epoch_batch_oracle(dims, spec, X, y, plan, epochs):
     )
 
     def problem(theta):
-        net = MlpParams.from_flat(theta, dims)
+        net.flat[:] = theta
         idx = next(batch_iter)
         return per_class_losses(net, X[idx], y[idx], spec)
 
@@ -170,9 +171,7 @@ def train_imbalanced(
     net = init_mlp([train_ds.n_features, hidden, n_classes], seed)
     spec = ClassLossSpec(np.array([1.0] + [float(mu)] * (n_classes - 1)))
     plan = BatchPlan(batches_per_epoch=batches_per_epoch, seed=seed + 1)
-    problem = _epoch_batch_oracle(
-        net.dims, spec, train_ds.features, train_ds.labels, plan, epochs
-    )
+    problem = _epoch_batch_oracle(net, spec, train_ds.features, train_ds.labels, plan, epochs)
     run_method = "weighted_sum" if method == "sgd" else method
     cfg = OptimizerConfig(
         method=run_method,

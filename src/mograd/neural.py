@@ -1,8 +1,9 @@
 """Small dense networks with hand-rolled backpropagation.
 
-Parameters live in structured form (per-layer weight matrix and bias) but
-every gradient is returned as a single flat vector with a fixed layout:
-layer by layer, weight entries row-major, then the bias. That layout is
+A network's parameters live in one flat buffer with a fixed layout: layer
+by layer, weight entries row-major, then the bias. Each per-layer weight
+matrix and bias is a view into that buffer, so writing the buffer moves
+the layers. Every gradient is a flat vector in the same layout, which is
 what the descent loops in :mod:`mograd.optimize` operate on.
 
 Per-sample losses are cross-entropies and per-class or per-task losses are
@@ -12,7 +13,7 @@ batch produces a proportionally larger gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +38,14 @@ class MlpParams:
     """Feedforward parameters: rectifier between layers, linear last layer.
 
     ``layers[j]`` is ``(W_j, b_j)`` with W_j of shape (d_out, d_in). The
-    flat-vector view concatenates, per layer, the row-major weight entries
-    followed by the bias; ``flatten``/``from_flat`` round-trip bitwise.
+    parameters are copied into one buffer ``flat`` on construction, and
+    every ``(W_j, b_j)`` is a view into it: per layer, the row-major weight
+    entries followed by the bias. ``flatten``, ``copy`` and ``from_flat``
+    return fresh copies that alias nothing, and round-trip bitwise.
     """
 
     layers: list[tuple[np.ndarray, np.ndarray]]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -55,6 +59,9 @@ class MlpParams:
                     f"layer {j}: input dim {W.shape[1]} does not match previous output {prev_out}"
                 )
             prev_out = W.shape[0]
+        self.flat = np.concatenate([part for W, b in self.layers for part in (W.ravel(), b)],
+                                   dtype=float)
+        self.layers, _ = _layer_views(self.flat, self.dims)
 
     @property
     def dims(self) -> list[int]:
@@ -62,28 +69,33 @@ class MlpParams:
 
     @property
     def n_params(self) -> int:
-        return sum(W.size + b.size for W, b in self.layers)
+        return self.flat.shape[0]
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in self.layers])
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims: list[int]) -> "MlpParams":
         flat = np.asarray(flat, dtype=float)
-        layers = []
-        offset = 0
-        for d_in, d_out in zip(dims[:-1], dims[1:]):
-            W = flat[offset : offset + d_in * d_out].reshape(d_out, d_in).copy()
-            offset += d_in * d_out
-            b = flat[offset : offset + d_out].copy()
-            offset += d_out
-            layers.append((W, b))
-        if offset != flat.shape[0]:
+        layers, size = _layer_views(flat, dims)
+        if size != flat.shape[0]:
             raise ValueError(f"flat vector of length {flat.shape[0]} does not match dims {dims}")
         return cls(layers)
 
     def copy(self) -> "MlpParams":
-        return MlpParams([(W.copy(), b.copy()) for W, b in self.layers])
+        return MlpParams(self.layers)
+
+
+def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list, int]:
+    """``(W_j, b_j)`` views into ``flat`` and the number of entries they cover."""
+    layers = []
+    offset = 0
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        W = flat[offset : offset + d_in * d_out].reshape(d_out, d_in)
+        offset += d_in * d_out
+        layers.append((W, flat[offset : offset + d_out]))
+        offset += d_out
+    return layers, offset
 
 
 def init_mlp(dims: list[int], rng: np.random.Generator | int) -> MlpParams:
@@ -118,18 +130,28 @@ def forward(net: MlpParams, x) -> np.ndarray:
     return logits[0] if x.ndim == 1 else logits
 
 
-def _backward(
-    net: MlpParams, activations: list[np.ndarray], dlogits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat parameter gradient and input gradient for an upstream dlogits."""
-    grads: list[np.ndarray] = []
-    delta = dlogits
-    for j in range(len(net.layers) - 1, -1, -1):
-        W, _ = net.layers[j]
-        grads.append(np.concatenate([(delta.T @ activations[j]).ravel(), delta.sum(axis=0)]))
-        upstream = delta @ W
-        delta = upstream * (activations[j] > 0) if j > 0 else upstream
-    return np.concatenate(grads[::-1]), delta
+def _backward(layers, activations: list[np.ndarray], delta: np.ndarray, segments) -> np.ndarray:
+    """Flat parameter gradients of row segments, from one backward pass.
+
+    ``delta`` is the loss gradient at the logits, one row per sample, and
+    ``activations[j]`` is the input of ``layers[j]``. Rows backpropagate
+    independently, so one pass gives every row's delta at every layer; row
+    k of the result is the gradient of the rows ``segments[k]`` alone, the
+    per-layer segment sums ``delta[s].T @ act[s]`` and ``delta[s].sum(0)``.
+    """
+    grads = np.empty((len(segments), sum(W.size + b.size for W, b in layers)))
+    end = grads.shape[1]
+    for j in range(len(layers) - 1, -1, -1):
+        W, b = layers[j]
+        start = end - W.size - b.size
+        act = activations[j]
+        for g, s in zip(grads, segments):
+            np.matmul(delta[s].T, act[s], out=g[start : end - b.size].reshape(W.shape))
+            delta[s].sum(axis=0, out=g[end - b.size : end])
+        if j > 0:
+            delta = (delta @ W) * (act > 0)
+        end = start
+    return grads
 
 
 def cross_entropy(logits, label: int) -> float:
@@ -143,25 +165,23 @@ def cross_entropy(logits, label: int) -> float:
     return float(m + np.log(np.exp(z - m).sum()) - z[label])
 
 
-def _ce_sum(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Summed cross-entropy over rows and its gradient (softmax minus one-hot)."""
+def _ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-entropy of each row and its gradient (softmax minus one-hot)."""
     m = logits.max(axis=1, keepdims=True)
-    shifted = logits - m
-    exp = np.exp(shifted)
+    exp = np.exp(logits - m)
     total = exp.sum(axis=1, keepdims=True)
     rows = np.arange(logits.shape[0])
-    loss = float(np.sum(np.log(total[:, 0]) + m[:, 0] - logits[rows, labels]))
+    per_row = np.log(total[:, 0]) + m[:, 0] - logits[rows, labels]
     dlogits = exp / total
     dlogits[rows, labels] -= 1.0
-    return loss, dlogits
+    return per_row, dlogits
 
 
 @dataclass(frozen=True)
 class ClassLossSpec:
-    """Per-class loss weights, plus optional dataset-level class index sets."""
+    """Per-class loss weights."""
 
     class_weights: np.ndarray
-    class_index_sets: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.class_weights, dtype=float)
@@ -170,13 +190,6 @@ class ClassLossSpec:
         if np.any(w < 0):
             raise ValueError("class weights must be nonnegative")
         object.__setattr__(self, "class_weights", w)
-        if self.class_index_sets is not None:
-            seen: set[int] = set()
-            for idx in self.class_index_sets:
-                as_set = set(int(i) for i in np.asarray(idx).ravel())
-                if seen & as_set:
-                    raise ValueError("class index sets must be disjoint")
-                seen |= as_set
 
     @property
     def n_classes(self) -> int:
@@ -190,8 +203,11 @@ def per_class_losses(
 
     Loss i sums over the batch rows labeled i (an absent class contributes
     zero loss and a zero gradient); gradient i is the backpropagation of
-    loss i alone. Summing the per-class losses reproduces the whole-batch
-    loss exactly, since the classes partition the batch.
+    loss i alone. A stable sort of the rows by label makes each class one
+    contiguous segment in its original row order; one forward pass and one
+    backward pass of the whole batch then give every class's gradient as
+    per-layer segment sums. Summing the per-class losses reproduces the
+    whole-batch loss exactly, since the classes partition the batch.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -203,27 +219,17 @@ def per_class_losses(
     if np.any(y < 0) or np.any(y >= c):
         raise ValueError(f"labels must lie in [0, {c})")
 
+    order = np.argsort(y, kind="stable")
+    X, y = X[order], y[order]
+    bounds = np.searchsorted(y, np.arange(c + 1))
+    segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
     activations, logits = _forward_cached(net, X)
     if not np.all(np.isfinite(logits)):
         raise NumericalError("non-finite activations in forward pass")
-    _, dlogits_all = _ce_sum(logits, y)
-
-    m = logits.max(axis=1, keepdims=True)
-    log_total = np.log(np.exp(logits - m).sum(axis=1)) + m[:, 0]
-    rows = np.arange(X.shape[0])
-    per_sample = log_total - logits[rows, y]
-
-    losses = np.zeros(c)
-    grads = np.zeros((c, net.n_params))
-    for i in range(c):
-        mask = y == i
-        if not np.any(mask):
-            continue
-        losses[i] = float(per_sample[mask].sum())
-        dlogits = np.zeros_like(dlogits_all)
-        dlogits[mask] = dlogits_all[mask]
-        grads[i], _ = _backward(net, activations, dlogits)
-    return losses, grads
+    per_row, dlogits = _ce_rows(logits, y)
+    losses = np.array([per_row[s].sum() for s in segments])
+    return losses, _backward(net.layers, activations, dlogits, segments)
 
 
 @dataclass
@@ -289,8 +295,9 @@ def two_task_gradients(
     """Both task losses with their shared-block and head-block gradients.
 
     Each task's summed cross-entropy is backpropagated through its own head
-    and the trunk; the two shared gradients are flat vectors over the trunk
-    slice, the head gradients over the matching head slice.
+    and the trunk in one pass (the junction is an internal layer boundary);
+    the two shared gradients are flat vectors over the trunk slice, the head
+    gradients over the matching head slice.
     """
     X = np.asarray(X, dtype=float)
     labels = (np.asarray(y1), np.asarray(y2))
@@ -304,17 +311,17 @@ def two_task_gradients(
     h = np.maximum(trunk_out, 0.0)
 
     losses = np.empty(2)
-    shared = np.empty((2, model.n_shared))
-    head_grads = []
-    for k in range(2):
-        head_acts, logits = _forward_cached(model.heads[k], h)
+    grads = []
+    for k, head in enumerate(model.heads):
+        head_acts, logits = _forward_cached(head, h)
         if not np.all(np.isfinite(logits)):
             raise NumericalError(f"non-finite activations in task {k + 1} forward pass")
-        losses[k], dlogits = _ce_sum(logits, labels[k])
-        g_head, dh = _backward(model.heads[k], head_acts, dlogits)
-        shared[k], _ = _backward(model.trunk, trunk_acts, dh * (trunk_out > 0))
-        head_grads.append(g_head)
-    return losses, shared, (head_grads[0], head_grads[1])
+        per_row, dlogits = _ce_rows(logits, labels[k])
+        losses[k] = np.sum(per_row)
+        layers = model.trunk.layers + head.layers
+        grads.append(_backward(layers, trunk_acts + head_acts, dlogits, [slice(None)])[0])
+    n = model.n_shared
+    return losses, np.stack([g[:n] for g in grads]), (grads[0][n:], grads[1][n:])
 
 
 def predict_two_task(model: TwoHeadMlp, X) -> tuple[np.ndarray, np.ndarray]:

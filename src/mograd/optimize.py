@@ -15,7 +15,7 @@ import numpy as np
 from .direction import GradientSet, edm_direction, mgda_direction, stationarity_residual
 from .exceptions import NumericalError
 from .minnorm import FwConfig
-from .neural import MlpParams, TwoHeadMlp, two_task_gradients
+from .neural import TwoHeadMlp, two_task_gradients
 from .problems import MultiLossProblem
 
 __all__ = [
@@ -208,10 +208,11 @@ def run_multitask(
     method turns the two shared-block gradients into one trunk direction,
     and each head takes a plain gradient step on its own loss at the same
     learning rate. All gradients of a batch are computed before any
-    parameter moves. ``kappa`` rescales the second task's loss (and hence
-    every gradient of it). The trace holds one record per epoch with
-    batch-averaged losses, direction norms, and weights; a zero-epoch run
-    returns the model unchanged.
+    parameter moves, and the steps update the parameter buffers of a copy
+    of ``model`` in place; the caller's model is never changed. ``kappa``
+    rescales the second task's loss (and hence every gradient of it). The
+    trace holds one record per epoch with batch-averaged losses, direction
+    norms, and weights; a zero-epoch run returns the model unchanged.
 
     Returns the trained model and the run record; ``final_point`` is the
     full flat parameter vector.
@@ -258,16 +259,9 @@ def run_multitask(
                 raise NumericalError(f"{exc} at epoch {epoch}", iteration=epoch) from exc
             _check_finite(losses, direction, epoch)
 
-            trunk = MlpParams.from_flat(
-                model.trunk.flatten() - s * direction, model.trunk.dims
-            )
-            heads = tuple(
-                MlpParams.from_flat(
-                    model.heads[k].flatten() - s * head_grads[k], model.heads[k].dims
-                )
-                for k in range(2)
-            )
-            model = TwoHeadMlp(trunk, heads)
+            model.trunk.flat -= s * direction
+            for head, g in zip(model.heads, head_grads):
+                head.flat -= s * g
 
             sum_losses += losses
             sum_dnorm += float(np.sqrt(direction @ direction))

@@ -30,6 +30,38 @@ class TestMlpParams:
             assert np.array_equal(W1, W2)
             assert np.array_equal(b1, b2)
 
+    def test_layers_are_views_of_flat(self):
+        net = init_mlp([3, 5, 2], np.random.default_rng(0))
+        net.flat[:] = np.arange(net.n_params, dtype=float)
+        W0, b0 = net.layers[0]
+        W1, b1 = net.layers[1]
+        assert np.array_equal(W0, np.arange(15.0).reshape(5, 3))
+        assert np.array_equal(b0, np.arange(15.0, 20.0))
+        assert np.array_equal(W1, np.arange(20.0, 30.0).reshape(2, 5))
+        assert np.array_equal(b1, np.arange(30.0, 32.0))
+        for W, b in net.layers:
+            assert np.shares_memory(W, net.flat) and np.shares_memory(b, net.flat)
+
+        source = net.flat.copy()
+        copies = [net.flatten(), net.copy(), MlpParams.from_flat(source, net.dims)]
+        for other in copies:
+            buffer = other if isinstance(other, np.ndarray) else other.flat
+            assert not np.shares_memory(buffer, net.flat)
+            assert not np.shares_memory(buffer, source)
+        net.flat[:] = -1.0
+        source[:] = -2.0
+        expected = np.arange(net.n_params, dtype=float)
+        assert np.array_equal(copies[0], expected)
+        for other in copies[1:]:
+            assert np.array_equal(other.flatten(), expected)
+            assert np.array_equal(other.layers[1][0], expected[20:30].reshape(2, 5))
+
+    def test_constructor_copies_its_layers(self):
+        W, b = np.ones((2, 3)), np.zeros(2)
+        net = MlpParams([(W, b)])
+        W[0, 0] = 5.0
+        assert net.layers[0][0][0, 0] == 1.0
+
     def test_shape_chain_enforced(self):
         with pytest.raises(ValueError):
             MlpParams([(np.zeros((4, 3)), np.zeros(4)), (np.zeros((2, 5)), np.zeros(2))])
@@ -133,6 +165,76 @@ class TestPerClassLosses:
 
             fd = finite_diff_gradient(loss_i, theta0)
             assert rel_err(grads[i], fd) <= 1e-4
+
+    @staticmethod
+    def masked_backprop_reference(net, X, y, c):
+        """One full backward pass per class, over the zero-masked dlogits."""
+        acts = [X]
+        a = X
+        for W, b in net.layers[:-1]:
+            a = np.maximum(a @ W.T + b, 0.0)
+            acts.append(a)
+        W, b = net.layers[-1]
+        logits = a @ W.T + b
+        m = logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits - m)
+        rows = np.arange(y.size)
+        per_sample = np.log(exp.sum(axis=1)) + m[:, 0] - logits[rows, y]
+        dlogits = exp / exp.sum(axis=1, keepdims=True)
+        dlogits[rows, y] -= 1.0
+        losses = np.zeros(c)
+        grads = np.zeros((c, net.n_params))
+        for i in range(c):
+            mask = y == i
+            if not np.any(mask):
+                continue
+            losses[i] = per_sample[mask].sum()
+            delta = np.where(mask[:, None], dlogits, 0.0)
+            parts = []
+            for j in range(len(net.layers) - 1, -1, -1):
+                parts.append(np.concatenate([(delta.T @ acts[j]).ravel(), delta.sum(axis=0)]))
+                delta = (delta @ net.layers[j][0]) * (acts[j] > 0)
+            grads[i] = np.concatenate(parts[::-1])
+        return losses, grads
+
+    def test_matches_masked_backprop_reference(self):
+        rng = np.random.default_rng(11)
+        for c in (2, 3, 5):
+            for trial in range(4):
+                dims = [4, 9, 6, c] if trial % 2 else [4, 9, c]
+                net = init_mlp(dims, int(rng.integers(0, 10_000)))
+                n = int(rng.integers(6, 30))
+                X = rng.standard_normal((n, 4))
+                # with c = 2 an absent class leaves a one-class batch, so
+                # only half of those trials drop a class
+                absent = [int(rng.integers(0, c))] if c > 2 or trial < 2 else []
+                present = np.delete(np.arange(c), absent)
+                y = rng.choice(present, size=n)
+                y[: present.size] = rng.permutation(present)
+                rng.shuffle(y)
+                assert present.size == 1 or not np.all(np.diff(y) >= 0)
+                losses, grads = per_class_losses(net, X, y, ClassLossSpec(np.ones(c)))
+                ref_losses, ref_grads = self.masked_backprop_reference(net, X, y, c)
+                for i in absent:
+                    assert np.array_equal(grads[i], np.zeros(net.n_params))
+                    assert losses[i] == 0.0
+                for i in present:
+                    assert rel_err(grads[i], ref_grads[i]) <= 1e-12
+                    assert abs(losses[i] - ref_losses[i]) <= 1e-12 * abs(ref_losses[i])
+
+    def test_row_order_does_not_matter(self):
+        rng = np.random.default_rng(12)
+        for c in (2, 3, 5):
+            net = init_mlp([3, 8, 5, c], int(rng.integers(0, 10_000)))
+            X = rng.standard_normal((25, 3))
+            y = rng.integers(0, c, size=25)
+            spec = ClassLossSpec(np.ones(c))
+            losses, grads = per_class_losses(net, X, y, spec)
+            perm = rng.permutation(25)
+            s_losses, s_grads = per_class_losses(net, X[perm], y[perm], spec)
+            assert rel_err(s_losses, losses) <= 1e-12
+            for i in range(c):
+                assert rel_err(s_grads[i], grads[i]) <= 1e-12
 
     def test_label_out_of_range(self):
         net = init_mlp([2, 3, 2], 0)

@@ -192,6 +192,17 @@ class TestRunMultitask:
         assert result.trace == []
         assert result.iterations_used == 0
 
+    def test_input_model_unchanged_after_training(self):
+        before = self.model.flatten()
+        trained, _ = run_multitask(
+            self.model,
+            self.data,
+            cfg(learning_rate=0.01, max_iters=2, stop_tolerance=1e-14),
+            batch_size=30,
+        )
+        assert np.array_equal(self.model.flatten(), before)
+        assert not np.array_equal(trained.flatten(), before)
+
     def test_loss_scale_invariant_first_direction(self):
         X, y1, y2 = self.data.features, self.data.labels, self.data.labels2
         losses, shared, heads = two_task_gradients(self.model, X[:64], y1[:64], y2[:64])
