@@ -492,7 +492,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--method", help="edm | mgda | weighted_sum (sgd for imbalanced)")
         p.add_argument("--lr", type=float, help="learning rate")
         p.add_argument("--eps", type=float, help="stopping tolerance on the direction norm")
-        p.add_argument("--fw-tol", dest="fw_tol", type=float, help="relative duality-gap tolerance")
+        p.add_argument("--fw-tol", dest="fw_tol", type=float,
+                       help=f"relative duality-gap tolerance of the simplex solver "
+                            f"(default {FwConfig().tolerance:g})")
         p.add_argument("--fw-max-iters", dest="fw_max_iters", type=int,
                        help="simplex solver major-cycle cap")
         p.add_argument("--seed", type=int)

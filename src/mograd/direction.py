@@ -153,13 +153,20 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
 
     # Scaling row i by 2^k scales M_ij, ||g_i|| and g_i exactly, so the
     # solve, beta and every term (beta_i / ||g_i||) g_i are bitwise unchanged.
-    n = gs.norms[act]
-    sol = frank_wolfe_min_norm(gs.gram[np.ix_(act, act)] / np.outer(n, n), cfg)
+    every = act.size == T
+    n = gs.norms if every else gs.norms[act]
+    M = gs.gram if every else gs.gram[act[:, None], act]
+    sol = frank_wolfe_min_norm(M / (n[:, None] * n), cfg)
+    q = sol.weights / n
+    # normalization_factor, without re-checking what the solver guarantees.
+    gamma = float(1.0 / np.sum(q[sol.weights > 0]))
+    if every:
+        return _combine(gs, sol.weights, q, gamma)
     weights = np.zeros(T)
     weights[act] = sol.weights
     coef = np.zeros(T)
-    coef[act] = sol.weights / n
-    return _combine(gs, weights, coef, normalization_factor(sol.weights, n))
+    coef[act] = q
+    return _combine(gs, weights, coef, gamma)
 
 
 def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:

@@ -5,15 +5,18 @@ Given vectors v_1, ..., v_T, the weights beta minimizing
 Wolfe's min-norm-point active-set method (Wolfe 1976, Math. Programming
 11) on the Gram matrix M_ij = <v_i, v_j>. Each major cycle adds one
 vertex to a working set (the corral) and strictly decreases the
-objective; on a corral the optimum is the solution of a small linear
-system, so the method is exact on every face. It stops on the relative
+objective; on a corral the optimum is the solution of a small bordered
+linear system, solved by LU and checked against its residual, with least
+squares as the fallback, so the method is exact on every face. For two
+vectors the method is a single exact line search from the shorter vertex
+toward the other (the closed form of Sener & Koltun, NeurIPS 2018,
+Alg. 1), which is what the solver runs at T=2. It stops on the relative
 duality gap of the simplex problem.
 
 The solver's public names (``FwConfig``, ``FwResult``,
 ``frank_wolfe_min_norm``) keep their spelling from the Frank-Wolfe solver
 this module used to run, so existing callers and configurations still
-work. ``fw_line_search``, the exact Frank-Wolfe step, stays as a
-standalone helper.
+work. ``fw_line_search``, the exact Frank-Wolfe step, is the T=2 step.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ __all__ = [
     "frank_wolfe_min_norm",
 ]
 
-# Line-search denominators below this are treated as zero (flat objective).
-_DENOM_GUARD = 1e-18
+# An LU solution of the bordered system is accepted when its residual is at
+# most this many units of round-off, eps * (||A|| ||x|| + s).
+_RESIDUAL_ULPS = 16.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class FwConfig:
     once the gap is at or below it. ``max_iters`` caps the major cycles.
     """
 
-    tolerance: float = 1e-10
+    tolerance: float = 1e-12
     max_iters: int = 500
 
     def __post_init__(self) -> None:
@@ -113,8 +118,8 @@ def fw_line_search(M, w, target: int) -> float:
 
     Minimizes ``q(eta) = ||(1-eta) w + eta e_t||_M^2`` over eta in [0, 1].
     The minimizer has three regimes: 0 when w already beats the vertex
-    direction, 1 when the vertex dominates outright, and otherwise an
-    interior ratio clamped into [0, 1].
+    direction, 1 when the vertex dominates outright, and otherwise the ratio
+    of the objective's slope to its curvature along the segment, in (0, 1].
     """
     M = np.asarray(M, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -133,20 +138,24 @@ def fw_line_search(M, w, target: int) -> float:
         return 0.0
     if e_M_e <= w_M_e:
         return 1.0
-    denom = e_M_e - 2.0 * w_M_e + w_M_w
-    if denom < _DENOM_GUARD:
-        return 0.0
-    eta = (w_M_w - w_M_e) / denom
-    return min(max(eta, 0.0), 1.0)
+    # Both differences are positive, so the ratio lies in (0, 1] at any
+    # magnitude of M. Quartering them (exact for normal numbers) keeps their
+    # sum finite for entries up to the float max.
+    toward = 0.25 * w_M_w - 0.25 * w_M_e
+    return toward / (toward + (0.25 * e_M_e - 0.25 * w_M_e))
 
 
 def _affine_minimizer(M_SS: np.ndarray, scale: float) -> np.ndarray:
     """Weights summing to one that minimize ``y^T M_SS y``, ignoring signs.
 
-    Solves the bordered system ``[M_SS s1; s1^T 0] [y; mu] = [0; s]`` by
-    least squares, so corrals whose points are affinely dependent (where
-    the system is singular) still get a minimizer. The border carries the
-    matrix's own scale s, which keeps the system balanced at any
+    Solves the bordered system ``A [y; mu] = [0; s]`` with
+    ``A = [M_SS s1; s1^T 0]`` by LU. The solution is kept only when it is
+    finite and its residual is at round-off, at most a small multiple of
+    ``eps * (||A|| ||x|| + s)`` in the max norm. Otherwise (LU found an
+    exactly singular pivot, or the corral is so close to affinely dependent
+    that LU lost the residual) the system is solved again by least squares,
+    which returns a minimizer for singular systems too. The border carries
+    the matrix's own scale s, which keeps the system balanced at any
     magnitude of M.
     """
     k = M_SS.shape[0]
@@ -155,7 +164,46 @@ def _affine_minimizer(M_SS: np.ndarray, scale: float) -> np.ndarray:
     bordered[k, k] = 0.0
     rhs = np.zeros(k + 1)
     rhs[k] = scale
+    try:
+        x = np.linalg.solve(bordered, rhs)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is not None:
+        # Measured in units of s, so the test itself cannot overflow near the
+        # float max; an overflowed residual is inf or nan and fails it.
+        size = np.abs(x).max()
+        norm = (k + 1) * (np.abs(bordered).max() / scale)
+        residual = np.abs(bordered @ x - rhs).max() / scale
+        if np.isfinite(size) and residual <= _RESIDUAL_ULPS * _EPS * (norm * size + 1.0):
+            return x[:k]
     return np.linalg.lstsq(bordered, rhs, rcond=None)[0][:k]
+
+
+def _swap_step(M: np.ndarray, beta: np.ndarray, corral: list[int]) -> bool:
+    """Move weight from one corral vertex to the entering vertex ``corral[-1]``.
+
+    Takes the exact line search along ``e_j - e_k`` for the corral vertex k
+    that lowers the objective most, with the step capped at ``beta_k``.
+    Returns whether k emptied, in which case it leaves the corral.
+    """
+    j = corral[-1]
+    others = np.array(corral[:-1])
+    Mb = M @ beta
+    slope = Mb[others] - Mb[j]
+    curv = M[j, j] - 2.0 * M[j, others] + M[others, others]
+    step = beta[others]
+    inner = (slope > 0.0) & (curv * step > slope)
+    step[inner] = slope[inner] / curv[inner]
+    step[slope <= 0.0] = 0.0
+    best = int(np.argmax(2.0 * slope * step - curv * step * step))
+    k, t = int(others[best]), float(step[best])
+    beta[j] += t
+    if t < beta[k]:
+        beta[k] -= t
+        return False
+    beta[k] = 0.0
+    corral.remove(k)
+    return True
 
 
 def _minor_cycles(M: np.ndarray, beta: np.ndarray, corral: list[int], scale: float) -> None:
@@ -165,18 +213,32 @@ def _minor_cycles(M: np.ndarray, beta: np.ndarray, corral: list[int], scale: flo
     only as far as the simplex boundary and drop the corral vertex whose
     weight reaches zero there. Updates ``beta`` and ``corral`` in place;
     weights off the corral stay exact zeros.
+
+    In exact arithmetic the vertex that just entered, ``corral[-1]``, gets
+    positive weight. When rounding denies it any (it nearly duplicates a
+    corral vertex, closer than the Gram matrix resolves), the first cycle
+    would drop it again without moving, and the next major cycle would add
+    it back. A swap step toward it is taken instead.
     """
+    entering = True
     while True:
-        y = _affine_minimizer(M[np.ix_(corral, corral)], scale)
+        idx = np.array(corral)
+        y = _affine_minimizer(M[idx[:, None], idx], scale)
+        if entering and y[-1] <= 0.0:
+            if not _swap_step(M, beta, corral):
+                return
+            entering = False
+            continue
+        entering = False
         out = np.flatnonzero(y < 0.0)
         if out.size == 0:
-            beta[corral] = y
+            beta[idx] = y
             return
-        x = beta[corral]
+        x = beta[idx]
         ratio = x[out] / (x[out] - y[out])
         x = np.maximum(x + ratio.min() * (y - x), 0.0)
         x[out[np.argmin(ratio)]] = 0.0
-        beta[corral] = x
+        beta[idx] = x
         corral[:] = [i for i in corral if beta[i] > 0.0]
 
 
@@ -189,9 +251,11 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     to the smallest index), then minor cycles move to the minimizer over
     the corral's affine hull, stepping back to the simplex boundary and
     dropping the vertex that hits zero while that minimizer has a
-    negative weight. The solve stops once the relative duality gap is at
-    or below the configured tolerance, or when the chosen vertex is
-    already in the corral. Weights off the corral are exact zeros.
+    negative weight. For two vectors that cycle is one exact line search
+    (``fw_line_search``) from the starting vertex toward the other, so it
+    runs as one. The solve stops once the relative duality gap is at or
+    below the configured tolerance, or when the chosen vertex is already in
+    the corral. Weights off the corral are exact zeros.
 
     Parameters
     ----------
@@ -217,18 +281,24 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     corral = [int(np.argmin(diag))]
     beta = np.zeros(T)
     beta[corral[0]] = 1.0
-    objectives = [combination_norm_sq(M, beta)]
+    objectives = []
     iterations = 0
     while True:
         Mb = M @ beta
         j = int(np.argmin(Mb))
-        gap = max(float(beta @ Mb - Mb[j]), 0.0) / scale if scale > 0.0 else 0.0
+        objective = float(beta @ Mb)
+        objectives.append(max(objective, 0.0))
+        gap = max(objective - float(Mb[j]), 0.0) / scale if scale > 0.0 else 0.0
         if gap <= cfg.tolerance or j in corral or iterations == cfg.max_iters:
             break
         corral.append(j)
         iterations += 1
-        _minor_cycles(M, beta, corral, scale)
-        objectives.append(combination_norm_sq(M, beta))
+        if T == 2:
+            eta = fw_line_search(M, beta, j)
+            beta[corral[0]] = 1.0 - eta
+            beta[j] = eta
+        else:
+            _minor_cycles(M, beta, corral, scale)
 
     return FwResult(
         weights=beta / beta.sum(),

@@ -122,6 +122,24 @@ class TestEdmDirection:
                     got = edm_direction(G).raw_direction
                     assert np.max(np.abs(got - expected)) <= 1e-12
 
+    def test_solves_on_the_normalized_gram_bitwise(self):
+        # weights are the solver's on M_ij / (||g_i|| ||g_j||) over the active
+        # rows, and gamma is normalization_factor of them, to the last bit
+        rng = np.random.default_rng(10)
+        for trial in range(80):
+            G = random_gradients(rng, T=int(rng.integers(2, 25)))
+            if trial % 2:
+                G[rng.random(G.shape[0]) < 0.3] = 0.0
+            gs = GradientSet.from_gradients(G)
+            act = gs.active
+            if act.size == 0:
+                continue
+            n = gs.norms[act]
+            sol = frank_wolfe_min_norm(gs.gram[np.ix_(act, act)] / np.outer(n, n))
+            res = edm_direction(gs)
+            assert np.array_equal(res.weights[act], sol.weights)
+            assert res.gamma == normalization_factor(sol.weights, n)
+
     def test_scale_invariance_bitwise(self):
         # power-of-two rescalings keep the normalized Gram matrix bitwise identical
         rng = np.random.default_rng(3)

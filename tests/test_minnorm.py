@@ -1,12 +1,16 @@
 import itertools
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mograd.direction import edm_direction, mgda_direction
 from mograd.exceptions import NumericalError
 from mograd.minnorm import (
     FwConfig,
+    _affine_minimizer,
     combination_norm_sq,
     frank_wolfe_min_norm,
     fw_line_search,
@@ -287,3 +291,220 @@ class TestFwConfig:
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
             FwConfig(max_iters=0)
+
+
+class TestDefaultTolerance:
+    def test_default_solve_meets_the_1e12_certificate(self):
+        # Hull weights spread over decades (Dirichlet 0.3), so one major cycle
+        # lands just under a 1e-10 gap: the old default stopped there.
+        rng = np.random.default_rng(1)
+        G = rng.standard_normal((48, 200)) * np.exp(rng.uniform(-2.0, 2.0, size=(48, 1)))
+        G -= rng.dirichlet(np.full(48, 0.3)) @ G
+        G += 1e-7 * rng.standard_normal(200)
+        M = gram_matrix(G)
+        assert relative_gap(M, frank_wolfe_min_norm(M, FwConfig(tolerance=1e-10)).weights) > 1e-12
+        assert relative_gap(M, frank_wolfe_min_norm(M).weights) <= 1e-12
+
+
+def near_duplicate_rows(rng, T, d):
+    """Rows that copy one another up to a 1e-14 relative perturbation."""
+    base = rng.standard_normal((T // 2, d)) * np.exp(rng.uniform(-2.0, 2.0, (T // 2, 1)))
+    G = np.concatenate([base, base[rng.integers(T // 2, size=T - T // 2)]])
+    G *= 1.0 + 1e-14 * rng.standard_normal(G.shape)
+    return G[rng.permutation(T)]
+
+
+def near_stationary_rows(rng, T, d):
+    """T rows in d dimensions whose hull passes within 1e-7 of the origin."""
+    G = rng.standard_normal((T, d)) * np.exp(rng.uniform(-2.0, 2.0, (T, 1)))
+    G -= rng.dirichlet(np.ones(T)) @ G
+    return G + 1e-7 * rng.standard_normal(d)
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Counts the least-squares fallbacks of the bordered solve."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
+def bordered_lstsq(M_SS, scale):
+    k = M_SS.shape[0]
+    A = np.full((k + 1, k + 1), scale)
+    A[:k, :k] = M_SS
+    A[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = scale
+    return np.linalg.lstsq(A, rhs, rcond=None)[0][:k]
+
+
+class TestFallback:
+    def test_stress_sets_certified_and_fallback_fires(self, lstsq_calls):
+        # Above round-off, Wolfe's method keeps the corral affinely
+        # independent, so LU suffices. A tolerance below round-off lets in
+        # vertices whose gain is rounding noise, which is where
+        # near-dependent corrals form and the fallback is needed.
+        rng = np.random.default_rng(0)
+        for _ in range(12):
+            for make, d in ((near_duplicate_rows, 3), (near_stationary_rows, 1), (near_stationary_rows, 3)):
+                G = make(rng, 12, d)
+                unit = G / np.linalg.norm(G, axis=1)[:, None]
+                for M in (gram_matrix(G), gram_matrix(unit)):
+                    for cfg in (FwConfig(), FwConfig(tolerance=1e-300)):
+                        assert relative_gap(M, frank_wolfe_min_norm(M, cfg).weights) <= 1e-12, make.__name__
+        assert len(lstsq_calls) >= 1
+
+    def test_overflowed_residual_falls_back(self, lstsq_calls):
+        # Entries near the float max: LU's elimination overflows and its
+        # finite answer fails the residual test; least squares rescales.
+        G = np.array([[1.0, 0.2, 0.0], [-0.9, 0.3, 0.1], [0.1, -1.0, 0.2], [0.0, 0.1, -1.0]]) * 1e154
+        M = gram_matrix(G)
+        assert np.all(np.isfinite(M))
+        res = frank_wolfe_min_norm(M)
+        assert len(lstsq_calls) >= 1
+        assert relative_gap(M, res.weights) <= 1e-12
+        small = frank_wolfe_min_norm(gram_matrix(G * 1e-154))
+        assert np.max(np.abs(res.weights - small.weights)) <= 1e-12
+
+    def test_entering_vertex_below_gram_resolution(self):
+        # Rows 0 and 1 differ by 1.5e-19 in one entry, a distance the Gram
+        # matrix cannot resolve, yet row 1 is closer to row 2 by a relative
+        # gap of 3e-11. The affine solve then gives the entering row 1 no
+        # weight; without the swap step the solve cycles to its cap.
+        a = 2.0**-30
+        G = np.array([[0.0, a, a], [-1.5e-19, a, a], [a, a, a]])
+        n = np.sqrt(np.diag(gram_matrix(G)))
+        unit_gram = gram_matrix(G) / np.outer(n, n)
+        res = frank_wolfe_min_norm(unit_gram)
+        assert relative_gap(unit_gram, res.weights) <= 1e-12
+        assert res.iterations <= 3
+        assert relative_gap(unit_gram, edm_direction(G).weights) <= 1e-12
+
+    def test_exactly_singular_corral_returns_lstsq_minimizer(self, lstsq_calls):
+        # Rows 0 and 1 of the bordered system are identical, so LU meets an
+        # exact zero pivot.
+        M_SS = gram_matrix([(3.0, 4.0), (3.0, 4.0), (0.0, 2.0)])
+        y = _affine_minimizer(M_SS, 25.0)
+        assert len(lstsq_calls) == 1
+        assert np.array_equal(y, bordered_lstsq(M_SS, 25.0))
+        assert abs(y.sum() - 1.0) <= 1e-12
+        best = min(combination_norm_sq(M_SS, w) for w in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])))
+        assert float(y @ M_SS @ y) <= best + 1e-12
+
+    def test_well_conditioned_corral_takes_lu(self, lstsq_calls):
+        M_SS = gram_matrix(np.random.default_rng(9).standard_normal((4, 6)))
+        y = _affine_minimizer(M_SS, float(M_SS.diagonal().max()))
+        assert not lstsq_calls
+        assert np.max(np.abs(y - bordered_lstsq(M_SS, float(M_SS.diagonal().max())))) <= 1e-12
+
+
+class TestTwoObjectives:
+    """T=2 runs as one exact line search from the vertex with smaller M_ii."""
+
+    @pytest.mark.parametrize("M, weights", [
+        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0]),
+        ([[2.0, 2.0], [2.0, 2.0]], [1.0, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
+    ])
+    def test_diagonal_tie_starts_at_smallest_index(self, M, weights):
+        res = frank_wolfe_min_norm(np.array(M))
+        assert np.array_equal(res.weights, weights)
+
+    @pytest.mark.parametrize("rows, weights", [
+        ([(1.0, 0.0), (2.0, 0.0)], [1.0, 0.0]),
+        ([(2.0, 0.0), (1.0, 0.0)], [0.0, 1.0]),
+        ([(1.0, 0.0), (1.0, 1.0)], [1.0, 0.0]),
+        ([(0.0, 0.0), (1.0, 2.0)], [1.0, 0.0]),
+        ([(1.0, 2.0), (0.0, 0.0)], [0.0, 1.0]),
+    ])
+    def test_stops_at_vertex_when_cross_term_dominates(self, rows, weights):
+        M = gram_matrix(rows)
+        res = frank_wolfe_min_norm(M)
+        assert np.array_equal(res.weights, weights)
+        assert res.iterations == 0
+        assert res.last_eta == 0.0
+        assert np.array_equal(res.objectives, [M.diagonal().min()])
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 3.0), (5.0, 0.25), (1e-3, 1e3)])
+    def test_antiparallel_rows_reach_zero(self, a, b):
+        u = np.array([0.6, -0.8, 0.0])
+        M = gram_matrix([a * u, -b * u])
+        res = frank_wolfe_min_norm(M)
+        assert np.max(np.abs(res.weights - [b / (a + b), a / (a + b)])) <= 1e-15
+        assert relative_gap(M, res.weights) <= 1e-12
+        assert res.objectives[-1] <= 1e-15 * max(a, b) ** 2
+
+    @pytest.mark.parametrize("scales", [(1e150, 1e150), (1e-150, 1e-150), (1e150, 1.0), (1e-150, 1.0)])
+    def test_extreme_magnitudes(self, scales):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            G = rng.standard_normal((2, 3))
+            scaled = G * np.array(scales)[:, None]
+            M = gram_matrix(scaled)
+            res = frank_wolfe_min_norm(M)
+            assert relative_gap(M, res.weights) <= 1e-12
+            if scales[0] == scales[1]:
+                ref = frank_wolfe_min_norm(gram_matrix(G)).weights
+                assert np.max(np.abs(res.weights - ref)) <= 1e-14
+
+    def test_matches_kkt_enumeration_oracle(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            G = rng.standard_normal((2, int(rng.integers(1, 6)))) * np.exp(rng.uniform(-3.0, 3.0, (2, 1)))
+            if trial % 3 == 0:
+                G[1] = -rng.uniform(0.1, 10.0) * G[0] + 1e-3 * rng.standard_normal(G.shape[1])
+            M = gram_matrix(G)
+            res = frank_wolfe_min_norm(M)
+            assert res.iterations <= 1
+            solver = combination_norm_sq(M, res.weights)
+            assert abs(solver - kkt_oracle(M)) <= 1e-12 * float(np.max(np.diag(M)))
+
+    def test_objectives_trace_the_solve(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            M = gram_matrix(rng.standard_normal((2, int(rng.integers(1, 6)))) * np.exp(rng.uniform(-3.0, 3.0, (2, 1))))
+            res = frank_wolfe_min_norm(M)
+            scale = float(np.max(np.diag(M)))
+            assert len(res.objectives) == res.iterations + 1
+            assert res.objectives[0] == np.min(np.diag(M))
+            assert np.all(np.diff(res.objectives) <= 0.0)
+            assert abs(res.objectives[-1] - combination_norm_sq(M, res.weights)) <= 4 * np.finfo(float).eps * scale
+
+
+@st.composite
+def gradient_sets(draw):
+    """Small gradient sets, some rows near-duplicates (1e-14) of others.
+
+    Entries below 1e-100 become zero, so that no Gram entry is subnormal:
+    there the Gram matrix itself carries fewer digits than the certificate.
+    """
+    T = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 8))
+    entries = st.floats(-10.0, 10.0).map(lambda x: x if abs(x) > 1e-100 else 0.0)
+    G = draw(hnp.arrays(float, (T, d), elements=entries))
+    G *= draw(hnp.arrays(float, (T, 1), elements=st.sampled_from([2.0**k for k in range(-30, 31, 6)])))
+    copies = draw(st.lists(st.tuples(st.integers(0, T - 1), st.integers(0, T - 1), st.floats(-1.0, 1.0)), max_size=T))
+    for src, dst, eps in copies:
+        G[dst] = G[src] * (1.0 + 1e-14 * eps)
+    return G
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(gradient_sets())
+    def test_simplex_invariants_and_certificate(self, G):
+        M = gram_matrix(G)
+        cfg = FwConfig()
+        res = frank_wolfe_min_norm(M, cfg)
+        assert np.all(res.weights >= 0.0)
+        assert abs(res.weights.sum() - 1.0) <= 1e-12
+        assert res.iterations <= cfg.max_iters
+        if np.max(np.diag(M)) > 0.0:
+            assert relative_gap(M, res.weights) <= cfg.tolerance
