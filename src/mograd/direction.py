@@ -50,7 +50,9 @@ class GradientSet:
 
     ``gram`` is ``gram_matrix(gradients)`` and ``norms`` is the square root
     of its diagonal; ``active`` lists the objectives whose norm is above
-    the zero threshold.
+    the zero threshold. ``from_gradients`` raises ``NumericalError`` unless
+    ``gram`` is finite, which also certifies that every gradient entry is:
+    a NaN or infinite entry makes its row's squared norm non-finite.
     """
 
     gradients: np.ndarray  # (T, d)
@@ -65,11 +67,12 @@ class GradientSet:
             G = G[None, :]
         if G.ndim != 2 or G.shape[0] < 1 or G.shape[1] < 1:
             raise ValueError(f"expected (T, d) gradients with T, d >= 1, got shape {G.shape}")
-        if not np.all(np.isfinite(G)):
-            raise NumericalError("non-finite gradient entries")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             gram = gram_matrix(G)
         if not np.all(np.isfinite(gram)):
+            # A finite gram certifies G, so G is scanned only to name the cause.
+            if not np.all(np.isfinite(G)):
+                raise NumericalError("non-finite gradient entries")
             raise NumericalError("gradient norm overflow")
         norms = np.sqrt(np.diag(gram))
         active = np.flatnonzero(norms > ZERO_GRADIENT_THRESHOLD)

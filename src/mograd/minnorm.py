@@ -65,11 +65,14 @@ class FwConfig:
 class FwResult:
     """Solver output: simplex weights plus convergence diagnostics.
 
-    ``last_eta`` is the final relative duality gap; values above the
-    configured tolerance mean the major-cycle budget ran out before the
-    stopping test fired. ``iterations`` counts major cycles.
-    ``objectives[k]`` is the quadratic form after k major cycles (index 0
-    is the starting vertex); it never increases.
+    ``last_eta`` is the relative duality gap of ``weights``. Above the
+    configured tolerance it means the gap test never fired: the budget of
+    major cycles ran out, or round-off stalled the solve, as happens when
+    the tolerance is below the gap that the Gram matrix resolves.
+    ``iterations`` counts the major cycles kept. ``objectives[k]`` is the
+    quadratic form after k major cycles (index 0 is the starting vertex);
+    its last entry is that of ``weights``, and it never increases by more
+    than round-off.
     """
 
     weights: np.ndarray
@@ -254,8 +257,10 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     negative weight. For two vectors that cycle is one exact line search
     (``fw_line_search``) from the starting vertex toward the other, so it
     runs as one. The solve stops once the relative duality gap is at or
-    below the configured tolerance, or when the chosen vertex is already in
-    the corral. Weights off the corral are exact zeros.
+    below the configured tolerance. Failing that, it stops when a major
+    cycle did not lower the objective (that cycle is undone), when the
+    chosen vertex is already in the corral, or when the budget of major
+    cycles is spent. Weights off the corral are exact zeros.
 
     Parameters
     ----------
@@ -283,12 +288,19 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     beta[corral[0]] = 1.0
     objectives = []
     iterations = 0
+    kept = None
     while True:
         Mb = M @ beta
         j = int(np.argmin(Mb))
         objective = float(beta @ Mb)
-        objectives.append(max(objective, 0.0))
         gap = max(objective - float(Mb[j]), 0.0) / scale if scale > 0.0 else 0.0
+        if kept is not None and gap > cfg.tolerance and objective >= kept[1]:
+            # The last major cycle moved only by round-off, and later ones
+            # would circle at the same level: undo it and stop.
+            beta, _, gap = kept
+            iterations -= 1
+            break
+        objectives.append(max(objective, 0.0))
         if gap <= cfg.tolerance or j in corral or iterations == cfg.max_iters:
             break
         corral.append(j)
@@ -298,6 +310,7 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
             beta[corral[0]] = 1.0 - eta
             beta[j] = eta
         else:
+            kept = (beta.copy(), objective, gap)
             _minor_cycles(M, beta, corral, scale)
 
     return FwResult(

@@ -113,11 +113,13 @@ _STEPS: dict[str, Callable] = {
 }
 
 
-def _check_finite(losses: np.ndarray, grads: np.ndarray, iteration: int) -> None:
-    if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(grads))):
-        raise NumericalError(
-            f"non-finite loss or gradient at iteration {iteration}", iteration=iteration
-        )
+def _check_finite(what: str, *arrays: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericalError(f"non-finite {what}")
+
+
+def _at(exc: NumericalError, where: str, k: int) -> NumericalError:
+    return NumericalError(f"{exc} at {where} {k}", iteration=k)
 
 
 def _descend(problem: MultiLossProblem, theta0, cfg: OptimizerConfig, method: str) -> RunResult:
@@ -129,14 +131,14 @@ def _descend(problem: MultiLossProblem, theta0, cfg: OptimizerConfig, method: st
     for k in range(cfg.max_iters):
         losses, grads = problem(theta)
         losses = np.asarray(losses, dtype=float)
-        grads = np.asarray(grads, dtype=float)
-        _check_finite(losses, grads, k)
+        # The GradientSet certifies the gradients; the loop checks the rest.
         try:
+            _check_finite("loss", losses)
             gs = GradientSet.from_gradients(grads)
             direction, gamma, trace_weights = step_fn(gs, cfg)
+            _check_finite("direction", direction)
         except NumericalError as exc:
-            raise NumericalError(f"{exc} at iteration {k}", iteration=k) from exc
-        _check_finite(losses, direction, k)
+            raise _at(exc, "iteration", k) from exc
         direction_norm = float(np.sqrt(direction @ direction))
         if direction_norm <= cfg.stop_tolerance:
             trace.append(
@@ -159,9 +161,10 @@ def _descend(problem: MultiLossProblem, theta0, cfg: OptimizerConfig, method: st
         theta = new_theta
 
     _, final_grads = problem(theta)
-    final_grads = np.asarray(final_grads, dtype=float)
-    _check_finite(np.zeros(1), final_grads, iterations_used)
-    residual, _ = stationarity_residual(GradientSet.from_gradients(final_grads), cfg.fw)
+    try:
+        residual, _ = stationarity_residual(final_grads, cfg.fw)
+    except NumericalError as exc:
+        raise _at(exc, "iteration", iterations_used) from exc
     return RunResult(theta, converged, iterations_used, trace, residual)
 
 
@@ -249,15 +252,13 @@ def run_multitask(
             idx = order[lo : lo + batch_size]
             losses, shared, head_grads = two_task_gradients(model, X[idx], y1[idx], y2[idx])
             losses, shared, head_grads = _apply_kappa(losses, shared, head_grads, kappa)
-            _check_finite(losses, shared, epoch)
-            _check_finite(losses, head_grads[0], epoch)
-            _check_finite(losses, head_grads[1], epoch)
             try:
+                _check_finite("loss or head gradient", losses, *head_grads)
                 gs = GradientSet.from_gradients(shared)
                 direction, gamma, trace_weights = step_fn(gs, cfg)
+                _check_finite("direction", direction)
             except NumericalError as exc:
-                raise NumericalError(f"{exc} at epoch {epoch}", iteration=epoch) from exc
-            _check_finite(losses, direction, epoch)
+                raise _at(exc, "epoch", epoch) from exc
 
             model.trunk.flat -= s * direction
             for head, g in zip(model.heads, head_grads):
@@ -289,7 +290,9 @@ def run_multitask(
             break
 
     losses, shared, _ = two_task_gradients(model, X, y1, y2)
-    losses, shared, _ = _apply_kappa(losses, shared, None, kappa)
-    _check_finite(losses, shared, used)
-    residual, _ = stationarity_residual(GradientSet.from_gradients(shared), cfg.fw)
+    _, shared, _ = _apply_kappa(losses, shared, None, kappa)
+    try:
+        residual, _ = stationarity_residual(shared, cfg.fw)
+    except NumericalError as exc:
+        raise _at(exc, "epoch", used) from exc
     return model, RunResult(model.flatten(), converged, used, trace, residual)

@@ -1,3 +1,7 @@
+import itertools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +60,52 @@ class TestGradientSet:
         for direction in (edm_direction, mgda_direction):
             with pytest.raises(NumericalError, match="gradient norm overflow"):
                 direction([(1e155, 0.0), (0.0, 1.0)])
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+CERTIFIED_CALLS = (GradientSet.from_gradients, edm_direction, mgda_direction, stationarity_residual)
+
+
+class TestCertifiedFiniteness:
+    """A finite Gram matrix certifies every gradient entry; only a failed
+    check scans the gradients, to name the cause."""
+
+    @staticmethod
+    def assert_rejected(G, positions):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (i, j), value in itertools.product(positions, NON_FINITE):
+                bad = G.copy()
+                bad[i, j] = value
+                for call in CERTIFIED_CALLS:
+                    with pytest.raises(NumericalError, match="non-finite gradient entries"):
+                        call(bad)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 8])
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_every_position_of_small_sets(self, T, d):
+        rng = np.random.default_rng(10 * T + d)
+        G = rng.standard_normal((T, d))
+        G[rng.random((T, d)) < 0.3] = 0.0  # 0 * inf makes NaN products as well
+        self.assert_rejected(G, itertools.product(range(T), range(d)))
+
+    def test_first_middle_and_last_column_of_a_wide_set(self):
+        G = np.random.default_rng(1).standard_normal((4, 100_000))
+        self.assert_rejected(G, itertools.product(range(4), (0, 50_000, 99_999)))
+
+    def test_overflowing_row_does_not_hide_a_non_finite_row(self):
+        self.assert_rejected(np.array([[1e155, 0.0], [0.5, 1.0]]), [(1, 0), (1, 1)])
+
+    def test_build_makes_no_copy_of_the_gradients(self):
+        G = np.random.default_rng(2).standard_normal((8, 200_000))
+        tracemalloc.start()
+        try:
+            GradientSet.from_gradients(G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # T*d bytes is the size of one boolean mask over G.
+        assert peak < G.size
 
 
 class TestEdmDirection:

@@ -405,6 +405,26 @@ class TestFallback:
         assert np.max(np.abs(y - bordered_lstsq(M_SS, float(M_SS.diagonal().max())))) <= 1e-12
 
 
+class TestRoundOffFloor:
+    def test_tolerance_below_round_off_stops_short_of_the_cap(self):
+        # With d < T the hull nearly touches the origin and no gap test can
+        # fire at 1e-300. A major cycle that does not lower the objective
+        # ends the solve; two of these sets used to circle at the 1e-16
+        # level until the 500-cycle cap.
+        rng = np.random.default_rng(0)
+        cfg = FwConfig(tolerance=1e-300)
+        for _ in range(200):
+            T = int(rng.integers(3, 12))
+            M = gram_matrix(near_stationary_rows(rng, T, int(rng.integers(1, T))))
+            res = frank_wolfe_min_norm(M, cfg)
+            scale = float(np.max(np.diag(M)))
+            assert res.iterations < cfg.max_iters
+            assert relative_gap(M, res.weights) <= 1e-12
+            assert np.all(np.diff(res.objectives) <= 0.0)
+            assert len(res.objectives) == res.iterations + 1
+            assert abs(res.objectives[-1] - combination_norm_sq(M, res.weights)) <= 4 * np.finfo(float).eps * scale
+
+
 class TestTwoObjectives:
     """T=2 runs as one exact line search from the vertex with smaller M_ii."""
 

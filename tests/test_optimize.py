@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,26 @@ class TestRunEdm:
         with pytest.raises(NumericalError) as excinfo:
             run_edm(exploding, np.array([0.0, 1.0]), cfg())
         assert excinfo.value.iteration is not None
+
+    @pytest.mark.parametrize("run, extra", [
+        (run_edm, {}),
+        (run_mgda, {"method": "mgda"}),
+        (run_weighted_sum, {"method": "weighted_sum", "weights": np.array([1.0, 1.0])}),
+    ])
+    def test_nonfinite_gradient_reports_iteration(self, run, extra):
+        # The loop leaves the gradients to the GradientSet, which must still
+        # stop the run with the iteration named.
+        def poisoned(theta):
+            losses, grads = PAIR(theta)
+            if abs(theta[1]) < 0.95:
+                grads[1, 0] = np.nan
+            return losses, grads
+
+        with pytest.raises(NumericalError) as excinfo:
+            run(poisoned, np.array([0.0, 1.0]), cfg(**extra))
+        k = excinfo.value.iteration
+        assert k is not None and k >= 1
+        assert str(excinfo.value) == f"non-finite gradient entries at iteration {k}"
 
     def test_gamma_recorded_in_trace(self):
         result = run_edm(PAIR, np.array([0.0, 1.0]), cfg(max_iters=3, stop_tolerance=1e-14))
@@ -220,6 +242,30 @@ class TestRunMultitask:
         (m1, r1), (m2, r2) = run(), run()
         assert np.array_equal(m1.flatten(), m2.flatten())
         assert np.array_equal(r1.trace[0].losses, r2.trace[0].losses)
+
+    @pytest.mark.parametrize("part, message", [
+        ("shared", "non-finite gradient entries at epoch 1"),
+        ("head", "non-finite loss or head gradient at epoch 1"),
+    ])
+    def test_nonfinite_gradient_reports_epoch(self, monkeypatch, part, message):
+        calls = itertools.count(1)
+
+        def poisoned(*args):
+            losses, shared, heads = two_task_gradients(*args)
+            if next(calls) == 13:  # the third of ten batches in epoch 1
+                (shared if part == "shared" else heads[1])[0, ...] = np.nan
+            return losses, shared, heads
+
+        monkeypatch.setattr("mograd.optimize.two_task_gradients", poisoned)
+        with pytest.raises(NumericalError) as excinfo:
+            run_multitask(
+                self.model,
+                self.data,
+                cfg(learning_rate=0.01, max_iters=3, stop_tolerance=1e-14),
+                batch_size=30,
+            )
+        assert excinfo.value.iteration == 1
+        assert str(excinfo.value) == message
 
     def test_requires_two_labels(self):
         from mograd.data import synth_imbalanced
