@@ -69,9 +69,9 @@ class GradientSet:
             raise ValueError(f"expected (T, d) gradients with T, d >= 1, got shape {G.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
             gram = gram_matrix(G)
-        if not np.all(np.isfinite(gram)):
+        if not np.isfinite(gram).all():
             # A finite gram certifies G, so G is scanned only to name the cause.
-            if not np.all(np.isfinite(G)):
+            if not np.isfinite(G).all():
                 raise NumericalError("non-finite gradient entries")
             raise NumericalError("gradient norm overflow")
         norms = np.sqrt(np.diag(gram))
@@ -124,7 +124,7 @@ def _stationary_result(T: int, d: int) -> DirectionResult:
     )
 
 
-def _combine(gs: GradientSet, weights, coef, gamma) -> DirectionResult:
+def _combine(gs: GradientSet, weights, coef, gamma, support) -> DirectionResult:
     raw = coef @ gs.gradients
     return DirectionResult(
         weights=weights,
@@ -132,7 +132,7 @@ def _combine(gs: GradientSet, weights, coef, gamma) -> DirectionResult:
         gamma=gamma,
         normalized_direction=raw if gamma is None else gamma * raw,
         direction_norm=float(np.sqrt(raw @ raw)),
-        support=np.flatnonzero(weights > 0),
+        support=support,
     )
 
 
@@ -161,15 +161,16 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     M = gs.gram if every else gs.gram[act[:, None], act]
     sol = frank_wolfe_min_norm(M / (n[:, None] * n), cfg)
     q = sol.weights / n
+    support = np.flatnonzero(sol.weights > 0)
     # normalization_factor, without re-checking what the solver guarantees.
-    gamma = float(1.0 / np.sum(q[sol.weights > 0]))
+    gamma = float(1.0 / np.sum(q[support]))
     if every:
-        return _combine(gs, sol.weights, q, gamma)
+        return _combine(gs, sol.weights, q, gamma, support)
     weights = np.zeros(T)
     weights[act] = sol.weights
     coef = np.zeros(T)
     coef[act] = q
-    return _combine(gs, weights, coef, gamma)
+    return _combine(gs, weights, coef, gamma, act[support])
 
 
 def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
@@ -181,7 +182,7 @@ def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     """
     gs = _as_gradient_set(grads)
     sol = frank_wolfe_min_norm(gs.gram, cfg)
-    return _combine(gs, sol.weights, sol.weights, None)
+    return _combine(gs, sol.weights, sol.weights, None, np.flatnonzero(sol.weights > 0))
 
 
 def bisector_two(g1, g2) -> np.ndarray:

@@ -10,8 +10,8 @@ linear system, solved by LU and checked against its residual, with least
 squares as the fallback, so the method is exact on every face. For two
 vectors the method is a single exact line search from the shorter vertex
 toward the other (the closed form of Sener & Koltun, NeurIPS 2018,
-Alg. 1), which is what the solver runs at T=2. It stops on the relative
-duality gap of the simplex problem.
+Alg. 1), which the solver runs at T=2 in Python floats. It stops on the
+relative duality gap of the simplex problem.
 
 The solver's public names (``FwConfig``, ``FwResult``,
 ``frank_wolfe_min_norm``) keep their spelling from the Frank-Wolfe solver
@@ -72,7 +72,10 @@ class FwResult:
     ``iterations`` counts the major cycles kept. ``objectives[k]`` is the
     quadratic form after k major cycles (index 0 is the starting vertex);
     its last entry is that of ``weights``, and it never increases by more
-    than round-off.
+    than round-off. At T=2, ``iterations`` is at most 1 and ``objectives``
+    has at most 2 entries; the gap and objective after the line step are
+    computed in scalar arithmetic there, so ``last_eta`` may differ by
+    round-off from one taken with a numpy matrix-vector product.
     """
 
     weights: np.ndarray
@@ -133,10 +136,11 @@ def fw_line_search(M, w, target: int) -> float:
         raise ValueError(f"target index {target} out of range for dim {T}")
 
     Mw = M @ w
-    w_M_w = float(w @ Mw)
-    w_M_e = float(Mw[target])
-    e_M_e = float(M[target, target])
+    return _line_step(float(w @ Mw), float(Mw[target]), float(M[target, target]))
 
+
+def _line_step(w_M_w: float, w_M_e: float, e_M_e: float) -> float:
+    """``fw_line_search``'s step from the three quadratic forms it needs."""
     if w_M_w <= w_M_e:
         return 0.0
     if e_M_e <= w_M_e:
@@ -245,6 +249,44 @@ def _minor_cycles(M: np.ndarray, beta: np.ndarray, corral: list[int], scale: flo
         corral[:] = [i for i in corral if beta[i] > 0.0]
 
 
+def _solve_two(M: list[list[float]], tolerance: float) -> FwResult:
+    """Wolfe's method at T=2, in scalar arithmetic.
+
+    The same steps as the general loop: start at the vertex with the
+    smaller ``M_ii`` (ties go to index 0), pick the smallest entry of
+    ``M beta`` (column s of M), and unless the gap test stops the solve
+    there, take one exact line search toward that vertex, which ends it.
+    """
+    (m00, m01), (m10, m11) = M
+    scale = max(m00, m11)
+    s = 1 if m11 < m00 else 0
+    col = (M[0][s], M[1][s])
+    j = 1 if col[1] < col[0] else 0
+    objective = col[s]
+    gap = max(objective - col[j], 0.0) / scale if scale > 0.0 else 0.0
+    objectives = [max(objective, 0.0)]
+    beta = [0.0, 0.0]
+    beta[s] = 1.0
+    if gap > tolerance:
+        # A positive gap means col[j] < col[s], so j is the other vertex.
+        eta = _line_step(objective, col[j], M[j][j])
+        beta[s] = 1.0 - eta
+        beta[j] = eta
+        b0, b1 = beta
+        Mb0 = m00 * b0 + m01 * b1
+        Mb1 = m10 * b0 + m11 * b1
+        objective = b0 * Mb0 + b1 * Mb1
+        gap = max(objective - min(Mb0, Mb1), 0.0) / scale
+        objectives.append(max(objective, 0.0))
+    total = beta[0] + beta[1]
+    return FwResult(
+        weights=np.array([beta[0] / total, beta[1] / total]),
+        last_eta=gap,
+        iterations=len(objectives) - 1,
+        objectives=np.array(objectives),
+    )
+
+
 def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     """Minimize ``beta^T M beta`` over the probability simplex.
 
@@ -256,11 +298,12 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     dropping the vertex that hits zero while that minimizer has a
     negative weight. For two vectors that cycle is one exact line search
     (``fw_line_search``) from the starting vertex toward the other, so it
-    runs as one. The solve stops once the relative duality gap is at or
-    below the configured tolerance. Failing that, it stops when a major
-    cycle did not lower the objective (that cycle is undone), when the
-    chosen vertex is already in the corral, or when the budget of major
-    cycles is spent. Weights off the corral are exact zeros.
+    runs as one, in scalar arithmetic on ``M.tolist()``. The solve stops
+    once the relative duality gap is at or below the configured
+    tolerance. Failing that, it stops when a major cycle did not lower the
+    objective (that cycle is undone), when the chosen vertex is already in
+    the corral, or when the budget of major cycles is spent. Weights off
+    the corral are exact zeros.
 
     Parameters
     ----------
@@ -278,8 +321,10 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     T = M.shape[0]
     if T == 0:
         raise ValueError("need at least one vector")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NumericalError("non-finite Gram matrix entries")
+    if T == 2:
+        return _solve_two(M.tolist(), cfg.tolerance)
 
     diag = np.diag(M)
     scale = float(diag.max())
@@ -305,13 +350,8 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
             break
         corral.append(j)
         iterations += 1
-        if T == 2:
-            eta = fw_line_search(M, beta, j)
-            beta[corral[0]] = 1.0 - eta
-            beta[j] = eta
-        else:
-            kept = (beta.copy(), objective, gap)
-            _minor_cycles(M, beta, corral, scale)
+        kept = (beta.copy(), objective, gap)
+        _minor_cycles(M, beta, corral, scale)
 
     return FwResult(
         weights=beta / beta.sum(),

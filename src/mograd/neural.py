@@ -146,8 +146,9 @@ def _backward(layers, activations: list[np.ndarray], delta: np.ndarray, segments
         start = end - W.size - b.size
         act = activations[j]
         for g, s in zip(grads, segments):
-            np.matmul(delta[s].T, act[s], out=g[start : end - b.size].reshape(W.shape))
-            delta[s].sum(axis=0, out=g[end - b.size : end])
+            seg = delta[s]
+            np.matmul(seg.T, act[s], out=g[start : end - b.size].reshape(W.shape))
+            seg.sum(axis=0, out=g[end - b.size : end])
         if j > 0:
             delta = (delta @ W) * (act > 0)
         end = start
@@ -204,9 +205,10 @@ def per_class_losses(
     Loss i sums over the batch rows labeled i (an absent class contributes
     zero loss and a zero gradient); gradient i is the backpropagation of
     loss i alone. A stable sort of the rows by label makes each class one
-    contiguous segment in its original row order; one forward pass and one
-    backward pass of the whole batch then give every class's gradient as
-    per-layer segment sums. Summing the per-class losses reproduces the
+    contiguous segment in its original row order; rows already grouped by
+    class in increasing label order skip the sort. One forward pass and
+    one backward pass of the whole batch then give every class's gradient
+    as per-layer segment sums. Summing the per-class losses reproduces the
     whole-batch loss exactly, since the classes partition the batch.
     """
     X = np.asarray(X, dtype=float)
@@ -216,16 +218,17 @@ def per_class_losses(
     if y.shape != (X.shape[0],):
         raise ValueError("labels must match the batch rows")
     c = spec.n_classes
-    if np.any(y < 0) or np.any(y >= c):
+    if y.min() < 0 or y.max() >= c:
         raise ValueError(f"labels must lie in [0, {c})")
 
-    order = np.argsort(y, kind="stable")
-    X, y = X[order], y[order]
+    if not (y[:-1] <= y[1:]).all():
+        order = np.argsort(y, kind="stable")
+        X, y = X[order], y[order]
     bounds = np.searchsorted(y, np.arange(c + 1))
     segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     activations, logits = _forward_cached(net, X)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericalError("non-finite activations in forward pass")
     per_row, dlogits = _ce_rows(logits, y)
     losses = np.array([per_row[s].sum() for s in segments])
@@ -314,7 +317,7 @@ def two_task_gradients(
     grads = []
     for k, head in enumerate(model.heads):
         head_acts, logits = _forward_cached(head, h)
-        if not np.all(np.isfinite(logits)):
+        if not np.isfinite(logits).all():
             raise NumericalError(f"non-finite activations in task {k + 1} forward pass")
         per_row, dlogits = _ce_rows(logits, labels[k])
         losses[k] = np.sum(per_row)

@@ -114,7 +114,7 @@ _STEPS: dict[str, Callable] = {
 
 
 def _check_finite(what: str, *arrays: np.ndarray) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise NumericalError(f"non-finite {what}")
 
 
@@ -148,6 +148,8 @@ def _descend(problem: MultiLossProblem, theta0, cfg: OptimizerConfig, method: st
             iterations_used = k
             break
         new_theta = theta - cfg.learning_rate * direction
+        # np.linalg.norm's own path for a 1-D vector, without its overhead.
+        step = new_theta - theta
         trace.append(
             IterationTrace(
                 k,
@@ -155,7 +157,7 @@ def _descend(problem: MultiLossProblem, theta0, cfg: OptimizerConfig, method: st
                 direction_norm,
                 gamma,
                 trace_weights,
-                float(np.linalg.norm(new_theta - theta)),
+                float(np.sqrt(step @ step)),
             )
         )
         theta = new_theta

@@ -486,6 +486,73 @@ class TestTwoObjectives:
             solver = combination_norm_sq(M, res.weights)
             assert abs(solver - kkt_oracle(M)) <= 1e-12 * float(np.max(np.diag(M)))
 
+    @staticmethod
+    def loop_reference(M, tolerance):
+        """The T=2 solve as the general loop runs it: start at the vertex with
+        the smaller ``M_ii``, test the gap on ``M @ beta``, take one
+        ``fw_line_search`` toward ``argmin(M @ beta)``, then normalize."""
+        diag = np.diag(M)
+        scale = float(diag.max())
+        s = int(np.argmin(diag))
+        beta = np.zeros(2)
+        beta[s] = 1.0
+        Mb = M @ beta
+        j = int(np.argmin(Mb))
+        gap = max(float(beta @ Mb) - float(Mb[j]), 0.0) / scale if scale > 0.0 else 0.0
+        if gap <= tolerance or j == s:
+            return beta / beta.sum(), 0
+        eta = fw_line_search(M, beta, j)
+        beta[s] = 1.0 - eta
+        beta[j] = eta
+        return beta / beta.sum(), 1
+
+    @staticmethod
+    def reference_pairs(rng):
+        """Seeded 2x2 inputs from the families where the closed form branches."""
+        def unit_gram(G):
+            M = gram_matrix(G)
+            n = np.sqrt(np.diag(M))
+            return M / (n[:, None] * n)
+
+        for trial in range(300):
+            d = int(rng.integers(1, 6))
+            u, v = rng.standard_normal((2, d))
+            a, b = np.exp(rng.uniform(-3.0, 3.0, 2))
+            families = [
+                np.stack([u, v]),
+                np.stack([a * u, a * v * (np.linalg.norm(u) / np.linalg.norm(v))]),  # diagonal near-tie
+                np.stack([u, np.zeros(d)]),
+                np.stack([np.zeros(d), v]),
+                np.stack([a * u, -b * u]),  # antiparallel
+                np.stack([u, b * u + 1e-3 * v]),  # cross term dominates one side
+                np.stack([u, v]) * np.array([[1e150], [1e150]]),
+                np.stack([u, v]) * np.array([[1e-150], [1e-150]]),
+                np.stack([u, v]) * np.array([[1e150], [1.0]]),
+                np.stack([u, v]) * np.array([[1.0], [1e-150]]),
+            ]
+            for G in families:
+                yield gram_matrix(G)
+                if np.all(np.linalg.norm(G, axis=1) > 0.0):
+                    yield unit_gram(G)
+            c = rng.standard_normal()
+            yield np.array([[a, c], [c, a]])  # exact diagonal tie
+            yield np.zeros((2, 2))
+            yield gram_matrix(np.stack([u, u]))
+            # Non-symmetric inputs, PSD-like and arbitrary: the solver reads column s.
+            yield gram_matrix(np.stack([u, v])) + 0.3 * rng.standard_normal((2, 2)) * np.array([[0, 1], [1, 0]])
+            yield rng.standard_normal((2, 2))
+
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-3])
+    def test_closed_form_matches_the_loop_bitwise(self, tolerance):
+        rng = np.random.default_rng(14)
+        cfg = FwConfig(tolerance=tolerance)
+        for M in self.reference_pairs(rng):
+            res = frank_wolfe_min_norm(M, cfg)
+            weights, iterations = self.loop_reference(M, tolerance)
+            assert np.array_equal(res.weights, weights), M
+            assert res.iterations == iterations, M
+            assert len(res.objectives) == iterations + 1
+
     def test_objectives_trace_the_solve(self):
         rng = np.random.default_rng(13)
         for _ in range(300):

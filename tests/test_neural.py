@@ -236,6 +236,22 @@ class TestPerClassLosses:
             for i in range(c):
                 assert rel_err(s_grads[i], grads[i]) <= 1e-12
 
+    def test_presorted_batch_matches_sorting_path_bitwise(self):
+        # A batch already grouped by class skips the sort; it must give what
+        # sorting the shuffled batch gives.
+        rng = np.random.default_rng(13)
+        for c in (2, 3, 5):
+            net = init_mlp([3, 8, 5, c], int(rng.integers(0, 10_000)))
+            X = rng.standard_normal((25, 3))
+            y = rng.integers(0, c, size=25)
+            assert not np.all(np.diff(y) >= 0)
+            spec = ClassLossSpec(np.ones(c))
+            order = np.argsort(y, kind="stable")
+            losses, grads = per_class_losses(net, X, y, spec)
+            s_losses, s_grads = per_class_losses(net, X[order], y[order], spec)
+            assert np.array_equal(s_losses, losses)
+            assert np.array_equal(s_grads, grads)
+
     def test_label_out_of_range(self):
         net = init_mlp([2, 3, 2], 0)
         with pytest.raises(ValueError):

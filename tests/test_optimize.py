@@ -15,7 +15,7 @@ from mograd.optimize import (
     run_multitask,
     run_weighted_sum,
 )
-from mograd.problems import QuadraticPair, pareto_set_distance
+from mograd.problems import QuadraticPair, ScaledProblem, pareto_set_distance
 
 PAIR = QuadraticPair(center1=np.array([-1.0, 0.0]), center2=np.array([1.0, 0.0]))
 
@@ -39,6 +39,20 @@ class TestRunEdm:
         assert result.iterations_used == 0
         assert len(result.trace) == 1
         assert result.trace[0].direction_norm <= 1e-8
+
+    @pytest.mark.parametrize("k", [1, 5, 20, 300])
+    def test_power_of_two_scaled_loss_keeps_each_step_bitwise(self, k):
+        # Scaling loss 2 by 2^k leaves a step's weights and raw direction
+        # bitwise unchanged. gamma depends on the norms, so the trajectory
+        # does not stay the same.
+        theta0 = np.array([0.0, 1.0])
+        scaled = ScaledProblem(PAIR, 2.0**k)
+        base = run_edm(PAIR, theta0, cfg())
+        run = run_edm(scaled, theta0, cfg())
+        assert np.array_equal(run.trace[0].weights, base.trace[0].weights)
+        raw = edm_direction(scaled(theta0)[1]).raw_direction
+        assert np.array_equal(raw, edm_direction(PAIR(theta0)[1]).raw_direction)
+        assert run.trace[0].gamma != base.trace[0].gamma
 
     def test_single_loss_reduces_to_gradient_descent(self):
         single = lambda theta: (np.array([0.5 * theta @ theta]), theta[None, :])
