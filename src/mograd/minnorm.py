@@ -7,7 +7,11 @@ Wolfe's min-norm-point active-set method (Wolfe 1976, Math. Programming
 vertex to a working set (the corral) and strictly decreases the
 objective; on a corral the optimum is the solution of a small bordered
 linear system, solved by LU and checked against its residual, with least
-squares as the fallback, so the method is exact on every face. For two
+squares as the fallback, so the method is exact on every face. For three
+or more vectors the solver first solves that system once for all of them
+(by LU alone): when every weight is positive and the gap test certifies
+the result, the optimum is interior and no major cycle runs, which is
+the common case for many nearly orthogonal objectives. For two
 vectors the method is a single exact line search from the shorter vertex
 toward the other (the closed form of Sener & Koltun, NeurIPS 2018,
 Alg. 1), which the solver runs at T=2 in Python floats. It stops on the
@@ -72,7 +76,9 @@ class FwResult:
     ``iterations`` counts the major cycles kept. ``objectives[k]`` is the
     quadratic form after k major cycles (index 0 is the starting vertex);
     its last entry is that of ``weights``, and it never increases by more
-    than round-off. At T=2, ``iterations`` is at most 1 and ``objectives``
+    than round-off. When the full-support start is the answer,
+    ``iterations`` is 0 and ``objectives`` holds only that point's
+    quadratic form. At T=2, ``iterations`` is at most 1 and ``objectives``
     has at most 2 entries; the gap and objective after the line step are
     computed in scalar arithmetic there, so ``last_eta`` may differ by
     round-off from one taken with a numpy matrix-vector product.
@@ -146,24 +152,23 @@ def _line_step(w_M_w: float, w_M_e: float, e_M_e: float) -> float:
     if e_M_e <= w_M_e:
         return 1.0
     # Both differences are positive, so the ratio lies in (0, 1] at any
-    # magnitude of M. Quartering them (exact for normal numbers) keeps their
-    # sum finite for entries up to the float max.
-    toward = 0.25 * w_M_w - 0.25 * w_M_e
-    return toward / (toward + (0.25 * e_M_e - 0.25 * w_M_e))
+    # magnitude of M. Their sum overflows only for entries above half the
+    # float max; there the quarters are exact and keep it finite. Quartering
+    # everywhere would round subnormal entries, down to 0/0.
+    toward = w_M_w - w_M_e
+    away = e_M_e - w_M_e
+    if toward + away == np.inf:
+        toward = 0.25 * w_M_w - 0.25 * w_M_e
+        away = 0.25 * e_M_e - 0.25 * w_M_e
+    return toward / (toward + away)
 
 
-def _affine_minimizer(M_SS: np.ndarray, scale: float) -> np.ndarray:
-    """Weights summing to one that minimize ``y^T M_SS y``, ignoring signs.
+def _bordered(M_SS: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The optimality system ``A [y; mu] = [0; s]``, ``A = [M_SS s1; s1^T 0]``.
 
-    Solves the bordered system ``A [y; mu] = [0; s]`` with
-    ``A = [M_SS s1; s1^T 0]`` by LU. The solution is kept only when it is
-    finite and its residual is at round-off, at most a small multiple of
-    ``eps * (||A|| ||x|| + s)`` in the max norm. Otherwise (LU found an
-    exactly singular pivot, or the corral is so close to affinely dependent
-    that LU lost the residual) the system is solved again by least squares,
-    which returns a minimizer for singular systems too. The border carries
-    the matrix's own scale s, which keeps the system balanced at any
-    magnitude of M.
+    Its solution y sums to one and minimizes ``y^T M_SS y`` over the affine
+    hull, ignoring signs. The border carries the matrix's own scale s, which
+    keeps the system balanced at any magnitude of M.
     """
     k = M_SS.shape[0]
     bordered = np.full((k + 1, k + 1), scale)
@@ -171,19 +176,43 @@ def _affine_minimizer(M_SS: np.ndarray, scale: float) -> np.ndarray:
     bordered[k, k] = 0.0
     rhs = np.zeros(k + 1)
     rhs[k] = scale
+    return bordered, rhs
+
+
+def _lu_minimizer(bordered: np.ndarray, rhs: np.ndarray, scale: float) -> np.ndarray | None:
+    """The y of the bordered system by LU, or None unless certified.
+
+    The LU solution is kept only when it is finite and its residual is at
+    round-off, at most a small multiple of ``eps * (||A|| ||x|| + s)`` in
+    the max norm. None means LU found an exactly singular pivot, or the
+    system is so close to singular that LU lost the residual.
+    """
     try:
         x = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
-        x = None
-    if x is not None:
-        # Measured in units of s, so the test itself cannot overflow near the
-        # float max; an overflowed residual is inf or nan and fails it.
-        size = np.abs(x).max()
-        norm = (k + 1) * (np.abs(bordered).max() / scale)
-        residual = np.abs(bordered @ x - rhs).max() / scale
-        if np.isfinite(size) and residual <= _RESIDUAL_ULPS * _EPS * (norm * size + 1.0):
-            return x[:k]
-    return np.linalg.lstsq(bordered, rhs, rcond=None)[0][:k]
+        return None
+    # Measured in units of s, so the test itself cannot overflow near the
+    # float max; an overflowed residual is inf or nan and fails it.
+    size = np.abs(x).max()
+    norm = len(rhs) * (np.abs(bordered).max() / scale)
+    residual = np.abs(bordered @ x - rhs).max() / scale
+    if np.isfinite(size) and residual <= _RESIDUAL_ULPS * _EPS * (norm * size + 1.0):
+        return x[:-1]
+    return None
+
+
+def _affine_minimizer(M_SS: np.ndarray, scale: float) -> np.ndarray:
+    """Weights summing to one that minimize ``y^T M_SS y``, ignoring signs.
+
+    Solves the bordered system (``_bordered``) by LU (``_lu_minimizer``).
+    When LU is not certified, the system is solved again by least squares,
+    which returns a minimizer for singular systems too.
+    """
+    bordered, rhs = _bordered(M_SS, scale)
+    y = _lu_minimizer(bordered, rhs, scale)
+    if y is None:
+        y = np.linalg.lstsq(bordered, rhs, rcond=None)[0][:-1]
+    return y
 
 
 def _swap_step(M: np.ndarray, beta: np.ndarray, corral: list[int]) -> bool:
@@ -287,16 +316,48 @@ def _solve_two(M: list[list[float]], tolerance: float) -> FwResult:
     )
 
 
+def _full_support_start(M: np.ndarray, scale: float, tolerance: float) -> FwResult | None:
+    """The minimizer over the affine hull of all T vertices, if it is the optimum.
+
+    That minimizer is taken when LU solves its bordered system at round-off
+    residual, every weight is strictly positive and the gap test certifies
+    it; otherwise None. It never falls back to least squares. Near the
+    float max its residual test or gap can overflow, which only rejects it,
+    so it does so silently.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _lu_minimizer(*_bordered(M, scale), scale)
+        if y is None or not (y > 0.0).all():
+            return None
+        My = M @ y
+        objective = float(y @ My)
+    gap = max(objective - float(My.min()), 0.0) / scale
+    if not gap <= tolerance:  # an overflowed gap is nan
+        return None
+    return FwResult(
+        weights=y / y.sum(),
+        last_eta=gap,
+        iterations=0,
+        objectives=np.array([max(objective, 0.0)]),
+    )
+
+
 def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     """Minimize ``beta^T M beta`` over the probability simplex.
 
-    Wolfe's min-norm-point method. Starts at the vertex with the smallest
-    ``M_ii``. Each major cycle adds to the corral the vertex whose
-    coordinate of the objective gradient ``M beta`` is smallest (ties go
-    to the smallest index), then minor cycles move to the minimizer over
-    the corral's affine hull, stepping back to the simplex boundary and
-    dropping the vertex that hits zero while that minimizer has a
-    negative weight. For two vectors that cycle is one exact line search
+    Wolfe's min-norm-point method. For T >= 3 it first tries the full
+    support: the minimizer over the affine hull of all T vertices, one LU
+    solve of the bordered system with its round-off residual test and no
+    least-squares fallback. When that succeeds, every weight is strictly
+    positive and the gap test passes, it is the optimum and is returned
+    with no major cycle. Otherwise the solve starts at the vertex with the
+    smallest ``M_ii``, exactly as if the attempt had not been made. Each
+    major cycle adds to the corral the vertex whose coordinate of the
+    objective gradient ``M beta`` is smallest (ties go to the smallest
+    index), then minor cycles move to the minimizer over the corral's
+    affine hull, stepping back to the simplex boundary and dropping the
+    vertex that hits zero while that minimizer has a negative weight.
+    For two vectors that cycle is one exact line search
     (``fw_line_search``) from the starting vertex toward the other, so it
     runs as one, in scalar arithmetic on ``M.tolist()``. The solve stops
     once the relative duality gap is at or below the configured
@@ -328,6 +389,10 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
 
     diag = np.diag(M)
     scale = float(diag.max())
+    if T > 2 and scale > 0.0:
+        start = _full_support_start(M, scale, cfg.tolerance)
+        if start is not None:
+            return start
     corral = [int(np.argmin(diag))]
     beta = np.zeros(T)
     beta[corral[0]] = 1.0

@@ -11,6 +11,8 @@ from mograd.exceptions import NumericalError
 from mograd.minnorm import (
     FwConfig,
     _affine_minimizer,
+    _full_support_start,
+    _minor_cycles,
     combination_norm_sq,
     frank_wolfe_min_norm,
     fw_line_search,
@@ -295,15 +297,19 @@ class TestFwConfig:
 
 class TestDefaultTolerance:
     def test_default_solve_meets_the_1e12_certificate(self):
-        # Hull weights spread over decades (Dirichlet 0.3), so one major cycle
-        # lands just under a 1e-10 gap: the old default stopped there.
-        rng = np.random.default_rng(1)
+        # Hull weights spread over decades (Dirichlet 0.3) on 40 of the 48
+        # rows, so one major cycle lands just under a 1e-10 gap: the old
+        # default stopped there. The other 8 rows leave the optimum on a
+        # proper face, where the full-support start cannot take it.
+        rng = np.random.default_rng(0)
         G = rng.standard_normal((48, 200)) * np.exp(rng.uniform(-2.0, 2.0, size=(48, 1)))
-        G -= rng.dirichlet(np.full(48, 0.3)) @ G
+        G -= rng.dirichlet(np.full(40, 0.3)) @ G[:40]
         G += 1e-7 * rng.standard_normal(200)
         M = gram_matrix(G)
         assert relative_gap(M, frank_wolfe_min_norm(M, FwConfig(tolerance=1e-10)).weights) > 1e-12
-        assert relative_gap(M, frank_wolfe_min_norm(M).weights) <= 1e-12
+        res = frank_wolfe_min_norm(M)
+        assert relative_gap(M, res.weights) <= 1e-12
+        assert np.any(res.weights == 0.0)
 
 
 def near_duplicate_rows(rng, T, d):
@@ -319,6 +325,10 @@ def near_stationary_rows(rng, T, d):
     G = rng.standard_normal((T, d)) * np.exp(rng.uniform(-2.0, 2.0, (T, 1)))
     G -= rng.dirichlet(np.ones(T)) @ G
     return G + 1e-7 * rng.standard_normal(d)
+
+
+def unit_rows(G):
+    return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
 @pytest.fixture
@@ -563,6 +573,132 @@ class TestTwoObjectives:
             assert res.objectives[0] == np.min(np.diag(M))
             assert np.all(np.diff(res.objectives) <= 0.0)
             assert abs(res.objectives[-1] - combination_norm_sq(M, res.weights)) <= 4 * np.finfo(float).eps * scale
+
+
+class TestFullSupportStart:
+    """For T >= 3 the solver first tries the minimizer over all T vertices."""
+
+    @staticmethod
+    def vertex_start_reference(M):
+        """The default solve without the start: Wolfe's major cycles from the
+        vertex with the smallest ``M_ii``, as ``frank_wolfe_min_norm`` runs them."""
+        cfg = FwConfig()
+        T = M.shape[0]
+        diag = np.diag(M)
+        scale = float(diag.max())
+        corral = [int(np.argmin(diag))]
+        beta = np.zeros(T)
+        beta[corral[0]] = 1.0
+        objectives = []
+        iterations = 0
+        kept = None
+        while True:
+            Mb = M @ beta
+            j = int(np.argmin(Mb))
+            objective = float(beta @ Mb)
+            gap = max(objective - float(Mb[j]), 0.0) / scale if scale > 0.0 else 0.0
+            if kept is not None and gap > cfg.tolerance and objective >= kept[1]:
+                beta, _, gap = kept
+                iterations -= 1
+                break
+            objectives.append(max(objective, 0.0))
+            if gap <= cfg.tolerance or j in corral or iterations == cfg.max_iters:
+                break
+            corral.append(j)
+            iterations += 1
+            kept = (beta.copy(), objective, gap)
+            _minor_cycles(M, beta, corral, scale)
+        return beta / beta.sum(), iterations, np.asarray(objectives)
+
+    @staticmethod
+    def interior_grams(rng):
+        """Sets whose optimum puts weight on every row: unit rows in 500
+        dimensions (nearly orthogonal), and near-stationary sets, raw and
+        normalized, with d = 2T and d = 500."""
+        for T in (3, 4, 5, 8, 13, 21, 32):
+            yield gram_matrix(unit_rows(rng.standard_normal((T, 500))))
+            for d in (2 * T, 500):
+                G = near_stationary_rows(rng, T, d)
+                yield gram_matrix(G)
+                yield gram_matrix(unit_rows(G))
+
+    @staticmethod
+    def face_grams(rng):
+        """Sets whose optimum lies on a proper face or is not unique:
+        duplicate and antiparallel rows, rank 4, T > d, and unit rows plus
+        one row along their sum, which the optimum gives no weight."""
+        for T in (8, 16, 32):
+            for name, G in hard_gradient_sets(rng, T):
+                if name != "near_stationary":
+                    yield gram_matrix(G)
+                    yield gram_matrix(unit_rows(G))
+            U = unit_rows(rng.standard_normal((T, 500)))
+            yield gram_matrix(np.concatenate([U, [5.0 * U.sum(axis=0)]]))
+
+    def test_interior_sets_take_the_start_certified(self, lstsq_calls):
+        rng = np.random.default_rng(30)
+        for M in self.interior_grams(rng):
+            res = frank_wolfe_min_norm(M)
+            weights, iterations, objectives = self.vertex_start_reference(M)
+            assert res.iterations == 0 and iterations > 0
+            assert np.all(res.weights > 0.0)
+            assert relative_gap(M, res.weights) <= 1e-12
+            assert res.last_eta <= 1e-12
+            assert np.max(np.abs(res.weights - weights)) <= 1e-12
+            assert abs(res.objectives[-1] - objectives[-1]) <= 1e-12 * float(np.max(np.diag(M)))
+        assert not lstsq_calls
+
+    def test_rejected_sets_match_the_vertex_start_bitwise(self):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            for M in self.face_grams(rng):
+                scale = float(np.max(np.diag(M)))
+                assert _full_support_start(M, scale, FwConfig().tolerance) is None
+                res = frank_wolfe_min_norm(M)
+                weights, iterations, objectives = self.vertex_start_reference(M)
+                assert np.array_equal(res.weights, weights)
+                assert res.iterations == iterations
+                assert np.array_equal(res.objectives, objectives)
+
+    def test_start_makes_no_lstsq_call(self, lstsq_calls):
+        rng = np.random.default_rng(32)
+        grams = list(self.face_grams(rng))
+        # Rows 0 and 1 of the bordered system are identical: LU raises.
+        grams.append(gram_matrix([(3.0, 4.0), (3.0, 4.0), (0.0, 2.0)]))
+        for M in grams:
+            assert _full_support_start(M, float(np.max(np.diag(M))), FwConfig().tolerance) is None
+        assert not lstsq_calls
+
+    def test_objectives_trace_the_solve(self):
+        rng = np.random.default_rng(33)
+        for M in itertools.chain(self.interior_grams(rng), self.face_grams(rng)):
+            res = frank_wolfe_min_norm(M)
+            assert len(res.objectives) == res.iterations + 1
+            assert np.all(np.diff(res.objectives) <= 0.0)
+            scale = float(np.max(np.diag(M)))
+            assert abs(res.objectives[-1] - combination_norm_sq(M, res.weights)) <= 4 * np.finfo(float).eps * scale
+
+
+class TestSubnormalGram:
+    """Gram entries near 5e-324, where quartering a difference rounds it away."""
+
+    def test_two_objective_solve(self):
+        res = frank_wolfe_min_norm(np.array([[5e-324, 0.0], [0.0, 5e-324]]))
+        assert np.array_equal(res.weights, [0.5, 0.5])
+
+    def test_line_search(self):
+        M = np.array([[5e-324, 0.0], [0.0, 5e-324]])
+        assert fw_line_search(M, np.array([1.0, 0.0]), 1) == 0.5
+
+    def test_mgda_direction(self):
+        res = mgda_direction(np.array([[2.2e-162, 0.0], [0.0, 2.2e-162]]))
+        assert np.array_equal(res.weights, [0.5, 0.5])
+
+    def test_three_objectives_stay_finite(self):
+        res = frank_wolfe_min_norm(np.diag([5e-324] * 3))
+        assert np.all(np.isfinite(res.weights))
+        assert np.all(res.weights >= 0.0)
+        assert abs(res.weights.sum() - 1.0) <= 1e-15
 
 
 @st.composite
