@@ -8,7 +8,12 @@ public names keep their Frank-Wolfe-era spelling for compatibility).
 Includes analytic benchmarks, small hand-backpropagated networks, dataset
 utilities for imbalanced and two-task experiments, and a config-driven
 experiment CLI.
+
+Diagnostics go to the ``mograd`` logger (stdlib ``logging``), which is
+silent unless the application configures logging.
 """
+
+import logging
 
 from .direction import (
     DirectionResult,
@@ -47,6 +52,8 @@ from .problems import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "DataError",

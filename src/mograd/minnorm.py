@@ -8,14 +8,18 @@ vertex to a working set (the corral) and strictly decreases the
 objective; on a corral the optimum is the solution of a small bordered
 linear system, solved by LU and checked against its residual, with least
 squares as the fallback, so the method is exact on every face. For three
-or more vectors the solver first solves that system once for all of them
-(by LU alone): when every weight is positive and the gap test certifies
-the result, the optimum is interior and no major cycle runs, which is
-the common case for many nearly orthogonal objectives. For two
-vectors the method is a single exact line search from the shorter vertex
-toward the other (the closed form of Sener & Koltun, NeurIPS 2018,
-Alg. 1), which the solver runs at T=2 in Python floats. It stops on the
-relative duality gap of the simplex problem.
+or more vectors the solver first works top down (by LU alone): it solves
+that system once for all of them, and while some weights are not
+positive, drops those vertices and solves again on the rest. When the
+chain ends on positive weights that the gap test certifies, that point
+is the optimum and no major cycle runs. This is the common case both
+for many nearly orthogonal objectives (an interior optimum, one solve)
+and for raw gradients of unequal scale (an optimum on a proper face,
+usually two or three solves). For two vectors the method is a single
+exact line search from the shorter vertex toward the other (the closed
+form of Sener & Koltun, NeurIPS 2018, Alg. 1), which the solver runs at
+T=2 in Python floats. It stops on the relative duality gap of the
+simplex problem.
 
 The solver's public names (``FwConfig``, ``FwResult``,
 ``frank_wolfe_min_norm``) keep their spelling from the Frank-Wolfe solver
@@ -25,6 +29,7 @@ work. ``fw_line_search``, the exact Frank-Wolfe step, is the T=2 step.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,8 @@ __all__ = [
 # most this many units of round-off, eps * (||A|| ||x|| + s).
 _RESIDUAL_ULPS = 16.0
 _EPS = float(np.finfo(float).eps)
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -76,12 +83,14 @@ class FwResult:
     ``iterations`` counts the major cycles kept. ``objectives[k]`` is the
     quadratic form after k major cycles (index 0 is the starting vertex);
     its last entry is that of ``weights``, and it never increases by more
-    than round-off. When the full-support start is the answer,
-    ``iterations`` is 0 and ``objectives`` holds only that point's
-    quadratic form. At T=2, ``iterations`` is at most 1 and ``objectives``
-    has at most 2 entries; the gap and objective after the line step are
-    computed in scalar arithmetic there, so ``last_eta`` may differ by
-    round-off from one taken with a numpy matrix-vector product.
+    than round-off. ``iterations`` 0 means that no major cycle ran: for
+    T >= 3 the support start answered (or, when it did not, the starting
+    vertex was already certified), and ``objectives`` holds only the
+    returned point's quadratic form. At T=2, ``iterations`` is at most 1
+    and ``objectives`` has at most 2 entries; the gap and objective after
+    the line step are computed in scalar arithmetic there, so
+    ``last_eta`` may differ by round-off from one taken with a numpy
+    matrix-vector product.
     """
 
     weights: np.ndarray
@@ -316,19 +325,34 @@ def _solve_two(M: list[list[float]], tolerance: float) -> FwResult:
     )
 
 
-def _full_support_start(M: np.ndarray, scale: float, tolerance: float) -> FwResult | None:
-    """The minimizer over the affine hull of all T vertices, if it is the optimum.
+def _support_start(M: np.ndarray, scale: float, tolerance: float) -> FwResult | None:
+    """The optimum found top-down from the full support, or None.
 
-    That minimizer is taken when LU solves its bordered system at round-off
-    residual, every weight is strictly positive and the gap test certifies
-    it; otherwise None. It never falls back to least squares. Near the
-    float max its residual test or gap can overflow, which only rejects it,
-    so it does so silently.
+    Takes the minimizer over the affine hull of all T vertices. While some
+    of its weights are not positive, drops those vertices and takes the
+    minimizer over the affine hull of the rest, so every solve shrinks the
+    support and there are at most T of them. The point is returned when
+    every LU solve of the chain passed its round-off residual test and the
+    gap test over all T vertices certifies it; otherwise None. It never
+    falls back to least squares. Near the float max a residual test or the
+    gap can overflow, which only rejects the point, so it does so silently.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         y = _lu_minimizer(*_bordered(M, scale), scale)
-        if y is None or not (y > 0.0).all():
+        if y is None:
             return None
+        support = None
+        while not (y > 0.0).all():
+            support = np.flatnonzero(y > 0.0) if support is None else support[y > 0.0]
+            if support.size == 0:
+                return None
+            y = _lu_minimizer(*_bordered(M[support[:, None], support], scale), scale)
+            if y is None:
+                return None
+        if support is not None:
+            beta = np.zeros(M.shape[0])
+            beta[support] = y
+            y = beta
         My = M @ y
         objective = float(y @ My)
     gap = max(objective - float(My.min()), 0.0) / scale
@@ -345,26 +369,31 @@ def _full_support_start(M: np.ndarray, scale: float, tolerance: float) -> FwResu
 def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     """Minimize ``beta^T M beta`` over the probability simplex.
 
-    Wolfe's min-norm-point method. For T >= 3 it first tries the full
-    support: the minimizer over the affine hull of all T vertices, one LU
+    Wolfe's min-norm-point method. For T >= 3 it first works top down
+    from the full support: it takes the minimizer over the affine hull of
+    all T vertices, and while some of its weights are not positive, drops
+    those vertices and takes the minimizer over the rest. Each is one LU
     solve of the bordered system with its round-off residual test and no
-    least-squares fallback. When that succeeds, every weight is strictly
-    positive and the gap test passes, it is the optimum and is returned
-    with no major cycle. Otherwise the solve starts at the vertex with the
-    smallest ``M_ii``, exactly as if the attempt had not been made. Each
-    major cycle adds to the corral the vertex whose coordinate of the
-    objective gradient ``M beta`` is smallest (ties go to the smallest
-    index), then minor cycles move to the minimizer over the corral's
-    affine hull, stepping back to the simplex boundary and dropping the
-    vertex that hits zero while that minimizer has a negative weight.
+    least-squares fallback, and the support shrinks every time, so there
+    are at most T. When every solve passes, the weights end positive and
+    the gap test over all T vertices passes, that point is the optimum
+    and is returned with no major cycle. Otherwise the solve starts at the
+    vertex with the smallest ``M_ii``, exactly as if the attempt had not
+    been made. Each major cycle adds to the corral the vertex whose
+    coordinate of the objective gradient ``M beta`` is smallest (ties go
+    to the smallest index), then minor cycles move to the minimizer over
+    the corral's affine hull, stepping back to the simplex boundary and
+    dropping the vertex that hits zero while that minimizer has a
+    negative weight.
     For two vectors that cycle is one exact line search
     (``fw_line_search``) from the starting vertex toward the other, so it
     runs as one, in scalar arithmetic on ``M.tolist()``. The solve stops
     once the relative duality gap is at or below the configured
     tolerance. Failing that, it stops when a major cycle did not lower the
     objective (that cycle is undone), when the chosen vertex is already in
-    the corral, or when the budget of major cycles is spent. Weights off
-    the corral are exact zeros.
+    the corral, or when the budget of major cycles is spent; the last
+    case, with the gap still above tolerance, logs a warning on the
+    ``mograd.minnorm`` logger. Weights off the corral are exact zeros.
 
     Parameters
     ----------
@@ -390,7 +419,7 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     diag = np.diag(M)
     scale = float(diag.max())
     if T > 2 and scale > 0.0:
-        start = _full_support_start(M, scale, cfg.tolerance)
+        start = _support_start(M, scale, cfg.tolerance)
         if start is not None:
             return start
     corral = [int(np.argmin(diag))]
@@ -418,6 +447,11 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
         kept = (beta.copy(), objective, gap)
         _minor_cycles(M, beta, corral, scale)
 
+    if iterations == cfg.max_iters and gap > cfg.tolerance:
+        _log.warning(
+            "min-norm solve stopped at max_iters=%d with relative gap %.3g above tolerance %.3g",
+            cfg.max_iters, gap, cfg.tolerance,
+        )
     return FwResult(
         weights=beta / beta.sum(),
         last_eta=gap,

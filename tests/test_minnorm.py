@@ -1,4 +1,6 @@
 import itertools
+import logging
+from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -11,7 +13,7 @@ from mograd.exceptions import NumericalError
 from mograd.minnorm import (
     FwConfig,
     _affine_minimizer,
-    _full_support_start,
+    _support_start,
     _minor_cycles,
     combination_norm_sq,
     frank_wolfe_min_norm,
@@ -29,6 +31,11 @@ def relative_gap(M, w):
     """Duality gap ``w'Mw - min(Mw)`` of the simplex QP over the largest diagonal entry."""
     Mw = M @ w
     return max(float(w @ Mw - Mw.min()), 0.0) / float(np.max(np.diag(M)))
+
+
+def support_start(M):
+    """``_support_start`` as ``frank_wolfe_min_norm`` calls it by default."""
+    return _support_start(M, float(np.max(np.diag(M))), FwConfig().tolerance)
 
 
 def hard_gradient_sets(rng, T, d=60):
@@ -71,6 +78,51 @@ def kkt_oracle(M):
         if np.any(feasible):
             best = min(best, float(values[feasible].min()))
     return best
+
+
+def fraction_solve(A, b):
+    """Solution of the square system ``A x = b`` in ``Fraction`` arithmetic, or
+    None when A is singular (Gauss-Jordan elimination, exact)."""
+    n = len(b)
+    rows = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * q for a, q in zip(rows[r], rows[c])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_oracle(M):
+    """The simplex optimum of the float matrix M, in exact rational arithmetic.
+
+    Every entry of M converts to a ``Fraction`` without rounding. On each
+    support S the bordered system ``[M_SS 1; 1' 0] [x; mu] = [0; 1]`` is
+    solved exactly; its x minimizes ``x' M_SS x`` over the affine hull of S,
+    at the value ``-mu``. The optimum is the nonnegative x of least value.
+    Supports whose system is singular are skipped; a positive definite M
+    has none. Returns the T weights as ``Fraction``s.
+    """
+    T = M.shape[0]
+    F = [[Fraction(v) for v in row] for row in M.tolist()]
+    one, zero = Fraction(1), Fraction(0)
+    best = None
+    for k in range(1, T + 1):
+        for S in itertools.combinations(range(T), k):
+            A = [[F[i][j] for j in S] + [one] for i in S] + [[one] * k + [zero]]
+            sol = fraction_solve(A, [zero] * k + [one])
+            if sol is None or min(sol[:k]) < 0:
+                continue
+            if best is None or -sol[k] < best[0]:
+                weights = [zero] * T
+                for i, v in zip(S, sol):
+                    weights[i] = v
+                best = (-sol[k], weights)
+    return best[1]
 
 
 class TestGramMatrix:
@@ -275,14 +327,38 @@ class TestCertificate:
                 solver = combination_norm_sq(M, frank_wolfe_min_norm(M).weights)
                 assert abs(solver - kkt_oracle(M)) <= 1e-12 * float(np.max(np.diag(M)))
 
+    @staticmethod
+    def exhausted_budget_gram():
+        """Eight Gaussian rows with the first one copied in front: LU meets
+        an exact zero pivot, so the support start rejects it and the major
+        cycles run."""
+        G = np.random.default_rng(102).standard_normal((8, 20))
+        M = gram_matrix(np.concatenate([G[:1], G]))
+        assert support_start(M) is None
+        return M
+
     def test_exhausted_budget_reports_gap_above_tolerance(self):
-        rng = np.random.default_rng(102)
-        M = gram_matrix(rng.standard_normal((8, 20)))
+        M = self.exhausted_budget_gram()
         cfg = FwConfig(max_iters=1)
         res = frank_wolfe_min_norm(M, cfg)
         assert res.iterations == 1
         assert res.last_eta > cfg.tolerance
         assert res.last_eta == pytest.approx(relative_gap(M, res.weights), rel=1e-9)
+
+    def test_exhausted_budget_logs_one_warning(self, caplog):
+        M = self.exhausted_budget_gram()
+        with caplog.at_level(logging.DEBUG, logger="mograd"):
+            frank_wolfe_min_norm(M, FwConfig(max_iters=1))
+        assert [(r.name, r.levelno) for r in caplog.records] == [("mograd.minnorm", logging.WARNING)]
+        assert "max_iters=1" in caplog.records[0].getMessage()
+
+    def test_default_solve_logs_nothing(self, caplog):
+        rng = np.random.default_rng(103)
+        with caplog.at_level(logging.DEBUG, logger="mograd"):
+            frank_wolfe_min_norm(self.exhausted_budget_gram())
+            for _, G in hard_gradient_sets(rng, 8):
+                frank_wolfe_min_norm(gram_matrix(G))
+        assert not caplog.records
 
 
 class TestFwConfig:
@@ -300,12 +376,14 @@ class TestDefaultTolerance:
         # Hull weights spread over decades (Dirichlet 0.3) on 40 of the 48
         # rows, so one major cycle lands just under a 1e-10 gap: the old
         # default stopped there. The other 8 rows leave the optimum on a
-        # proper face, where the full-support start cannot take it.
+        # proper face, and a copy of row 0 makes the support start reject
+        # the set, so the major cycles run.
         rng = np.random.default_rng(0)
         G = rng.standard_normal((48, 200)) * np.exp(rng.uniform(-2.0, 2.0, size=(48, 1)))
         G -= rng.dirichlet(np.full(40, 0.3)) @ G[:40]
         G += 1e-7 * rng.standard_normal(200)
-        M = gram_matrix(G)
+        M = gram_matrix(np.concatenate([G, G[:1]]))
+        assert support_start(M) is None
         assert relative_gap(M, frank_wolfe_min_norm(M, FwConfig(tolerance=1e-10)).weights) > 1e-12
         res = frank_wolfe_min_norm(M)
         assert relative_gap(M, res.weights) <= 1e-12
@@ -342,6 +420,20 @@ def lstsq_calls(monkeypatch):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls
+
+
+@pytest.fixture
+def lu_solves(monkeypatch):
+    """Counts the LU solves (``np.linalg.solve`` calls) of the bordered systems."""
+    calls = []
+    solve = np.linalg.solve
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
     return calls
 
 
@@ -575,8 +667,8 @@ class TestTwoObjectives:
             assert abs(res.objectives[-1] - combination_norm_sq(M, res.weights)) <= 4 * np.finfo(float).eps * scale
 
 
-class TestFullSupportStart:
-    """For T >= 3 the solver first tries the minimizer over all T vertices."""
+class TestSupportStart:
+    """For T >= 3 the solver first works top down from all T vertices."""
 
     @staticmethod
     def vertex_start_reference(M):
@@ -624,21 +716,32 @@ class TestFullSupportStart:
 
     @staticmethod
     def face_grams(rng):
-        """Sets whose optimum lies on a proper face or is not unique:
-        duplicate and antiparallel rows, rank 4, T > d, and unit rows plus
-        one row along their sum, which the optimum gives no weight."""
+        """Sets whose optimum has unique weights and mostly lies on a proper
+        face, as ``(name, M)``: unit rows in 500 dimensions plus one row
+        along their sum, which the optimum gives no weight, and raw Gaussian
+        rows with scales ``e^U(-2, 2)`` in d = 2T and d = 1000 dimensions."""
+        for T in (8, 13, 21, 32):
+            U = unit_rows(rng.standard_normal((T, 500)))
+            yield "unit_plus_sum", gram_matrix(np.concatenate([U, [5.0 * U.sum(axis=0)]]))
+            for d in (2 * T, 1000):
+                yield "generic", gram_matrix(rng.standard_normal((T, d)) * np.exp(rng.uniform(-2.0, 2.0, (T, 1))))
+
+    @staticmethod
+    def degenerate_grams(rng):
+        """Sets whose optimal weights are not unique: duplicate and
+        antiparallel rows, rank 4 and T > d, raw and normalized."""
         for T in (8, 16, 32):
             for name, G in hard_gradient_sets(rng, T):
                 if name != "near_stationary":
                     yield gram_matrix(G)
                     yield gram_matrix(unit_rows(G))
-            U = unit_rows(rng.standard_normal((T, 500)))
-            yield gram_matrix(np.concatenate([U, [5.0 * U.sum(axis=0)]]))
 
-    def test_interior_sets_take_the_start_certified(self, lstsq_calls):
+    def test_interior_sets_take_the_start_certified(self, lstsq_calls, lu_solves):
         rng = np.random.default_rng(30)
         for M in self.interior_grams(rng):
+            before = len(lu_solves)
             res = frank_wolfe_min_norm(M)
+            assert len(lu_solves) - before == 1
             weights, iterations, objectives = self.vertex_start_reference(M)
             assert res.iterations == 0 and iterations > 0
             assert np.all(res.weights > 0.0)
@@ -648,35 +751,123 @@ class TestFullSupportStart:
             assert abs(res.objectives[-1] - objectives[-1]) <= 1e-12 * float(np.max(np.diag(M)))
         assert not lstsq_calls
 
+    def test_face_optima_take_the_start_certified(self):
+        # Dropping every non-positive weight at once can drop a vertex that
+        # the optimum keeps; the gap test then rejects the chain, and the
+        # vertex start answers (test_rejected_sets_match_the_vertex_start_bitwise).
+        # That happens on some raw sets with d = 2T, never with the summed row.
+        rng = np.random.default_rng(34)
+        answered = {"unit_plus_sum": 0, "generic": 0}
+        total = {"unit_plus_sum": 0, "generic": 0}
+        faces = 0
+        for _ in range(3):
+            for name, M in self.face_grams(rng):
+                total[name] += 1
+                if support_start(M) is None:
+                    continue
+                answered[name] += 1
+                res = frank_wolfe_min_norm(M)
+                weights, iterations, objectives = self.vertex_start_reference(M)
+                assert res.iterations == 0 and iterations > 0
+                assert np.array_equal(res.weights == 0.0, weights == 0.0)
+                faces += bool(np.any(res.weights == 0.0))
+                assert relative_gap(M, res.weights) <= 1e-12
+                assert res.last_eta <= 1e-12
+                assert np.max(np.abs(res.weights - weights)) <= 1e-12
+                assert abs(res.objectives[-1] - objectives[-1]) <= 1e-12 * float(np.max(np.diag(M)))
+        assert answered["unit_plus_sum"] == total["unit_plus_sum"]
+        assert answered["generic"] >= 0.75 * total["generic"]
+        assert faces >= 0.75 * sum(answered.values())
+
+    def test_raw_generic_face_takes_at_most_two_solves(self, lu_solves, lstsq_calls):
+        # Raw rows of unequal scale, as mgda sees them: the optimum drops
+        # four rows, and one re-solve finds it. Some such sets need a third.
+        rng = np.random.default_rng(30)
+        M = gram_matrix(rng.standard_normal((32, 1000)) * np.exp(rng.uniform(-2.0, 2.0, (32, 1))))
+        res = frank_wolfe_min_norm(M)
+        assert len(lu_solves) <= 2
+        assert not lstsq_calls
+        assert res.iterations == 0 and np.any(res.weights == 0.0)
+        assert relative_gap(M, res.weights) <= 1e-12
+
+    def test_degenerate_sets_certified_whichever_path_answers(self):
+        rng = np.random.default_rng(35)
+        for _ in range(3):
+            for M in self.degenerate_grams(rng):
+                res = frank_wolfe_min_norm(M)
+                _, _, objectives = self.vertex_start_reference(M)
+                assert relative_gap(M, res.weights) <= 1e-12
+                assert res.last_eta <= 1e-12
+                assert abs(res.objectives[-1] - objectives[-1]) <= 1e-12 * float(np.max(np.diag(M)))
+
     def test_rejected_sets_match_the_vertex_start_bitwise(self):
         rng = np.random.default_rng(31)
+        rejected = 0
         for _ in range(3):
-            for M in self.face_grams(rng):
-                scale = float(np.max(np.diag(M)))
-                assert _full_support_start(M, scale, FwConfig().tolerance) is None
+            grams = itertools.chain((M for _, M in self.face_grams(rng)), self.degenerate_grams(rng))
+            for M in grams:
+                if support_start(M) is not None:
+                    continue
+                rejected += 1
                 res = frank_wolfe_min_norm(M)
                 weights, iterations, objectives = self.vertex_start_reference(M)
                 assert np.array_equal(res.weights, weights)
                 assert res.iterations == iterations
                 assert np.array_equal(res.objectives, objectives)
+        assert rejected >= 10
 
-    def test_start_makes_no_lstsq_call(self, lstsq_calls):
+    def test_start_makes_no_lstsq_call(self, lstsq_calls, lu_solves):
         rng = np.random.default_rng(32)
-        grams = list(self.face_grams(rng))
+        grams = list(itertools.chain(
+            self.interior_grams(rng), (M for _, M in self.face_grams(rng)), self.degenerate_grams(rng)
+        ))
         # Rows 0 and 1 of the bordered system are identical: LU raises.
-        grams.append(gram_matrix([(3.0, 4.0), (3.0, 4.0), (0.0, 2.0)]))
+        singular = gram_matrix([(3.0, 4.0), (3.0, 4.0), (0.0, 2.0)])
+        assert support_start(singular) is None
         for M in grams:
-            assert _full_support_start(M, float(np.max(np.diag(M))), FwConfig().tolerance) is None
+            before = len(lu_solves)
+            support_start(M)
+            assert len(lu_solves) - before <= M.shape[0]
         assert not lstsq_calls
 
     def test_objectives_trace_the_solve(self):
         rng = np.random.default_rng(33)
-        for M in itertools.chain(self.interior_grams(rng), self.face_grams(rng)):
+        grams = itertools.chain(
+            self.interior_grams(rng), (M for _, M in self.face_grams(rng)), self.degenerate_grams(rng)
+        )
+        for M in grams:
             res = frank_wolfe_min_norm(M)
             assert len(res.objectives) == res.iterations + 1
             assert np.all(np.diff(res.objectives) <= 0.0)
             scale = float(np.max(np.diag(M)))
             assert abs(res.objectives[-1] - combination_norm_sq(M, res.weights)) <= 4 * np.finfo(float).eps * scale
+
+
+class TestExactOracle:
+    """Float weights against the rational KKT optimum of the same float M."""
+
+    def test_weights_match_the_rational_optimum(self):
+        # Raw rows with scales e^U(-2, 2) and their normalized rows, T <= 5,
+        # d in [2T, 4T]: positive definite and well conditioned. The start
+        # answers most T >= 3 sets (interior and face optima); the vertex
+        # start answers the few where the chain is rejected.
+        rng = np.random.default_rng(60)
+        answered_by = {"two": 0, "start": 0, "start_face": 0, "loop": 0}
+        for _ in range(25):
+            for T in (2, 3, 4, 5):
+                d = int(rng.integers(2 * T, 4 * T + 1))
+                G = rng.standard_normal((T, d)) * np.exp(rng.uniform(-2.0, 2.0, (T, 1)))
+                for M in (gram_matrix(G), gram_matrix(unit_rows(G))):
+                    res = frank_wolfe_min_norm(M)
+                    exact = exact_oracle(M)
+                    assert max(abs(float(x - Fraction(w))) for x, w in zip(exact, res.weights.tolist())) <= 1e-12
+                    if T == 2:
+                        answered_by["two"] += 1
+                    elif support_start(M) is None:
+                        answered_by["loop"] += 1
+                    else:
+                        answered_by["start_face" if 0 in exact else "start"] += 1
+        assert all(count > 0 for count in answered_by.values()), answered_by
 
 
 class TestSubnormalGram:
