@@ -21,7 +21,6 @@ from .direction import (
     bisector_two,
     edm_direction,
     mgda_direction,
-    normalization_factor,
     stationarity_residual,
 )
 from .exceptions import DataError, NumericalError
@@ -47,8 +46,6 @@ from .problems import (
     ScaledProblem,
     finite_diff_gradient,
     pareto_set_distance,
-    quadratic_losses,
-    scaled_losses,
 )
 
 __version__ = "0.1.0"
@@ -75,13 +72,10 @@ __all__ = [
     "fw_line_search",
     "gram_matrix",
     "mgda_direction",
-    "normalization_factor",
     "pareto_set_distance",
-    "quadratic_losses",
     "run_edm",
     "run_mgda",
     "run_multitask",
     "run_weighted_sum",
-    "scaled_losses",
     "stationarity_residual",
 ]

@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ from .data import (
     synth_imbalanced,
     synth_two_task,
 )
-from .direction import GradientSet, edm_direction, mgda_direction
+from . import optimize
+from .direction import GradientSet
 from .exceptions import DataError, NumericalError
 from .minnorm import FwConfig
 from .neural import (
@@ -44,17 +46,8 @@ from .neural import (
     per_class_losses,
     predict_two_task,
 )
-from .optimize import (
-    OptimizerConfig,
-    RunResult,
-    run_edm,
-    run_mgda,
-    run_multitask,
-    run_weighted_sum,
-)
-from .problems import QuadraticPair, pareto_set_distance
-
-_RUNNERS = {"edm": run_edm, "mgda": run_mgda, "weighted_sum": run_weighted_sum}
+from .optimize import METHODS, OptimizerConfig, RunResult, run_multitask
+from .problems import MultiLossProblem, QuadraticPair, pareto_set_distance
 
 # a direction this short counts as a stationarity certificate in reports
 _STATIONARY_EPS = 1e-9
@@ -126,16 +119,23 @@ def _aggregate(path: Path, name: str, summaries: list[dict], accuracy_key: str) 
 # experiment cores (also used by the demo scripts and the acceptance suite)
 
 
-def _epoch_batch_oracle(net, spec, X, y, plan, epochs):
+def _run_flat(problem: MultiLossProblem, theta0, cfg: OptimizerConfig) -> RunResult:
+    """The flat loop of ``cfg.method``, looked up on ``mograd.optimize`` at call time
+    so that wrappers installed there (the benchmark's tracer) see the call."""
+    return getattr(optimize, f"run_{cfg.method}")(problem, theta0, cfg)
+
+
+def _epoch_batch_oracle(net, spec, ds: Dataset, plan, epochs):
     """Stateful problem oracle: each call evaluates the next per-class batch.
 
     Writes ``theta`` into ``net``'s buffer in place. Single-consumer (the
     descent loop); one spare epoch is generated because the loop evaluates
     the oracle once more at the final point.
     """
+    X, y = ds.features, ds.labels
     batch_iter = (
         np.concatenate(batch)
-        for epoch in class_batches(_oracle_ds(X, y), plan, epochs=epochs + 1)
+        for epoch in class_batches(ds, plan, epochs=epochs + 1)
         for batch in epoch
     )
 
@@ -147,8 +147,13 @@ def _epoch_batch_oracle(net, spec, X, y, plan, epochs):
     return problem
 
 
-def _oracle_ds(X, y) -> Dataset:
-    return Dataset(features=X, labels=y)
+def _imbalanced_method(method: str) -> str:
+    """The registry method behind an imbalanced-study ``method``: ``edm``,
+    ``mgda``, or ``sgd``, the class-weighted sum (``weighted_sum`` itself
+    is not accepted)."""
+    if method not in ("edm", "mgda", "sgd"):
+        raise ValueError(f"method must be edm, mgda, or sgd, got {method!r}")
+    return "weighted_sum" if method == "sgd" else method
 
 
 def train_imbalanced(
@@ -165,25 +170,27 @@ def train_imbalanced(
     """Train the two-layer classifier on per-class batch losses.
 
     ``method`` is ``edm``, ``mgda``, or ``sgd`` (gradient descent on the
-    class-weighted total loss with minor-class weight ``mu``).
+    class-weighted total loss with minor-class weight ``mu``). Returns the
+    trained network, whose ``flat`` is the run's ``final_point``.
     """
+    run_method = _imbalanced_method(method)
     n_classes = train_ds.n_classes
     net = init_mlp([train_ds.n_features, hidden, n_classes], seed)
     spec = ClassLossSpec(np.array([1.0] + [float(mu)] * (n_classes - 1)))
     plan = BatchPlan(batches_per_epoch=batches_per_epoch, seed=seed + 1)
-    problem = _epoch_batch_oracle(net, spec, train_ds.features, train_ds.labels, plan, epochs)
-    run_method = "weighted_sum" if method == "sgd" else method
+    problem = _epoch_batch_oracle(net, spec, train_ds, plan, epochs)
     cfg = OptimizerConfig(
         method=run_method,
         learning_rate=lr,
         max_iters=epochs * batches_per_epoch,
         stop_tolerance=1e-300,
-        weights=spec.class_weights if method == "sgd" else None,
+        weights=spec.class_weights,
         fw=fw,
         seed=seed,
     )
-    result = _RUNNERS[run_method](problem, net.flatten(), cfg)
-    return MlpParams.from_flat(result.final_point, net.dims), result
+    # The loop's last oracle call writes final_point into net.flat.
+    result = _run_flat(problem, net.flat, cfg)
+    return net, result
 
 
 def two_task_accuracy(model, ds: Dataset) -> list[float]:
@@ -222,14 +229,10 @@ def _fw_config(opts: dict) -> FwConfig:
 
 def cmd_direction(opts: dict) -> int:
     gradients = _read_gradients(Path(opts["gradients_file"]))
-    fw = _fw_config(opts)
+    # No weights are read here, so the registry rejects weighted_sum.
+    cfg = OptimizerConfig(method=opts["method"], fw=_fw_config(opts))
     gs = GradientSet.from_gradients(gradients)
-    if opts["method"] == "edm":
-        res = edm_direction(gs, fw)
-    elif opts["method"] == "mgda":
-        res = mgda_direction(gs, fw)
-    else:
-        raise ValueError(f"method must be edm or mgda, got {opts['method']!r}")
+    res = METHODS[cfg.method](gs, cfg)
 
     d = res.raw_direction
     norm_sq = float(d @ d)
@@ -274,11 +277,17 @@ def cmd_solve(opts: dict) -> int:
         )
     pair = _PROBLEMS[opts["problem"]]()
     method = opts["method"]
-    if method not in _RUNNERS:
-        raise ValueError(f"method must be one of {sorted(_RUNNERS)}, got {method!r}")
     weights = None
     if method == "weighted_sum":
         weights = np.array([float(v) for v in str(opts["weights"]).split(",")])
+    base = OptimizerConfig(
+        method=method,
+        learning_rate=opts["lr"],
+        max_iters=opts["iters"],
+        stop_tolerance=opts["eps"],
+        weights=weights,
+        fw=_fw_config(opts),
+    )
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -287,17 +296,8 @@ def cmd_solve(opts: dict) -> int:
         seed = opts["seed"] + repeat
         rng = np.random.default_rng(seed)
         theta0 = rng.uniform(-2.0, 2.0, size=pair.dim)
-        cfg = OptimizerConfig(
-            method=method,
-            learning_rate=opts["lr"],
-            max_iters=opts["iters"],
-            stop_tolerance=opts["eps"],
-            weights=weights,
-            fw=_fw_config(opts),
-            seed=seed,
-        )
         t0 = time.perf_counter()
-        result = _RUNNERS[method](pair, theta0, cfg)
+        result = _run_flat(pair, theta0, replace(base, seed=seed))
         wall_ms = 1000.0 * (time.perf_counter() - t0)
         name = f"{opts['problem']}_{method}"
         _write_trace(out_dir / f"trace_{name}_{seed}.csv", result.trace, 2)
@@ -349,8 +349,7 @@ def _imbalanced_dataset(opts: dict, seed: int) -> Dataset:
 
 
 def cmd_imbalanced(opts: dict) -> int:
-    if opts["method"] not in ("edm", "mgda", "sgd"):
-        raise ValueError(f"method must be edm, mgda, or sgd, got {opts['method']!r}")
+    _imbalanced_method(opts["method"])
     if opts["mu"] <= 0:
         raise ValueError(f"mu must be positive, got {opts['mu']}")
     out_dir = Path(opts["out_dir"])
@@ -394,10 +393,16 @@ def cmd_imbalanced(opts: dict) -> int:
 
 
 def cmd_multitask(opts: dict) -> int:
-    if opts["method"] not in _RUNNERS:
-        raise ValueError(f"method must be one of {sorted(_RUNNERS)}, got {opts['method']!r}")
     if opts["kappa"] < 1:
         raise ValueError(f"kappa must be >= 1, got {opts['kappa']}")
+    base = OptimizerConfig(
+        method=opts["method"],
+        learning_rate=opts["lr"],
+        max_iters=opts["epochs"],
+        stop_tolerance=1e-300,
+        weights=np.ones(2),
+        fw=_fw_config(opts),
+    )
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -409,15 +414,7 @@ def cmd_multitask(opts: dict) -> int:
         model = init_two_head_mlp(
             opts["m"], trunk_hidden=(32, 16), head_classes=(2, 2), seed=seed
         )
-        cfg = OptimizerConfig(
-            method=opts["method"],
-            learning_rate=opts["lr"],
-            max_iters=opts["epochs"],
-            stop_tolerance=1e-300,
-            weights=np.ones(2) if opts["method"] == "weighted_sum" else None,
-            fw=_fw_config(opts),
-            seed=seed + 10_000,
-        )
+        cfg = replace(base, seed=seed + 10_000)
         t0 = time.perf_counter()
         trained, result = run_multitask(
             model, train_ds, cfg, kappa=opts["kappa"], batch_size=opts["batch_size"]

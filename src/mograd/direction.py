@@ -35,7 +35,6 @@ __all__ = [
     "edm_direction",
     "mgda_direction",
     "bisector_two",
-    "normalization_factor",
     "stationarity_residual",
 ]
 
@@ -162,7 +161,7 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     sol = frank_wolfe_min_norm(M / (n[:, None] * n), cfg)
     q = sol.weights / n
     support = np.flatnonzero(sol.weights > 0)
-    # normalization_factor, without re-checking what the solver guarantees.
+    # gamma = (sum_i beta_i / ||g_i||)^-1 over the positive weights.
     gamma = float(1.0 / np.sum(q[support]))
     if every:
         return _combine(gs, sol.weights, q, gamma, support)
@@ -201,20 +200,6 @@ def bisector_two(g1, g2) -> np.ndarray:
     if r1 <= ZERO_GRADIENT_THRESHOLD or r2 <= ZERO_GRADIENT_THRESHOLD:
         raise ValueError("bisector is undefined for a zero-norm gradient")
     return (g1 / r1 + g2 / r2) / (1.0 / r1 + 1.0 / r2)
-
-
-def normalization_factor(weights, norms) -> float:
-    """Rescaling factor ``(sum_i weights_i / norms_i)^-1`` over nonzero weights."""
-    w = np.asarray(weights, dtype=float)
-    n = np.asarray(norms, dtype=float)
-    if w.shape != n.shape:
-        raise ValueError(f"weights shape {w.shape} does not match norms shape {n.shape}")
-    nz = w > 0
-    if not np.any(nz):
-        raise ValueError("at least one weight must be positive")
-    if np.any(n[nz] <= 0):
-        raise ValueError("nonzero weight paired with zero norm")
-    return float(1.0 / np.sum(w[nz] / n[nz]))
 
 
 def stationarity_residual(grads, cfg: FwConfig = FwConfig()) -> tuple[float, np.ndarray]:

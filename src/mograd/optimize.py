@@ -1,24 +1,39 @@
 """Descent loops over multi-loss problems, with per-iteration traces.
 
-A problem is any callable ``theta -> (losses, gradients)``. Each loop
-computes the chosen direction, records a trace entry, tests the stopping
-rule before applying the update, and steps with a constant learning rate.
+A problem is any callable ``theta -> (losses, gradients)``. ``METHODS`` is
+the one registry of step methods: each entry maps a ``GradientSet`` and an
+``OptimizerConfig`` to a ``DirectionResult``, and every loop steps along
+its ``normalized_direction``. The flat loop (``run_edm``/``run_mgda``/
+``run_weighted_sum``) tests the stopping rule before each update and traces
+every step; ``run_multitask`` steps a two-head network per batch and traces
+each epoch's means. Both make each direction through one step core, which
+checks the caller's arrays, calls the registry, checks the direction and
+names the iteration or epoch in any ``NumericalError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .direction import GradientSet, edm_direction, mgda_direction, stationarity_residual
+from .direction import (
+    DirectionResult,
+    GradientSet,
+    _combine,
+    edm_direction,
+    mgda_direction,
+    stationarity_residual,
+)
 from .exceptions import NumericalError
 from .minnorm import FwConfig
 from .neural import TwoHeadMlp, two_task_gradients
 from .problems import MultiLossProblem
 
 __all__ = [
+    "METHODS",
     "OptimizerConfig",
     "IterationTrace",
     "RunResult",
@@ -28,7 +43,24 @@ __all__ = [
     "run_multitask",
 ]
 
-METHODS = ("edm", "mgda", "weighted_sum")
+
+def _weighted_sum(gs: GradientSet, cfg: OptimizerConfig) -> DirectionResult:
+    w = cfg.weights
+    if w is None:
+        raise ValueError("weighted_sum needs cfg.weights")
+    if w.shape[0] != gs.n_objectives:
+        raise ValueError(f"{w.shape[0]} weights do not match {gs.n_objectives} objectives")
+    # OptimizerConfig rejects negative weights, so the nonzero ones are the support.
+    return _combine(gs, w / w.sum(), w, None, w.nonzero()[0])
+
+
+# The entries look up the direction functions in this module's globals at
+# call time, so wrappers installed on the module (the benchmark's tracer) see them.
+METHODS: dict[str, Callable[[GradientSet, OptimizerConfig], DirectionResult]] = {
+    "edm": lambda gs, cfg: edm_direction(gs, cfg.fw),
+    "mgda": lambda gs, cfg: mgda_direction(gs, cfg.fw),
+    "weighted_sum": _weighted_sum,
+}
 
 
 @dataclass(frozen=True)
@@ -50,7 +82,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.max_iters < 0:
@@ -85,88 +117,62 @@ class RunResult:
     stationarity: float
 
 
-def _step_edm(gs: GradientSet, cfg: OptimizerConfig):
-    res = edm_direction(gs, cfg.fw)
-    return res.normalized_direction, res.gamma, res.weights
-
-
-def _step_mgda(gs: GradientSet, cfg: OptimizerConfig):
-    res = mgda_direction(gs, cfg.fw)
-    return res.raw_direction, None, res.weights
-
-
-def _step_weighted_sum(gs: GradientSet, cfg: OptimizerConfig):
-    if cfg.weights is None:
-        raise ValueError("weighted_sum needs cfg.weights")
-    w = cfg.weights
-    if w.shape[0] != gs.n_objectives:
-        raise ValueError(
-            f"{w.shape[0]} weights do not match {gs.n_objectives} objectives"
-        )
-    return w @ gs.gradients, None, w / w.sum()
-
-
-_STEPS: dict[str, Callable] = {
-    "edm": _step_edm,
-    "mgda": _step_mgda,
-    "weighted_sum": _step_weighted_sum,
-}
-
-
-def _check_finite(what: str, *arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NumericalError(f"non-finite {what}")
-
-
 def _at(exc: NumericalError, where: str, k: int) -> NumericalError:
     return NumericalError(f"{exc} at {where} {k}", iteration=k)
 
 
+def _step(
+    method: str, cfg: OptimizerConfig, grads, what: str, arrays, where: str, k: int
+) -> tuple[DirectionResult, float]:
+    """The registry's direction for one step, and the norm of that step's direction.
+
+    ``arrays`` (named ``what`` in the error) must be finite; the
+    ``GradientSet`` certifies ``grads``. A ``NumericalError`` is re-raised
+    as ``"... at {where} {k}"``.
+    """
+    try:
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise NumericalError(f"non-finite {what}")
+        res = METHODS[method](GradientSet.from_gradients(grads), cfg)
+        d = res.normalized_direction
+        if not np.isfinite(d).all():
+            raise NumericalError("non-finite direction")
+    except NumericalError as exc:
+        raise _at(exc, where, k) from exc
+    # Without gamma the stepped direction is raw_direction, whose norm res holds.
+    return res, res.direction_norm if res.gamma is None else math.sqrt(d @ d)
+
+
+def _final_residual(grads, cfg: OptimizerConfig, where: str, k: int) -> float:
+    try:
+        return stationarity_residual(grads, cfg.fw)[0]
+    except NumericalError as exc:
+        raise _at(exc, where, k) from exc
+
+
 def _descend(problem: MultiLossProblem, theta0, cfg: OptimizerConfig, method: str) -> RunResult:
-    step_fn = _STEPS[method]
     theta = np.array(theta0, dtype=float)
     trace: list[IterationTrace] = []
     converged = False
     iterations_used = cfg.max_iters
     for k in range(cfg.max_iters):
         losses, grads = problem(theta)
-        losses = np.asarray(losses, dtype=float)
-        # The GradientSet certifies the gradients; the loop checks the rest.
-        try:
-            _check_finite("loss", losses)
-            gs = GradientSet.from_gradients(grads)
-            direction, gamma, trace_weights = step_fn(gs, cfg)
-            _check_finite("direction", direction)
-        except NumericalError as exc:
-            raise _at(exc, "iteration", k) from exc
-        direction_norm = float(np.sqrt(direction @ direction))
+        losses = np.array(losses, dtype=float)  # the trace's own copy
+        res, direction_norm = _step(method, cfg, grads, "loss", (losses,), "iteration", k)
         if direction_norm <= cfg.stop_tolerance:
-            trace.append(
-                IterationTrace(k, losses.copy(), direction_norm, gamma, trace_weights, 0.0)
-            )
+            trace.append(IterationTrace(k, losses, direction_norm, res.gamma, res.weights, 0.0))
             converged = True
             iterations_used = k
             break
-        new_theta = theta - cfg.learning_rate * direction
+        new_theta = theta - cfg.learning_rate * res.normalized_direction
         # np.linalg.norm's own path for a 1-D vector, without its overhead.
         step = new_theta - theta
-        trace.append(
-            IterationTrace(
-                k,
-                losses.copy(),
-                direction_norm,
-                gamma,
-                trace_weights,
-                float(np.sqrt(step @ step)),
-            )
-        )
+        step_norm = math.sqrt(step @ step)
+        trace.append(IterationTrace(k, losses, direction_norm, res.gamma, res.weights, step_norm))
         theta = new_theta
 
     _, final_grads = problem(theta)
-    try:
-        residual, _ = stationarity_residual(final_grads, cfg.fw)
-    except NumericalError as exc:
-        raise _at(exc, "iteration", iterations_used) from exc
+    residual = _final_residual(final_grads, cfg, "iteration", iterations_used)
     return RunResult(theta, converged, iterations_used, trace, residual)
 
 
@@ -231,7 +237,6 @@ def run_multitask(
     n_epochs = cfg.max_iters if epochs is None else epochs
     if n_epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {n_epochs}")
-    step_fn = _STEPS[cfg.method]
 
     model = model.copy()
     X, y1, y2 = data.features, data.labels, data.labels2
@@ -254,24 +259,20 @@ def run_multitask(
             idx = order[lo : lo + batch_size]
             losses, shared, head_grads = two_task_gradients(model, X[idx], y1[idx], y2[idx])
             losses, shared, head_grads = _apply_kappa(losses, shared, head_grads, kappa)
-            try:
-                _check_finite("loss or head gradient", losses, *head_grads)
-                gs = GradientSet.from_gradients(shared)
-                direction, gamma, trace_weights = step_fn(gs, cfg)
-                _check_finite("direction", direction)
-            except NumericalError as exc:
-                raise _at(exc, "epoch", epoch) from exc
-
-            model.trunk.flat -= s * direction
+            res, direction_norm = _step(
+                cfg.method, cfg, shared, "loss or head gradient", (losses, *head_grads),
+                "epoch", epoch,
+            )
+            model.trunk.flat -= s * res.normalized_direction
             for head, g in zip(model.heads, head_grads):
                 head.flat -= s * g
 
             sum_losses += losses
-            sum_dnorm += float(np.sqrt(direction @ direction))
-            if gamma is not None:
-                sum_gamma += gamma
+            sum_dnorm += direction_norm
+            if res.gamma is not None:
+                sum_gamma += res.gamma
                 gamma_count += 1
-            sum_weights += trace_weights
+            sum_weights += res.weights
             n_batches += 1
 
         mean_weights = sum_weights / sum_weights.sum()
@@ -293,8 +294,5 @@ def run_multitask(
 
     losses, shared, _ = two_task_gradients(model, X, y1, y2)
     _, shared, _ = _apply_kappa(losses, shared, None, kappa)
-    try:
-        residual, _ = stationarity_residual(shared, cfg.fw)
-    except NumericalError as exc:
-        raise _at(exc, "epoch", used) from exc
+    residual = _final_residual(shared, cfg, "epoch", used)
     return model, RunResult(model.flatten(), converged, used, trace, residual)

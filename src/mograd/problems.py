@@ -17,8 +17,6 @@ __all__ = [
     "MultiLossProblem",
     "QuadraticPair",
     "ScaledProblem",
-    "quadratic_losses",
-    "scaled_losses",
     "finite_diff_gradient",
     "pareto_set_distance",
 ]
@@ -63,25 +61,21 @@ class QuadraticPair:
     def dim(self) -> int:
         return self.center1.shape[0]
 
-    def __call__(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return quadratic_losses(self, theta)
-
-
-def quadratic_losses(pair: QuadraticPair, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Losses and gradients of both bowls at ``theta``."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (pair.dim,):
-        raise ValueError(f"theta of shape {theta.shape} does not match dimension {pair.dim}")
-    losses = np.empty(2)
-    grads = np.empty((2, pair.dim))
-    for i, (center, scale) in enumerate(
-        [(pair.center1, pair.scale1), (pair.center2, pair.scale2)]
-    ):
-        diff = theta - center
-        scaled = diff if scale is None else scale * diff
-        losses[i] = 0.5 * float(diff @ scaled)
-        grads[i] = scaled
-    return losses, grads
+    def __call__(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Losses and gradients of both bowls at ``theta``."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.dim,):
+            raise ValueError(f"theta of shape {theta.shape} does not match dimension {self.dim}")
+        losses = np.empty(2)
+        grads = np.empty((2, self.dim))
+        for i, (center, scale) in enumerate(
+            [(self.center1, self.scale1), (self.center2, self.scale2)]
+        ):
+            diff = theta - center
+            scaled = diff if scale is None else scale * diff
+            losses[i] = 0.5 * float(diff @ scaled)
+            grads[i] = scaled
+        return losses, grads
 
 
 @dataclass(frozen=True)
@@ -96,20 +90,18 @@ class ScaledProblem:
         if self.kappa < 1:
             raise ValueError(f"kappa must be >= 1, got {self.kappa}")
 
-    def __call__(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return scaled_losses(self, theta)
-
-
-def scaled_losses(sp: ScaledProblem, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Inner losses/gradients with the target loss multiplied by kappa."""
-    losses, grads = sp.inner(theta)
-    losses = np.array(losses, dtype=float)
-    grads = np.array(grads, dtype=float)
-    if not 0 <= sp.target < losses.shape[0]:
-        raise ValueError(f"target index {sp.target} out of range for {losses.shape[0]} losses")
-    losses[sp.target] *= sp.kappa
-    grads[sp.target] *= sp.kappa
-    return losses, grads
+    def __call__(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Inner losses/gradients with the target loss multiplied by kappa."""
+        losses, grads = self.inner(theta)
+        losses = np.array(losses, dtype=float)
+        grads = np.array(grads, dtype=float)
+        if not 0 <= self.target < losses.shape[0]:
+            raise ValueError(
+                f"target index {self.target} out of range for {losses.shape[0]} losses"
+            )
+        losses[self.target] *= self.kappa
+        grads[self.target] *= self.kappa
+        return losses, grads
 
 
 def finite_diff_gradient(loss: Callable[[np.ndarray], float], theta, h: float = 1e-5) -> np.ndarray:

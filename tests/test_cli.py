@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from mograd.cli import main
+import mograd.optimize
+from mograd.cli import main, train_imbalanced
+from mograd.data import synth_imbalanced
 
 
 def read_json(path):
@@ -193,6 +195,78 @@ class TestMultitaskCommand:
         )
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+TINY_IMBALANCED = ["--epochs", "2", "--batches-per-epoch", "2", "--synthetic", "60,12,3,3.0",
+                   "--hidden", "5"]
+
+
+def subcommand_args(command, tmp_path):
+    if command == "direction":
+        grads = tmp_path / "g.txt"
+        write_grads(grads, ["2,0", "0,1"])
+        return ["direction", str(grads)]
+    if command == "imbalanced":
+        return ["imbalanced", *TINY_IMBALANCED]
+    if command == "multitask":
+        return ["multitask", "--epochs", "1", "--n", "200", "--m", "4"]
+    return ["solve", "--iters", "5"]
+
+
+class TestMethodValidation:
+    @pytest.mark.parametrize("command", ["direction", "solve", "imbalanced", "multitask"])
+    def test_unknown_method_is_usage_error_without_output(self, tmp_path, command):
+        out = tmp_path / "out"
+        args = subcommand_args(command, tmp_path) + ["--method", "adam", "--out-dir", str(out)]
+        assert main(args) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["direction", "imbalanced"])
+    def test_weighted_sum_rejected(self, tmp_path, command):
+        out = tmp_path / "out"
+        args = subcommand_args(command, tmp_path)
+        assert main(args + ["--method", "weighted_sum", "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+
+class TestLoopBindings:
+    """The benchmark's tracer wraps the mograd.optimize attributes, so the
+    CLI must reach the loops and the directions through them."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        original = getattr(mograd.optimize, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mograd.optimize, name, wrapper)
+        return calls
+
+    def test_solve_calls_the_module_attributes(self, tmp_path, monkeypatch):
+        loops = self.spy(monkeypatch, "run_edm")
+        directions = self.spy(monkeypatch, "edm_direction")
+        args = ["solve", "--method", "edm", "--iters", "5", "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert loops == ["run_edm"]
+        assert len(directions) >= 5
+
+    def test_imbalanced_sgd_calls_run_weighted_sum(self, tmp_path, monkeypatch):
+        loops = self.spy(monkeypatch, "run_weighted_sum")
+        args = ["imbalanced", "--method", "sgd", *TINY_IMBALANCED, "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert loops == ["run_weighted_sum"]
+
+
+class TestTrainImbalanced:
+    @pytest.mark.parametrize("method", ["edm", "mgda", "sgd"])
+    def test_returned_net_holds_the_final_point(self, method):
+        ds = synth_imbalanced(60, 12, 3, 3.0, seed=2)
+        net, result = train_imbalanced(ds, method, 2.0, 1e-3, 2, 3, seed=2, hidden=5)
+        assert np.array_equal(net.flat, result.final_point)
+        assert result.iterations_used == 6
 
 
 class TestDeterminism:

@@ -10,7 +10,6 @@ from mograd.direction import (
     bisector_two,
     edm_direction,
     mgda_direction,
-    normalization_factor,
     stationarity_residual,
 )
 from mograd.exceptions import NumericalError
@@ -174,7 +173,8 @@ class TestEdmDirection:
 
     def test_solves_on_the_normalized_gram_bitwise(self):
         # weights are the solver's on M_ij / (||g_i|| ||g_j||) over the active
-        # rows, and gamma is normalization_factor of them, to the last bit
+        # rows, and gamma is (sum_i beta_i / ||g_i||)^-1 over the positive
+        # weights, to the last bit
         rng = np.random.default_rng(10)
         for trial in range(80):
             G = random_gradients(rng, T=int(rng.integers(2, 25)))
@@ -188,7 +188,8 @@ class TestEdmDirection:
             sol = frank_wolfe_min_norm(gs.gram[np.ix_(act, act)] / np.outer(n, n))
             res = edm_direction(gs)
             assert np.array_equal(res.weights[act], sol.weights)
-            assert res.gamma == normalization_factor(sol.weights, n)
+            nz = sol.weights > 0
+            assert res.gamma == float(1.0 / np.sum(sol.weights[nz] / n[nz]))
 
     def test_scale_invariance_bitwise(self):
         # power-of-two rescalings keep the normalized Gram matrix bitwise identical
@@ -270,24 +271,6 @@ class TestBisector:
     def test_zero_gradient_rejected(self):
         with pytest.raises(ValueError):
             bisector_two(np.zeros(2), np.array([1.0, 0.0]))
-
-
-class TestNormalizationFactor:
-    def test_equal_norms_collapse(self):
-        assert normalization_factor([0.5, 0.5], [3.0, 3.0]) == pytest.approx(3.0)
-
-    def test_mixed_norms(self):
-        assert normalization_factor([0.5, 0.5], [2.0, 1.0]) == pytest.approx(4.0 / 3.0)
-
-    def test_single(self):
-        assert normalization_factor([1.0], [5.0]) == pytest.approx(5.0)
-
-    def test_zero_norm_with_weight_rejected(self):
-        with pytest.raises(ValueError):
-            normalization_factor([0.5, 0.5], [1.0, 0.0])
-
-    def test_zero_norm_with_zero_weight_ignored(self):
-        assert normalization_factor([1.0, 0.0], [2.0, 0.0]) == pytest.approx(2.0)
 
 
 class TestStationarityResidual:

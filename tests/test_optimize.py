@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mograd.data import synth_two_task
-from mograd.direction import edm_direction
+from mograd.direction import GradientSet, edm_direction, mgda_direction
 from mograd.exceptions import NumericalError
 from mograd.neural import init_two_head_mlp, two_task_gradients
+from mograd.minnorm import FwConfig
 from mograd.optimize import (
+    METHODS,
     OptimizerConfig,
     _apply_kappa,
     run_edm,
@@ -202,6 +204,55 @@ class TestOptimizerConfig:
     def test_rejects_all_zero_weights(self):
         with pytest.raises(ValueError):
             OptimizerConfig(method="weighted_sum", weights=np.zeros(2))
+
+
+class TestMethodRegistry:
+    @pytest.mark.parametrize("method", ["edm", "mgda", "weighted_sum", "sgd", "EDM", "adam", ""])
+    def test_config_accepts_exactly_the_registry(self, method):
+        if method in METHODS:
+            assert OptimizerConfig(method=method).method == method
+        else:
+            with pytest.raises(ValueError, match="method must be one of"):
+                OptimizerConfig(method=method)
+
+    def test_registry_names_the_three_methods(self):
+        assert set(METHODS) == {"edm", "mgda", "weighted_sum"}
+
+    @pytest.mark.parametrize(
+        "method, direction", [("edm", edm_direction), ("mgda", mgda_direction)]
+    )
+    def test_solver_entries_match_their_direction_bitwise(self, method, direction):
+        rng = np.random.default_rng(4)
+        fw = FwConfig(tolerance=1e-11)
+        for T in (2, 3, 6):
+            gs = GradientSet.from_gradients(rng.normal(size=(T, 9)))
+            got = METHODS[method](gs, OptimizerConfig(method=method, fw=fw))
+            want = direction(gs, fw)
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.normalized_direction, want.normalized_direction)
+            assert got.gamma == want.gamma
+
+    def test_weighted_sum_entry(self):
+        rng = np.random.default_rng(5)
+        G = rng.normal(size=(4, 7))
+        w = np.array([2.0, 0.0, 0.5, 1.5])
+        res = METHODS["weighted_sum"](
+            GradientSet.from_gradients(G), OptimizerConfig(method="weighted_sum", weights=w)
+        )
+        assert np.array_equal(res.raw_direction, w @ G)
+        assert np.array_equal(res.normalized_direction, w @ G)
+        assert np.array_equal(res.weights, w / w.sum())
+        assert res.gamma is None
+        assert np.array_equal(res.support, [0, 2, 3])
+        assert res.direction_norm == float(np.sqrt((w @ G) @ (w @ G)))
+
+    def test_weighted_sum_length_mismatch_rejected(self):
+        gs = GradientSet.from_gradients(np.eye(2))
+        wrong = OptimizerConfig(method="weighted_sum", weights=np.ones(3))
+        with pytest.raises(ValueError, match="3 weights do not match 2 objectives"):
+            METHODS["weighted_sum"](gs, wrong)
+        with pytest.raises(ValueError, match="3 weights do not match 2 objectives"):
+            run_weighted_sum(PAIR, np.zeros(2), wrong)
 
 
 class TestRunMultitask:

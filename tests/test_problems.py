@@ -6,8 +6,6 @@ from mograd.problems import (
     ScaledProblem,
     finite_diff_gradient,
     pareto_set_distance,
-    quadratic_losses,
-    scaled_losses,
 )
 from mograd.direction import stationarity_residual
 
@@ -16,18 +14,18 @@ PAIR = QuadraticPair(center1=np.array([-1.0, 0.0]), center2=np.array([1.0, 0.0])
 
 class TestQuadraticLosses:
     def test_at_first_center(self):
-        losses, grads = quadratic_losses(PAIR, np.array([-1.0, 0.0]))
+        losses, grads = PAIR(np.array([-1.0, 0.0]))
         assert losses[0] == 0.0
         assert np.array_equal(grads[0], np.zeros(2))
 
     def test_hand_values_off_segment(self):
-        losses, grads = quadratic_losses(PAIR, np.array([0.0, 1.0]))
+        losses, grads = PAIR(np.array([0.0, 1.0]))
         assert np.allclose(losses, [1.0, 1.0], atol=1e-12)
         assert np.allclose(grads[0], [1.0, 1.0], atol=1e-12)
         assert np.allclose(grads[1], [-1.0, 1.0], atol=1e-12)
 
     def test_on_segment_antipodal_gradients(self):
-        losses, grads = quadratic_losses(PAIR, np.array([0.0, 0.0]))
+        losses, grads = PAIR(np.array([0.0, 0.0]))
         assert np.allclose(grads[0], [1.0, 0.0], atol=1e-12)
         assert np.allclose(grads[1], [-1.0, 0.0], atol=1e-12)
         residual, _ = stationarity_residual(grads)
@@ -35,13 +33,13 @@ class TestQuadraticLosses:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            quadratic_losses(PAIR, np.zeros(3))
+            PAIR(np.zeros(3))
 
     def test_diagonal_scales(self):
         pair = QuadraticPair(
             center1=np.zeros(2), center2=np.ones(2), scale1=np.array([2.0, 3.0])
         )
-        losses, grads = quadratic_losses(pair, np.array([1.0, 1.0]))
+        losses, grads = pair(np.array([1.0, 1.0]))
         assert losses[0] == pytest.approx(0.5 * (2 + 3))
         assert np.allclose(grads[0], [2.0, 3.0], atol=1e-12)
 
@@ -59,7 +57,7 @@ class TestScaledLosses:
 
     def test_kappa_ten_scales_target(self):
         sp = ScaledProblem(inner=PAIR, kappa=10.0)
-        losses, grads = scaled_losses(sp, np.array([0.0, 1.0]))
+        losses, grads = sp(np.array([0.0, 1.0]))
         assert losses[1] == pytest.approx(10.0)
         assert np.allclose(grads[1], [-10.0, 10.0], atol=1e-12)
         assert np.allclose(grads[0], [1.0, 1.0], atol=1e-12)
@@ -87,16 +85,16 @@ class TestFiniteDiff:
 
     def test_matches_quadratic_pair(self):
         theta = np.array([0.0, 1.0])
-        grad = finite_diff_gradient(lambda t: quadratic_losses(PAIR, t)[0][0], theta)
+        grad = finite_diff_gradient(lambda t: PAIR(t)[0][0], theta)
         assert np.max(np.abs(grad - [1.0, 1.0])) <= 1e-8
 
     def test_gradient_oracle_agreement_at_random_points(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             theta = rng.uniform(-3, 3, size=2)
-            _, grads = quadratic_losses(PAIR, theta)
+            _, grads = PAIR(theta)
             for i in range(2):
-                fd = finite_diff_gradient(lambda t, i=i: quadratic_losses(PAIR, t)[0][i], theta)
+                fd = finite_diff_gradient(lambda t, i=i: PAIR(t)[0][i], theta)
                 denom = max(np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(grads[i] - fd) / denom <= 1e-6
 
@@ -129,7 +127,7 @@ class TestParetoSetDistance:
             on_segment = np.array([x, 0.0])
             off_segment = np.array([x, rng.uniform(0.1, 1.0)])
             for theta in (on_segment, off_segment):
-                _, grads = quadratic_losses(PAIR, theta)
+                _, grads = PAIR(theta)
                 residual, _ = stationarity_residual(grads)
                 distance = pareto_set_distance(PAIR, theta)
                 assert (residual <= 1e-8) == (distance <= 1e-8)
