@@ -485,8 +485,8 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--method", help="edm | mgda | weighted_sum (sgd for imbalanced)")
+    def add_common(p, methods="edm | mgda | weighted_sum"):
+        p.add_argument("--method", help=methods)
         p.add_argument("--lr", type=float, help="learning rate")
         p.add_argument("--eps", type=float, help="stopping tolerance on the direction norm")
         p.add_argument("--fw-tol", dest="fw_tol", type=float,
@@ -501,7 +501,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("direction", help="one-shot direction report from a gradients file")
     p.add_argument("gradients_file", help="text file, one comma-separated gradient per line")
-    add_common(p)
+    add_common(p, "edm | mgda")
 
     p = sub.add_parser("solve", help="descent on an analytic benchmark")
     p.add_argument("--problem", help="quadratic2 | quadratic10")
@@ -518,7 +518,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--batches-per-epoch", dest="batches_per_epoch", type=int)
     p.add_argument("--hidden", type=int, help="hidden layer width")
     p.add_argument("--epochs", type=int)
-    add_common(p)
+    add_common(p, "edm | mgda | sgd (the class-weighted sum)")
 
     p = sub.add_parser("multitask", help="two-task loss-scaling study")
     p.add_argument("--kappa", type=float, help="multiplier on the second task loss")

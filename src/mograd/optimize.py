@@ -22,7 +22,6 @@ import numpy as np
 from .direction import (
     DirectionResult,
     GradientSet,
-    _combine,
     edm_direction,
     mgda_direction,
     stationarity_residual,
@@ -50,8 +49,16 @@ def _weighted_sum(gs: GradientSet, cfg: OptimizerConfig) -> DirectionResult:
         raise ValueError("weighted_sum needs cfg.weights")
     if w.shape[0] != gs.n_objectives:
         raise ValueError(f"{w.shape[0]} weights do not match {gs.n_objectives} objectives")
-    # OptimizerConfig rejects negative weights, so the nonzero ones are the support.
-    return _combine(gs, w / w.sum(), w, None, w.nonzero()[0])
+    raw = w @ gs.gradients
+    return DirectionResult(
+        weights=w / w.sum(),
+        raw_direction=raw,
+        gamma=None,
+        normalized_direction=raw,
+        direction_norm=math.sqrt(raw @ raw),
+        # OptimizerConfig rejects negative weights, so the nonzero ones are the support.
+        support=w.nonzero()[0],
+    )
 
 
 # The entries look up the direction functions in this module's globals at
