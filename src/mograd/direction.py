@@ -21,12 +21,14 @@ min-norm hull direction is not.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NumericalError
-from .minnorm import FwConfig, frank_wolfe_min_norm, gram_matrix
+from .minnorm import FwConfig, _gram, _min_norm
 
 __all__ = [
     "ZERO_GRADIENT_THRESHOLD",
@@ -41,6 +43,8 @@ __all__ = [
 # Gradients with norm at or below this are treated as exactly zero: their
 # objective is locally stationary and normalizing them would divide by ~0.
 ZERO_GRADIENT_THRESHOLD = 1e-12
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,14 @@ class GradientSet:
         if G.ndim != 2 or G.shape[0] < 1 or G.shape[1] < 1:
             raise ValueError(f"expected (T, d) gradients with T, d >= 1, got shape {G.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = gram_matrix(G)
+            gram = _gram(G)
         if not np.isfinite(gram).all():
             # A finite gram certifies G, so G is scanned only to name the cause.
             if not np.isfinite(G).all():
                 raise NumericalError("non-finite gradient entries")
             raise NumericalError("gradient norm overflow")
-        norms = np.sqrt(np.diag(gram))
-        active = np.flatnonzero(norms > ZERO_GRADIENT_THRESHOLD)
+        norms = np.sqrt(gram.diagonal())
+        active = (norms > ZERO_GRADIENT_THRESHOLD).nonzero()[0]
         return cls(gradients=G, gram=gram, norms=norms, active=active)
 
     @property
@@ -130,7 +134,7 @@ def _combine(gs: GradientSet, weights, coef, gamma, support) -> DirectionResult:
         raw_direction=raw,
         gamma=gamma,
         normalized_direction=raw if gamma is None else gamma * raw,
-        direction_norm=float(np.sqrt(raw @ raw)),
+        direction_norm=math.sqrt(raw @ raw),
         support=support,
     )
 
@@ -142,7 +146,8 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     their Gram matrix ``M_ij / (||g_i|| ||g_j||)``, forms
     ``d_b = sum_i (beta_i / ||g_i||) g_i`` from the resulting weights, and
     rescales it by ``gamma = 1 / sum_i(beta_i / ||g_i||)``. Objectives
-    whose gradient is below the zero threshold get weight zero; if every
+    whose gradient is at or below the zero threshold get weight zero, and
+    one warning on the ``mograd.direction`` logger names them; if every
     gradient is below it, the result is the zero direction with
     ``direction_norm`` 0, which signals a stationary point rather than
     raising.
@@ -158,13 +163,18 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     every = act.size == T
     n = gs.norms if every else gs.norms[act]
     M = gs.gram if every else gs.gram[act[:, None], act]
-    sol = frank_wolfe_min_norm(M / (n[:, None] * n), cfg)
+    # |M_ij| <= n_i n_j, so the normalized Gram matrix is finite too.
+    sol = _min_norm(M / (n[:, None] * n), cfg)
     q = sol.weights / n
-    support = np.flatnonzero(sol.weights > 0)
+    support = (sol.weights > 0).nonzero()[0]
     # gamma = (sum_i beta_i / ||g_i||)^-1 over the positive weights.
     gamma = float(1.0 / np.sum(q[support]))
     if every:
         return _combine(gs, sol.weights, q, gamma, support)
+    _log.warning(
+        "edm_direction drops objectives %s: gradient norm at or below ZERO_GRADIENT_THRESHOLD=%g",
+        (gs.norms <= ZERO_GRADIENT_THRESHOLD).nonzero()[0].tolist(), ZERO_GRADIENT_THRESHOLD,
+    )
     weights = np.zeros(T)
     weights[act] = sol.weights
     coef = np.zeros(T)
@@ -180,8 +190,8 @@ def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     is already stationary for that objective alone).
     """
     gs = _as_gradient_set(grads)
-    sol = frank_wolfe_min_norm(gs.gram, cfg)
-    return _combine(gs, sol.weights, sol.weights, None, np.flatnonzero(sol.weights > 0))
+    sol = _min_norm(gs.gram, cfg)
+    return _combine(gs, sol.weights, sol.weights, None, (sol.weights > 0).nonzero()[0])
 
 
 def bisector_two(g1, g2) -> np.ndarray:

@@ -7,18 +7,24 @@ Wolfe's min-norm-point active-set method (Wolfe 1976, Math. Programming
 vertex to a working set (the corral) and strictly decreases the
 objective; on a corral the optimum is the solution of a small bordered
 linear system, solved by LU and checked against its residual, with least
-squares as the fallback, so the method is exact on every face. For three
-or more vectors the solver first works top down (by LU alone): it solves
-that system once for all of them, and while some weights are not
-positive, drops those vertices and solves again on the rest. When the
-chain ends on positive weights that the gap test certifies, that point
-is the optimum and no major cycle runs. This is the common case both
-for many nearly orthogonal objectives (an interior optimum, one solve)
-and for raw gradients of unequal scale (an optimum on a proper face,
-usually two or three solves). For two vectors the method is a single
-exact line search from the shorter vertex toward the other (the closed
-form of Sener & Koltun, NeurIPS 2018, Alg. 1), which the solver runs at
-T=2 in Python floats. It stops on the relative duality gap of the
+squares as the fallback, so the method is exact on every face. Every
+corral's system is gathered from one bordered system of the whole Gram
+matrix, built once per solve. For three or more vectors the solver first
+works top down (by LU alone): it solves that system once for all of them,
+and while some weights are not positive, drops those vertices and solves
+again on the rest. When the chain ends on positive weights that the gap
+test certifies, that point is the optimum and no major cycle runs. This is
+the common case both for many nearly orthogonal objectives (an interior
+optimum, one solve) and for raw gradients of unequal scale (an optimum on
+a proper face, usually two or three solves). When only the gap test
+rejects the chain's point, usually because dropping every non-positive
+weight at once dropped a vertex the optimum keeps, the major cycles start
+from that point and its support (a warm start), which is a valid state of
+Wolfe's method. When the chain fails, or the warm start ends uncertified,
+the major cycles start from a vertex. For two vectors the method is a
+single exact line search from the shorter vertex toward the other (the
+closed form of Sener & Koltun, NeurIPS 2018, Alg. 1), which the solver runs
+at T=2 in Python floats. It stops on the relative duality gap of the
 simplex problem.
 
 The solver's public names (``FwConfig``, ``FwResult``,
@@ -81,16 +87,20 @@ class FwResult:
     major cycles ran out, or round-off stalled the solve, as happens when
     the tolerance is below the gap that the Gram matrix resolves.
     ``iterations`` counts the major cycles kept. ``objectives[k]`` is the
-    quadratic form after k major cycles (index 0 is the starting vertex);
-    its last entry is that of ``weights``, and it never increases by more
-    than round-off. ``iterations`` 0 means that no major cycle ran: for
-    T >= 3 the support start answered (or, when it did not, the starting
-    vertex was already certified), and ``objectives`` holds only the
-    returned point's quadratic form. At T=2, ``iterations`` is at most 1
+    quadratic form after k major cycles (index 0 is the starting point); its
+    last entry is that of ``weights``, and it never increases by more than
+    round-off. For T >= 3 the starting point is the end of the top-down
+    chain whenever the cycles from there answer: ``iterations`` 0 then means
+    the chain's point was certified as it stood, and ``objectives`` holds
+    only its quadratic form; otherwise ``objectives[0]`` is still the chain's
+    point and ``iterations`` counts the major cycles after it. When the
+    chain fails or its cycles end uncertified, the starting point is the
+    vertex with the smallest ``M_ii``, and ``iterations`` 0 means that
+    vertex was already certified. At T=2, ``iterations`` is at most 1
     and ``objectives`` has at most 2 entries; the gap and objective after
-    the line step are computed in scalar arithmetic there, so
-    ``last_eta`` may differ by round-off from one taken with a numpy
-    matrix-vector product.
+    the line step are computed in scalar arithmetic there, so ``last_eta``
+    may differ by round-off from one taken with a numpy matrix-vector
+    product.
     """
 
     weights: np.ndarray
@@ -118,6 +128,11 @@ def gram_matrix(vectors) -> np.ndarray:
         V = V[None, :]
     if V.ndim != 2 or V.shape[0] < 1 or V.shape[1] < 1:
         raise ValueError(f"expected at least one vector of dimension >= 1, got shape {V.shape}")
+    return _gram(V)
+
+
+def _gram(V: np.ndarray) -> np.ndarray:
+    """``gram_matrix`` of a 2-D float array, without its input checks."""
     # BLAS may round M_ij and M_ji differently. Taking the larger of the two
     # symmetrizes without arithmetic, so nothing rounds or overflows (an
     # average would for entries above half the float max).
@@ -172,19 +187,21 @@ def _line_step(w_M_w: float, w_M_e: float, e_M_e: float) -> float:
     return toward / (toward + away)
 
 
-def _bordered(M_SS: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The optimality system ``A [y; mu] = [0; s]``, ``A = [M_SS s1; s1^T 0]``.
+def _bordered(M: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The optimality system ``A [y; mu] = [0; s]``, ``A = [M s1; s1^T 0]``, of all T vertices.
 
-    Its solution y sums to one and minimizes ``y^T M_SS y`` over the affine
-    hull, ignoring signs. The border carries the matrix's own scale s, which
-    keeps the system balanced at any magnitude of M.
+    A subset S of the vertices has the system ``A[ix[:, None], ix]``,
+    ``rhs[-len(ix):]`` with ``ix = S + [T]``, so one build serves a whole
+    solve. Its solution y sums to one and minimizes ``y^T M_SS y`` over the
+    affine hull of S, ignoring signs. The border carries the matrix's own
+    scale s, which keeps the system balanced at any magnitude of M.
     """
-    k = M_SS.shape[0]
-    bordered = np.full((k + 1, k + 1), scale)
-    bordered[:k, :k] = M_SS
-    bordered[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = scale
+    T = M.shape[0]
+    bordered = np.full((T + 1, T + 1), scale)
+    bordered[:T, :T] = M
+    bordered[T, T] = 0.0
+    rhs = np.zeros(T + 1)
+    rhs[T] = scale
     return bordered, rhs
 
 
@@ -210,17 +227,19 @@ def _lu_minimizer(bordered: np.ndarray, rhs: np.ndarray, scale: float) -> np.nda
     return None
 
 
-def _affine_minimizer(M_SS: np.ndarray, scale: float) -> np.ndarray:
-    """Weights summing to one that minimize ``y^T M_SS y``, ignoring signs.
+def _affine_minimizer(bordered: np.ndarray, rhs: np.ndarray, ix: np.ndarray, scale: float) -> np.ndarray:
+    """Weights summing to one that minimize ``y^T M_SS y`` over ``S = ix[:-1]``, ignoring signs.
 
-    Solves the bordered system (``_bordered``) by LU (``_lu_minimizer``).
-    When LU is not certified, the system is solved again by least squares,
-    which returns a minimizer for singular systems too.
+    Gathers the system of S from the full bordered system (``_bordered``)
+    and solves it by LU (``_lu_minimizer``). When LU is not certified, the
+    system is solved again by least squares, which returns a minimizer for
+    singular systems too.
     """
-    bordered, rhs = _bordered(M_SS, scale)
-    y = _lu_minimizer(bordered, rhs, scale)
+    A = bordered[ix[:, None], ix]
+    b = rhs[-ix.size:]
+    y = _lu_minimizer(A, b, scale)
     if y is None:
-        y = np.linalg.lstsq(bordered, rhs, rcond=None)[0][:-1]
+        y = np.linalg.lstsq(A, b, rcond=None)[0][:-1]
     return y
 
 
@@ -251,7 +270,9 @@ def _swap_step(M: np.ndarray, beta: np.ndarray, corral: list[int]) -> bool:
     return True
 
 
-def _minor_cycles(M: np.ndarray, beta: np.ndarray, corral: list[int], scale: float) -> None:
+def _minor_cycles(
+    M: np.ndarray, bordered: np.ndarray, rhs: np.ndarray, beta: np.ndarray, corral: list[int], scale: float
+) -> None:
     """Move beta to the minimizer over the corral's affine hull, staying feasible.
 
     While that minimizer has a negative weight, step from beta toward it
@@ -265,17 +286,19 @@ def _minor_cycles(M: np.ndarray, beta: np.ndarray, corral: list[int], scale: flo
     would drop it again without moving, and the next major cycle would add
     it back. A swap step toward it is taken instead.
     """
+    T = M.shape[0]
     entering = True
     while True:
-        idx = np.array(corral)
-        y = _affine_minimizer(M[idx[:, None], idx], scale)
+        ix = np.array(corral + [T])
+        idx = ix[:-1]
+        y = _affine_minimizer(bordered, rhs, ix, scale)
         if entering and y[-1] <= 0.0:
             if not _swap_step(M, beta, corral):
                 return
             entering = False
             continue
         entering = False
-        out = np.flatnonzero(y < 0.0)
+        out = (y < 0.0).nonzero()[0]
         if out.size == 0:
             beta[idx] = y
             return
@@ -325,106 +348,57 @@ def _solve_two(M: list[list[float]], tolerance: float) -> FwResult:
     )
 
 
-def _support_start(M: np.ndarray, scale: float, tolerance: float) -> FwResult | None:
-    """The optimum found top-down from the full support, or None.
+def _support_start(bordered: np.ndarray, rhs: np.ndarray, scale: float) -> tuple[list[int], np.ndarray] | None:
+    """A starting state for the major cycles, found top down from the full support, or None.
 
     Takes the minimizer over the affine hull of all T vertices. While some
     of its weights are not positive, drops those vertices and takes the
     minimizer over the affine hull of the rest, so every solve shrinks the
-    support and there are at most T of them. The point is returned when
-    every LU solve of the chain passed its round-off residual test and the
-    gap test over all T vertices certifies it; otherwise None. It never
-    falls back to least squares. Near the float max a residual test or the
-    gap can overflow, which only rejects the point, so it does so silently.
+    support and there are at most T of them. Each is one LU solve of a
+    system gathered from ``bordered``, with its round-off residual test and
+    no least-squares fallback. When every solve passes, the chain ends on
+    positive weights over its support: that pair ``(corral, beta)``, with
+    beta zero off the corral, is returned. It is a valid state for Wolfe's
+    major cycles, the affine minimizer of its corral with positive weights,
+    and when the gap test certifies it, the optimum. None means an LU solve
+    failed or the support emptied.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _lu_minimizer(*_bordered(M, scale), scale)
+    T = rhs.size - 1
+    y = _lu_minimizer(bordered, rhs, scale)
+    if y is None:
+        return None
+    support = None
+    while not (y > 0.0).all():
+        support = (y > 0.0).nonzero()[0] if support is None else support[y > 0.0]
+        if support.size == 0:
+            return None
+        ix = np.concatenate((support, [T]))
+        y = _lu_minimizer(bordered[ix[:, None], ix], rhs[-ix.size:], scale)
         if y is None:
             return None
-        support = None
-        while not (y > 0.0).all():
-            support = np.flatnonzero(y > 0.0) if support is None else support[y > 0.0]
-            if support.size == 0:
-                return None
-            y = _lu_minimizer(*_bordered(M[support[:, None], support], scale), scale)
-            if y is None:
-                return None
-        if support is not None:
-            beta = np.zeros(M.shape[0])
-            beta[support] = y
-            y = beta
-        My = M @ y
-        objective = float(y @ My)
-    gap = max(objective - float(My.min()), 0.0) / scale
-    if not gap <= tolerance:  # an overflowed gap is nan
-        return None
-    return FwResult(
-        weights=y / y.sum(),
-        last_eta=gap,
-        iterations=0,
-        objectives=np.array([max(objective, 0.0)]),
-    )
-
-
-def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
-    """Minimize ``beta^T M beta`` over the probability simplex.
-
-    Wolfe's min-norm-point method. For T >= 3 it first works top down
-    from the full support: it takes the minimizer over the affine hull of
-    all T vertices, and while some of its weights are not positive, drops
-    those vertices and takes the minimizer over the rest. Each is one LU
-    solve of the bordered system with its round-off residual test and no
-    least-squares fallback, and the support shrinks every time, so there
-    are at most T. When every solve passes, the weights end positive and
-    the gap test over all T vertices passes, that point is the optimum
-    and is returned with no major cycle. Otherwise the solve starts at the
-    vertex with the smallest ``M_ii``, exactly as if the attempt had not
-    been made. Each major cycle adds to the corral the vertex whose
-    coordinate of the objective gradient ``M beta`` is smallest (ties go
-    to the smallest index), then minor cycles move to the minimizer over
-    the corral's affine hull, stepping back to the simplex boundary and
-    dropping the vertex that hits zero while that minimizer has a
-    negative weight.
-    For two vectors that cycle is one exact line search
-    (``fw_line_search``) from the starting vertex toward the other, so it
-    runs as one, in scalar arithmetic on ``M.tolist()``. The solve stops
-    once the relative duality gap is at or below the configured
-    tolerance. Failing that, it stops when a major cycle did not lower the
-    objective (that cycle is undone), when the chosen vertex is already in
-    the corral, or when the budget of major cycles is spent; the last
-    case, with the gap still above tolerance, logs a warning on the
-    ``mograd.minnorm`` logger. Weights off the corral are exact zeros.
-
-    Parameters
-    ----------
-    M : ndarray, shape (T, T)
-        Gram matrix of the vectors whose combination is being shortened.
-    cfg : FwConfig
-
-    Returns
-    -------
-    FwResult
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    T = M.shape[0]
-    if T == 0:
-        raise ValueError("need at least one vector")
-    if not np.isfinite(M).all():
-        raise NumericalError("non-finite Gram matrix entries")
-    if T == 2:
-        return _solve_two(M.tolist(), cfg.tolerance)
-
-    diag = np.diag(M)
-    scale = float(diag.max())
-    if T > 2 and scale > 0.0:
-        start = _support_start(M, scale, cfg.tolerance)
-        if start is not None:
-            return start
-    corral = [int(np.argmin(diag))]
+    if support is None:
+        return list(range(T)), y
     beta = np.zeros(T)
-    beta[corral[0]] = 1.0
+    beta[support] = y
+    return support.tolist(), beta
+
+
+def _major_cycles(
+    M: np.ndarray,
+    bordered: np.ndarray | None,
+    rhs: np.ndarray | None,
+    scale: float,
+    cfg: FwConfig,
+    corral: list[int],
+    beta: np.ndarray,
+) -> tuple[np.ndarray, float, int, list[float]]:
+    """Wolfe's major cycles from ``corral`` and its affine minimizer ``beta``.
+
+    Returns the final beta (not normalized), its relative gap, the major
+    cycles kept and the objective before each of them and at the end. The
+    first entry is the starting point's. ``bordered`` may be None only when
+    no minor cycle can run: one vertex, or a zero scale.
+    """
     objectives = []
     iterations = 0
     kept = None
@@ -445,13 +419,99 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
         corral.append(j)
         iterations += 1
         kept = (beta.copy(), objective, gap)
-        _minor_cycles(M, beta, corral, scale)
+        _minor_cycles(M, bordered, rhs, beta, corral, scale)
+    return beta, gap, iterations, objectives
 
+
+def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
+    """Minimize ``beta^T M beta`` over the probability simplex.
+
+    Wolfe's min-norm-point method. Each major cycle adds to the corral the
+    vertex whose coordinate of the objective gradient ``M beta`` is
+    smallest (ties go to the smallest index), then minor cycles move to
+    the minimizer over the corral's affine hull, stepping back to the
+    simplex boundary and dropping the vertex that hits zero while that
+    minimizer has a negative weight. Every corral system is gathered from
+    one bordered system of the whole M, built once per solve.
+
+    For T >= 3 the cycles first start where the top-down chain ends
+    (``_support_start``): LU solves over the full support, then over the
+    positive weights of the last solve, until the weights are all
+    positive. When the gap test certifies that point, no major cycle runs.
+    When only the gap test rejects it, the major cycles run from the
+    chain's support and point (a warm start), and their answer is returned
+    if it ends certified. Otherwise, and whenever the chain has no end
+    point (an LU solve failed or the support emptied), the cycles run from
+    the vertex with the smallest ``M_ii``, exactly as if the chain had not
+    been tried. For two vectors the method is one exact line search
+    (``fw_line_search``) from the starting vertex toward the other, so it
+    runs as one, in scalar arithmetic on ``M.tolist()``.
+
+    The solve stops once the relative duality gap is at or below the
+    configured tolerance. Failing that, it stops when a major cycle did not
+    lower the objective (that cycle is undone), when the chosen vertex is
+    already in the corral, or when the budget of major cycles is spent; the
+    last case, with the returned gap still above tolerance, logs a warning
+    on the ``mograd.minnorm`` logger. Weights off the corral are exact
+    zeros.
+
+    Parameters
+    ----------
+    M : ndarray, shape (T, T)
+        Gram matrix of the vectors whose combination is being shortened.
+    cfg : FwConfig
+
+    Returns
+    -------
+    FwResult
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.shape[0] == 0:
+        raise ValueError("need at least one vector")
+    if not np.isfinite(M).all():
+        raise NumericalError("non-finite Gram matrix entries")
+    return _min_norm(M, cfg)
+
+
+def _min_norm(M: np.ndarray, cfg: FwConfig) -> FwResult:
+    """``frank_wolfe_min_norm`` without its input checks.
+
+    M must be a finite, square float array with at least one row, as a
+    ``GradientSet``'s Gram matrix is.
+    """
+    T = M.shape[0]
+    if T == 2:
+        return _solve_two(M.tolist(), cfg.tolerance)
+
+    diag = M.diagonal()
+    scale = float(diag.max())
+    bordered = rhs = None
+    # Near the float max an LU residual or a gap can overflow. That only
+    # fails the residual test or leaves the point uncertified, so the solve
+    # runs silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if T > 2 and scale > 0.0:
+            bordered, rhs = _bordered(M, scale)
+            chain = _support_start(bordered, rhs, scale)
+            if chain is not None:
+                warm = _major_cycles(M, bordered, rhs, scale, cfg, *chain)
+                if warm[1] <= cfg.tolerance:
+                    return _result(*warm)
+        corral = [int(np.argmin(diag))]
+        beta = np.zeros(T)
+        beta[corral[0]] = 1.0
+        beta, gap, iterations, objectives = _major_cycles(M, bordered, rhs, scale, cfg, corral, beta)
     if iterations == cfg.max_iters and gap > cfg.tolerance:
         _log.warning(
             "min-norm solve stopped at max_iters=%d with relative gap %.3g above tolerance %.3g",
             cfg.max_iters, gap, cfg.tolerance,
         )
+    return _result(beta, gap, iterations, objectives)
+
+
+def _result(beta: np.ndarray, gap: float, iterations: int, objectives: list[float]) -> FwResult:
     return FwResult(
         weights=beta / beta.sum(),
         last_eta=gap,

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import tracemalloc
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from mograd.direction import (
+    ZERO_GRADIENT_THRESHOLD,
     GradientSet,
     bisector_two,
     edm_direction,
@@ -63,6 +65,69 @@ class TestGradientSet:
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
 CERTIFIED_CALLS = (GradientSet.from_gradients, edm_direction, mgda_direction, stationarity_residual)
+
+
+class TestCertifiedOnce:
+    """The Gram matrix is built and checked once, in ``GradientSet``; the
+    direction methods reuse it bitwise."""
+
+    def shapes(self):
+        rng = np.random.default_rng(11)
+        for T, d in ((1, 5), (2, 3), (3, 40), (8, 5), (17, 200)):
+            G = random_gradients(rng, T=T, d=d)
+            yield G
+            G = G.copy()
+            G[rng.integers(T)] = 0.0
+            yield G
+
+    def test_gram_is_gram_matrix_bitwise(self):
+        for G in self.shapes():
+            assert np.array_equal(GradientSet.from_gradients(G).gram, gram_matrix(G))
+
+    @pytest.mark.parametrize("direction", [edm_direction, mgda_direction])
+    def test_array_and_gradient_set_give_the_same_result_bitwise(self, direction):
+        for G in self.shapes():
+            a = direction(G)
+            b = direction(GradientSet.from_gradients(G))
+            assert a.gamma == b.gamma and a.direction_norm == b.direction_norm
+            for field in ("weights", "raw_direction", "normalized_direction", "support"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    @pytest.mark.parametrize("direction", [edm_direction, mgda_direction])
+    def test_non_finite_rows_still_rejected(self, direction):
+        with pytest.raises(NumericalError, match="non-finite gradient entries"):
+            direction([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(NumericalError, match="gradient norm overflow"):
+            direction([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+class TestDroppedObjectiveWarning:
+    def test_one_warning_names_the_dropped_objectives(self, caplog):
+        G = np.random.default_rng(12).standard_normal((5, 6))
+        G[1] = 0.0
+        G[3] = 0.5 * ZERO_GRADIENT_THRESHOLD / np.sqrt(6.0)
+        with caplog.at_level(logging.DEBUG, logger="mograd"):
+            res = edm_direction(G)
+        assert [(r.name, r.levelno) for r in caplog.records] == [("mograd.direction", logging.WARNING)]
+        assert "[1, 3]" in caplog.records[0].getMessage()
+        assert res.weights[1] == 0.0 and res.weights[3] == 0.0
+
+    def test_sets_with_every_objective_active_log_nothing(self, caplog):
+        rng = np.random.default_rng(13)
+        with caplog.at_level(logging.DEBUG, logger="mograd"):
+            for _ in range(20):
+                edm_direction(random_gradients(rng))
+            for G in degenerate_gradient_sets(rng, 8):
+                edm_direction(G)
+        assert not caplog.records
+
+    def test_all_zero_and_mgda_log_nothing(self, caplog):
+        # With no active objective the result is the stationary point, and
+        # mgda keeps zero rows in the hull: neither drops an objective.
+        with caplog.at_level(logging.DEBUG, logger="mograd"):
+            edm_direction([(0.0, 0.0), (0.0, 0.0)])
+            mgda_direction([(0.0, 0.0), (0.0, 2.0), (1.0, 0.0)])
+        assert not caplog.records
 
 
 class TestCertifiedFiniteness:

@@ -13,6 +13,7 @@ from mograd.exceptions import NumericalError
 from mograd.minnorm import (
     FwConfig,
     _affine_minimizer,
+    _bordered,
     _support_start,
     _minor_cycles,
     combination_norm_sq,
@@ -33,9 +34,23 @@ def relative_gap(M, w):
     return max(float(w @ Mw - Mw.min()), 0.0) / float(np.max(np.diag(M)))
 
 
+def support_chain(M):
+    """The end of the top-down chain, ``(corral, beta)``, as ``frank_wolfe_min_norm``
+    builds it, or None when the chain leaves no warm point."""
+    scale = float(np.max(np.diag(M)))
+    return _support_start(*_bordered(M, scale), scale)
+
+
 def support_start(M):
-    """``_support_start`` as ``frank_wolfe_min_norm`` calls it by default."""
-    return _support_start(M, float(np.max(np.diag(M))), FwConfig().tolerance)
+    """The chain's weights when the default gap test certifies its point, so
+    that the solve answers with no major cycle; otherwise None."""
+    chain = support_chain(M)
+    if chain is None:
+        return None
+    beta = chain[1]
+    Mb = M @ beta
+    gap = max(float(beta @ Mb) - float(Mb.min()), 0.0) / float(np.max(np.diag(M)))
+    return beta / beta.sum() if gap <= FwConfig().tolerance else None
 
 
 def hard_gradient_sets(rng, T, d=60):
@@ -162,6 +177,39 @@ class TestGramMatrix:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             gram_matrix([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
+
+
+class TestInputChecks:
+    """The public entry points validate their input; the direction methods,
+    whose ``GradientSet`` has already certified it, call the unchecked cores."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[1.0, 2.0], [3.0]], "all vectors must share the same dimension"),
+        ([], r"got shape \(1, 0\)"),
+        (np.zeros((0, 3)), r"got shape \(0, 3\)"),
+        (np.zeros((3, 0)), r"got shape \(3, 0\)"),
+        (np.ones((2, 2, 2)), r"got shape \(2, 2, 2\)"),
+    ])
+    def test_gram_matrix_rejects_malformed_input(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            gram_matrix(bad)
+
+    def test_gram_matrix_passes_nan_through(self):
+        M = gram_matrix([[1.0, np.nan], [0.0, 1.0]])
+        assert np.isnan(M[0]).all() and M[1, 1] == 1.0
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ([[1.0, 2.0], [3.0]], ValueError, "inhomogeneous"),
+        (np.ones((2, 3)), ValueError, r"expected a square matrix, got shape \(2, 3\)"),
+        ([1.0, 2.0], ValueError, r"expected a square matrix, got shape \(2,\)"),
+        ([], ValueError, r"expected a square matrix, got shape \(0,\)"),
+        (np.zeros((0, 0)), ValueError, "need at least one vector"),
+        ([[1.0, np.nan], [np.nan, 1.0]], NumericalError, "non-finite Gram matrix entries"),
+        (np.diag([1.0, np.inf, 1.0]), NumericalError, "non-finite Gram matrix entries"),
+    ])
+    def test_solver_rejects_malformed_input(self, bad, error, message):
+        with pytest.raises(error, match=message):
+            frank_wolfe_min_norm(bad)
 
 
 class TestCombinationNormSq:
@@ -330,11 +378,11 @@ class TestCertificate:
     @staticmethod
     def exhausted_budget_gram():
         """Eight Gaussian rows with the first one copied in front: LU meets
-        an exact zero pivot, so the support start rejects it and the major
-        cycles run."""
+        an exact zero pivot, so the chain leaves no warm point and the major
+        cycles run from a vertex."""
         G = np.random.default_rng(102).standard_normal((8, 20))
         M = gram_matrix(np.concatenate([G[:1], G]))
-        assert support_start(M) is None
+        assert support_chain(M) is None
         return M
 
     def test_exhausted_budget_reports_gap_above_tolerance(self):
@@ -376,8 +424,8 @@ class TestDefaultTolerance:
         # Hull weights spread over decades (Dirichlet 0.3) on 40 of the 48
         # rows, so one major cycle lands just under a 1e-10 gap: the old
         # default stopped there. The other 8 rows leave the optimum on a
-        # proper face, and a copy of row 0 makes the support start reject
-        # the set, so the major cycles run.
+        # proper face, and a copy of row 0 keeps the support start from
+        # answering, so the major cycles run.
         rng = np.random.default_rng(0)
         G = rng.standard_normal((48, 200)) * np.exp(rng.uniform(-2.0, 2.0, size=(48, 1)))
         G -= rng.dirichlet(np.full(40, 0.3)) @ G[:40]
@@ -493,7 +541,7 @@ class TestFallback:
         # Rows 0 and 1 of the bordered system are identical, so LU meets an
         # exact zero pivot.
         M_SS = gram_matrix([(3.0, 4.0), (3.0, 4.0), (0.0, 2.0)])
-        y = _affine_minimizer(M_SS, 25.0)
+        y = _affine_minimizer(*_bordered(M_SS, 25.0), np.arange(4), 25.0)
         assert len(lstsq_calls) == 1
         assert np.array_equal(y, bordered_lstsq(M_SS, 25.0))
         assert abs(y.sum() - 1.0) <= 1e-12
@@ -502,9 +550,10 @@ class TestFallback:
 
     def test_well_conditioned_corral_takes_lu(self, lstsq_calls):
         M_SS = gram_matrix(np.random.default_rng(9).standard_normal((4, 6)))
-        y = _affine_minimizer(M_SS, float(M_SS.diagonal().max()))
+        scale = float(M_SS.diagonal().max())
+        y = _affine_minimizer(*_bordered(M_SS, scale), np.arange(5), scale)
         assert not lstsq_calls
-        assert np.max(np.abs(y - bordered_lstsq(M_SS, float(M_SS.diagonal().max())))) <= 1e-12
+        assert np.max(np.abs(y - bordered_lstsq(M_SS, scale))) <= 1e-12
 
 
 class TestRoundOffFloor:
@@ -678,6 +727,7 @@ class TestSupportStart:
         T = M.shape[0]
         diag = np.diag(M)
         scale = float(diag.max())
+        bordered, rhs = _bordered(M, scale)
         corral = [int(np.argmin(diag))]
         beta = np.zeros(T)
         beta[corral[0]] = 1.0
@@ -699,7 +749,7 @@ class TestSupportStart:
             corral.append(j)
             iterations += 1
             kept = (beta.copy(), objective, gap)
-            _minor_cycles(M, beta, corral, scale)
+            _minor_cycles(M, bordered, rhs, beta, corral, scale)
         return beta / beta.sum(), iterations, np.asarray(objectives)
 
     @staticmethod
@@ -736,6 +786,26 @@ class TestSupportStart:
                     yield gram_matrix(G)
                     yield gram_matrix(unit_rows(G))
 
+    @staticmethod
+    def exact_duplicate_grams(rng):
+        """Gram matrices of raw and normalized Gaussian rows, T <= 6, with one
+        row and column repeated exactly. LU usually meets an exact zero pivot
+        then, and the chain leaves no warm point; when round-off in the
+        elimination breaks the tie, the chain drops one of the copies."""
+        for T in (3, 4, 5, 6) * 2:
+            G = rng.standard_normal((T, 2 * T)) * np.exp(rng.uniform(-2.0, 2.0, (T, 1)))
+            ix = rng.permutation(np.append(np.arange(T), rng.integers(T)))
+            for M in (gram_matrix(G), gram_matrix(unit_rows(G))):
+                yield M[ix[:, None], ix]
+
+    def warm_grams(self, rng):
+        """Face and degenerate sets whose chain ends on a point that only the
+        gap test rejects, so the major cycles start from it."""
+        grams = itertools.chain((M for _, M in self.face_grams(rng)), self.degenerate_grams(rng))
+        for M in grams:
+            if support_chain(M) is not None and support_start(M) is None:
+                yield M
+
     def test_interior_sets_take_the_start_certified(self, lstsq_calls, lu_solves):
         rng = np.random.default_rng(30)
         for M in self.interior_grams(rng):
@@ -753,8 +823,8 @@ class TestSupportStart:
 
     def test_face_optima_take_the_start_certified(self):
         # Dropping every non-positive weight at once can drop a vertex that
-        # the optimum keeps; the gap test then rejects the chain, and the
-        # vertex start answers (test_rejected_sets_match_the_vertex_start_bitwise).
+        # the optimum keeps; the gap test then rejects the chain's point, and
+        # the major cycles run from it (test_warm_started_sets_certified).
         # That happens on some raw sets with d = 2T, never with the summed row.
         rng = np.random.default_rng(34)
         answered = {"unit_plus_sum": 0, "generic": 0}
@@ -801,12 +871,16 @@ class TestSupportStart:
                 assert abs(res.objectives[-1] - objectives[-1]) <= 1e-12 * float(np.max(np.diag(M)))
 
     def test_rejected_sets_match_the_vertex_start_bitwise(self):
+        # A chain that leaves no warm point (an LU solve failed, or the
+        # support emptied) hands the solve to the vertex start unchanged.
         rng = np.random.default_rng(31)
         rejected = 0
         for _ in range(3):
-            grams = itertools.chain((M for _, M in self.face_grams(rng)), self.degenerate_grams(rng))
+            grams = itertools.chain(
+                (M for _, M in self.face_grams(rng)), self.degenerate_grams(rng), self.exact_duplicate_grams(rng)
+            )
             for M in grams:
-                if support_start(M) is not None:
+                if support_chain(M) is not None:
                     continue
                 rejected += 1
                 res = frank_wolfe_min_norm(M)
@@ -814,7 +888,50 @@ class TestSupportStart:
                 assert np.array_equal(res.weights, weights)
                 assert res.iterations == iterations
                 assert np.array_equal(res.objectives, objectives)
-        assert rejected >= 10
+        assert rejected >= 10, rejected
+
+    def test_warm_started_sets_certified(self, lu_solves, lstsq_calls):
+        # The major cycles run from the chain's corral and point, and end
+        # certified without the vertex start. Over the sets that takes fewer
+        # LU solves than the chain and the vertex start together; on some
+        # small sets the vertex start alone needs fewer cycles.
+        rng = np.random.default_rng(36)
+        warm = 0
+        solved = 0
+        start = len(lu_solves)
+        for _ in range(3):
+            for M in self.warm_grams(rng):
+                warm += 1
+                before = len(lu_solves)
+                res = frank_wolfe_min_norm(M)
+                solved += len(lu_solves) - before
+                support_chain(M)
+                _, _, objectives = self.vertex_start_reference(M)
+                assert relative_gap(M, res.weights) <= 1e-12
+                assert res.last_eta <= 1e-12
+                assert len(res.objectives) == res.iterations + 1
+                assert res.iterations >= 1
+                assert np.all(np.diff(res.objectives) <= 0.0)
+                assert abs(res.objectives[-1] - objectives[-1]) <= 1e-12 * float(np.max(np.diag(M)))
+        assert warm >= 10
+        assert solved < len(lu_solves) - start - solved
+        assert not lstsq_calls
+
+    def test_solves_near_the_float_max_are_silent(self):
+        # Scaled by a power of two to a largest entry near the float max, an
+        # LU residual of the chain or of a minor cycle, or a gap, can
+        # overflow. That only fails the test it feeds, so no floating-point
+        # warning is raised (the suite turns them into errors), and every
+        # start answers as certified as on the unscaled set.
+        rng = np.random.default_rng(0)
+        grams = list(itertools.chain(
+            (M for _, M in self.face_grams(rng)), self.degenerate_grams(rng), self.exact_duplicate_grams(rng)
+        ))
+        for M in grams:
+            for top in (1021, 1022, 1023):
+                res = frank_wolfe_min_norm(M * 2.0 ** (top - np.frexp(np.max(np.abs(M)))[1]))
+                assert relative_gap(M, res.weights) <= 1e-12
+                assert res.last_eta <= 1e-12
 
     def test_start_makes_no_lstsq_call(self, lstsq_calls, lu_solves):
         rng = np.random.default_rng(32)
@@ -823,10 +940,10 @@ class TestSupportStart:
         ))
         # Rows 0 and 1 of the bordered system are identical: LU raises.
         singular = gram_matrix([(3.0, 4.0), (3.0, 4.0), (0.0, 2.0)])
-        assert support_start(singular) is None
+        assert support_chain(singular) is None
         for M in grams:
             before = len(lu_solves)
-            support_start(M)
+            support_chain(M)
             assert len(lu_solves) - before <= M.shape[0]
         assert not lstsq_calls
 

@@ -6,8 +6,15 @@ import pytest
 from mograd.data import synth_two_task
 from mograd.direction import GradientSet, edm_direction, mgda_direction
 from mograd.exceptions import NumericalError
-from mograd.neural import init_two_head_mlp, two_task_gradients
-from mograd.minnorm import FwConfig
+from mograd.neural import (
+    ClassLossSpec,
+    MlpParams,
+    init_mlp,
+    init_two_head_mlp,
+    per_class_losses,
+    two_task_gradients,
+)
+from mograd.minnorm import FwConfig, gram_matrix
 from mograd.optimize import (
     METHODS,
     OptimizerConfig,
@@ -126,6 +133,63 @@ class TestRunEdm:
     def test_gamma_recorded_in_trace(self):
         result = run_edm(PAIR, np.array([0.0, 1.0]), cfg(max_iters=3, stop_tolerance=1e-14))
         assert all(t.gamma is not None and t.gamma > 0 for t in result.trace)
+
+
+class PerClassOracle:
+    """Per-class summed cross-entropy of a small network on four imbalanced
+    Gaussian classes: one loss, and one T=4 solve, per class and step."""
+
+    def __init__(self, seed=0):
+        rng = np.random.default_rng(seed)
+        counts = (120, 20, 15, 10)
+        means = 2.0 * rng.standard_normal((4, 3))
+        self.X = np.concatenate([rng.standard_normal((n, 3)) + means[c] for c, n in enumerate(counts)])
+        self.y = np.repeat(np.arange(4), counts)
+        self.spec = ClassLossSpec(np.ones(4))
+        self.dims = [3, 8, 4]
+        self.theta0 = init_mlp(self.dims, seed).flatten()
+        self.grads = []
+
+    def __call__(self, theta):
+        losses, grads = per_class_losses(MlpParams.from_flat(theta, self.dims), self.X, self.y, self.spec)
+        self.grads.append(grads)
+        return losses, grads
+
+
+def step_gap(G, weights, normalize):
+    """Relative duality gap of a step's weights on that step's Gram matrix."""
+    M = gram_matrix(G)
+    if normalize:
+        n = np.sqrt(np.diag(M))
+        M = M / np.outer(n, n)
+    Mw = M @ weights
+    return max(float(weights @ Mw - Mw.min()), 0.0) / float(np.max(np.diag(M)))
+
+
+class TestFourClassLoop:
+    """The T >= 3 solver inside a descent loop, on per-class losses."""
+
+    @pytest.mark.parametrize("run, normalize", [(run_edm, True), (run_mgda, False)])
+    def test_every_step_is_certified(self, run, normalize):
+        oracle = PerClassOracle()
+        result = run(oracle, oracle.theta0, cfg(learning_rate=0.01, max_iters=60, stop_tolerance=1e-12))
+        assert len(result.trace) == 60
+        for step, G in zip(result.trace, oracle.grads):
+            assert G.shape[0] == 4 and np.all(np.linalg.norm(G, axis=1) > 0.0)
+            assert step_gap(G, step.weights, normalize) <= 1e-12
+        assert result.trace[-1].losses.sum() < result.trace[0].losses.sum()
+
+    @pytest.mark.parametrize("k", [1, 9, 40])
+    def test_edm_first_step_invariant_to_a_power_of_two_class_scale(self, k):
+        oracle = PerClassOracle()
+        one = cfg(learning_rate=0.01, max_iters=1, stop_tolerance=1e-12)
+        base = run_edm(oracle, oracle.theta0, one)
+        scaled = ScaledProblem(oracle, 2.0**k, target=2)
+        run = run_edm(scaled, oracle.theta0, one)
+        assert np.array_equal(run.trace[0].weights, base.trace[0].weights)
+        G = oracle(oracle.theta0)[1]
+        raw = edm_direction(scaled(oracle.theta0)[1]).raw_direction
+        assert np.array_equal(raw, edm_direction(G).raw_direction)
 
 
 class TestRunMgda:
