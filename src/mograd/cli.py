@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -41,9 +42,10 @@ from .minnorm import FwConfig
 from .neural import (
     ClassLossSpec,
     MlpParams,
+    _class_segments,
+    _grouped_losses,
     init_mlp,
     init_two_head_mlp,
-    per_class_losses,
     predict_two_task,
 )
 from .optimize import METHODS, OptimizerConfig, RunResult, run_multitask
@@ -63,8 +65,8 @@ def _fmt(value) -> str:
 
 def _write_trace(path: Path, trace, n_losses: int) -> None:
     """Trace CSV: iter, losses, direction norm, gamma (blank when absent),
-    combination weights, step norm. Full-precision floats for reproducible
-    byte-identical reruns."""
+    combination weights, step norm. Full-precision floats (``repr`` of each
+    value as a Python float) for reproducible byte-identical reruns."""
     header = (
         ["iter"]
         + [f"loss_{i}" for i in range(n_losses)]
@@ -74,13 +76,14 @@ def _write_trace(path: Path, trace, n_losses: int) -> None:
     )
     lines = [",".join(header)]
     for t in trace:
-        row = [str(t.iteration)]
-        row += [_fmt(v) for v in t.losses]
-        row.append(_fmt(t.direction_norm))
-        row.append("" if t.gamma is None else _fmt(t.gamma))
-        row += [_fmt(v) for v in t.weights]
-        row.append(_fmt(t.step_norm))
-        lines.append(",".join(row))
+        lines.append(",".join([
+            str(t.iteration),
+            *map(repr, t.losses.tolist()),
+            _fmt(t.direction_norm),
+            "" if t.gamma is None else _fmt(t.gamma),
+            *map(repr, t.weights.tolist()),
+            _fmt(t.step_norm),
+        ]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -129,20 +132,36 @@ def _epoch_batch_oracle(net, spec, ds: Dataset, plan, epochs):
     """Stateful problem oracle: each call evaluates the next per-class batch.
 
     Writes ``theta`` into ``net``'s buffer in place. Single-consumer (the
-    descent loop); one spare epoch is generated because the loop evaluates
-    the oracle once more at the final point.
+    descent loop). The batches are those of ``class_batches`` for
+    ``epochs + 1`` epochs: the loop evaluates the oracle once more at the
+    final point, and that call reads the first batch of the spare epoch.
+
+    Every batch holds the same number of rows of each class, in class
+    order, so its labels and class segments are fixed for the run. Each
+    epoch's schedule is one ``(batches_per_epoch, rows)`` index array,
+    checked against ``ds.labels`` once when it is drawn; a step then only
+    runs the forward pass, the loss and the backward pass.
     """
-    X, y = ds.features, ds.labels
-    batch_iter = (
-        np.concatenate(batch)
-        for epoch in class_batches(ds, plan, epochs=epochs + 1)
-        for batch in epoch
-    )
+    X = ds.features
+    sizes = [idx.size // plan.batches_per_epoch for idx in ds.class_index_sets]
+    if len(sizes) > spec.n_classes:
+        raise ValueError(f"labels must lie in [0, {spec.n_classes})")
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    segments = _class_segments(labels, spec.n_classes)
+    epochs_iter = class_batches(ds, plan, epochs=epochs + 1)
+    schedule, step = None, plan.batches_per_epoch
 
     def problem(theta):
+        nonlocal schedule, step
+        if step == plan.batches_per_epoch:
+            schedule = np.array([np.concatenate(batch) for batch in next(epochs_iter)])
+            if not (ds.labels[schedule] == labels).all():
+                raise ValueError("a batch's rows are not grouped by class")
+            step = 0
         net.flat[:] = theta
-        idx = next(batch_iter)
-        return per_class_losses(net, X[idx], y[idx], spec)
+        rows = schedule[step]
+        step += 1
+        return _grouped_losses(net, X[rows], labels, segments)
 
     return problem
 
@@ -350,8 +369,8 @@ def _imbalanced_dataset(opts: dict, seed: int) -> Dataset:
 
 def cmd_imbalanced(opts: dict) -> int:
     _imbalanced_method(opts["method"])
-    if opts["mu"] <= 0:
-        raise ValueError(f"mu must be positive, got {opts['mu']}")
+    if not (0 < opts["mu"] < math.inf):
+        raise ValueError(f"mu must be positive and finite, got {opts['mu']}")
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     fw = _fw_config(opts)
@@ -393,8 +412,8 @@ def cmd_imbalanced(opts: dict) -> int:
 
 
 def cmd_multitask(opts: dict) -> int:
-    if opts["kappa"] < 1:
-        raise ValueError(f"kappa must be >= 1, got {opts['kappa']}")
+    if not (1 <= opts["kappa"] < math.inf):
+        raise ValueError(f"kappa must be >= 1 and finite, got {opts['kappa']}")
     base = OptimizerConfig(
         method=opts["method"],
         learning_rate=opts["lr"],

@@ -36,6 +36,7 @@ work. ``fw_line_search``, the exact Frank-Wolfe step, is the T=2 step.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,8 @@ class FwConfig:
     max_iters: int = 500
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not (0 < self.tolerance < math.inf):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

@@ -110,14 +110,21 @@ def init_mlp(dims: list[int], rng: np.random.Generator | int) -> MlpParams:
 
 
 def _forward_cached(net: MlpParams, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """All layer inputs plus the final logits, for reuse by backprop."""
+    """All layer inputs plus the final logits, for reuse by backprop.
+
+    Each layer's bias and rectifier act in place on its fresh product.
+    """
     activations = [X]
     a = X
     for W, b in net.layers[:-1]:
-        a = np.maximum(a @ W.T + b, 0.0)
+        a = a @ W.T
+        a += b
+        np.maximum(a, 0.0, out=a)
         activations.append(a)
     W, b = net.layers[-1]
-    return activations, a @ W.T + b
+    logits = a @ W.T
+    logits += b
+    return activations, logits
 
 
 def forward(net: MlpParams, x) -> np.ndarray:
@@ -150,7 +157,8 @@ def _backward(layers, activations: list[np.ndarray], delta: np.ndarray, segments
             np.matmul(seg.T, act[s], out=g[start : end - b.size].reshape(W.shape))
             seg.sum(axis=0, out=g[end - b.size : end])
         if j > 0:
-            delta = (delta @ W) * (act > 0)
+            delta = delta @ W
+            delta *= act > 0
         end = start
     return grads
 
@@ -167,15 +175,27 @@ def cross_entropy(logits, label: int) -> float:
 
 
 def _ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-entropy of each row and its gradient (softmax minus one-hot)."""
+    """Cross-entropy of each row and its gradient (softmax minus one-hot).
+
+    Works in place: the C-contiguous ``logits`` buffer becomes the gradient.
+    Labels are picked by flat index, so a label outside ``[0, c)`` would read
+    another row's entry; the callers check the range.
+    """
+    n, c = logits.shape
+    flat = logits.reshape(-1)
+    picks = np.arange(0, n * c, c)
+    picks += labels.astype(np.intp, casting="same_kind", copy=False)
+    picked = flat[picks]
     m = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - m)
-    total = exp.sum(axis=1, keepdims=True)
-    rows = np.arange(logits.shape[0])
-    per_row = np.log(total[:, 0]) + m[:, 0] - logits[rows, labels]
-    dlogits = exp / total
-    dlogits[rows, labels] -= 1.0
-    return per_row, dlogits
+    np.subtract(logits, m, out=logits)
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=1, keepdims=True)
+    per_row = np.log(total[:, 0])
+    per_row += m[:, 0]
+    per_row -= picked
+    logits /= total
+    flat[picks] -= 1.0
+    return per_row, logits
 
 
 @dataclass(frozen=True)
@@ -188,8 +208,8 @@ class ClassLossSpec:
         w = np.asarray(self.class_weights, dtype=float)
         if w.ndim != 1 or w.shape[0] < 1:
             raise ValueError("class_weights must be a nonempty vector")
-        if np.any(w < 0):
-            raise ValueError("class weights must be nonnegative")
+        if not np.isfinite(w).all() or np.any(w < 0):
+            raise ValueError("class weights must be finite and nonnegative")
         object.__setattr__(self, "class_weights", w)
 
     @property
@@ -224,9 +244,23 @@ def per_class_losses(
     if not (y[:-1] <= y[1:]).all():
         order = np.argsort(y, kind="stable")
         X, y = X[order], y[order]
-    bounds = np.searchsorted(y, np.arange(c + 1))
-    segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return _grouped_losses(net, X, y, _class_segments(y, c))
 
+
+def _class_segments(y: np.ndarray, n_classes: int) -> list[slice]:
+    """Row slice of each class in labels ``y`` sorted in increasing order."""
+    bounds = np.searchsorted(y, np.arange(n_classes + 1))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _grouped_losses(
+    net: MlpParams, X: np.ndarray, y: np.ndarray, segments: list[slice]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`per_class_losses` without its checks.
+
+    ``X`` is a float (N, m) batch whose rows are grouped by class, ``y``
+    its labels, and ``segments[i]`` the rows of class i.
+    """
     activations, logits = _forward_cached(net, X)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite activations in forward pass")
@@ -306,12 +340,15 @@ def two_task_gradients(
     labels = (np.asarray(y1), np.asarray(y2))
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("expected a nonempty (N, m) batch")
-    for y in labels:
+    for y, head in zip(labels, model.heads):
         if y.shape != (X.shape[0],):
             raise ValueError("each task needs one label per sample")
+        c = head.dims[-1]
+        if y.min() < 0 or y.max() >= c:
+            raise ValueError(f"task labels must lie in [0, {c})")
 
-    trunk_acts, trunk_out = _forward_cached(model.trunk, X)
-    h = np.maximum(trunk_out, 0.0)
+    trunk_acts, h = _forward_cached(model.trunk, X)
+    np.maximum(h, 0.0, out=h)
 
     losses = np.empty(2)
     grads = []

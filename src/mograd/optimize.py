@@ -90,17 +90,21 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {tuple(METHODS)}, got {self.method!r}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.stop_tolerance <= 0:
-            raise ValueError(f"stop_tolerance must be positive, got {self.stop_tolerance}")
+        if not (0 < self.stop_tolerance < math.inf):
+            raise ValueError(
+                f"stop_tolerance must be positive and finite, got {self.stop_tolerance}"
+            )
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1 or np.any(w < 0) or w.sum() <= 0:
+            if w.ndim != 1 or not np.isfinite(w).all() or np.any(w < 0) or w.sum() <= 0:
                 raise ValueError(
-                    "weights must be a vector of nonnegative entries with a positive sum"
+                    "weights must be a vector of finite nonnegative entries with a positive sum"
                 )
             object.__setattr__(self, "weights", w)
 
@@ -235,8 +239,8 @@ def run_multitask(
     Returns the trained model and the run record; ``final_point`` is the
     full flat parameter vector.
     """
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if not (1 <= kappa < math.inf):
+        raise ValueError(f"kappa must be >= 1 and finite, got {kappa}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if data.labels2 is None:

@@ -6,6 +6,7 @@ length-T loss vector and a (T, d) gradient matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,8 +88,8 @@ class ScaledProblem:
     target: int = 1
 
     def __post_init__(self) -> None:
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
+        if not (1 <= self.kappa < math.inf):
+            raise ValueError(f"kappa must be >= 1 and finite, got {self.kappa}")
 
     def __call__(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Inner losses/gradients with the target loss multiplied by kappa."""

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import mograd.cli
 import mograd.optimize
-from mograd.cli import main, train_imbalanced
-from mograd.data import synth_imbalanced
+from mograd.cli import _epoch_batch_oracle, _write_trace, main, train_imbalanced
+from mograd.data import BatchPlan, Dataset, class_batches, synth_imbalanced
+from mograd.neural import ClassLossSpec, init_mlp, per_class_losses
+from mograd.optimize import IterationTrace
 
 
 def read_json(path):
@@ -14,6 +17,10 @@ def read_json(path):
 
 def write_grads(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+TINY_IMBALANCED = ["--epochs", "2", "--batches-per-epoch", "2", "--synthetic", "60,12,3,3.0",
+                   "--hidden", "5"]
 
 
 class TestDirectionCommand:
@@ -188,6 +195,11 @@ class TestMultitaskCommand:
     def test_kappa_below_one_rejected(self, tmp_path):
         assert main(["multitask", "--kappa", "0.5", "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_kappa_rejected(self, tmp_path, capsys, value):
+        assert main(["multitask", "--kappa", value, "--out-dir", str(tmp_path)]) == 1
+        assert f"kappa must be >= 1 and finite, got {value}" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         rc = main(
             ["multitask", "--method", "weighted_sum", "--lr", "1e12", "--epochs", "3",
@@ -197,8 +209,24 @@ class TestMultitaskCommand:
         assert "numerical failure" in capsys.readouterr().err
 
 
-TINY_IMBALANCED = ["--epochs", "2", "--batches-per-epoch", "2", "--synthetic", "60,12,3,3.0",
-                   "--hidden", "5"]
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("args, setting", [
+        (["imbalanced", *TINY_IMBALANCED, "--mu", "nan"], "mu"),
+        (["imbalanced", *TINY_IMBALANCED, "--mu", "inf"], "mu"),
+        (["imbalanced", *TINY_IMBALANCED, "--lr", "nan"], "learning_rate"),
+        (["imbalanced", *TINY_IMBALANCED, "--lr", "inf"], "learning_rate"),
+        (["solve", "--iters", "5", "--eps", "nan"], "stop_tolerance"),
+        (["solve", "--iters", "5", "--fw-tol", "inf"], "tolerance"),
+    ])
+    def test_non_finite_settings_are_usage_errors(self, tmp_path, capsys, args, setting):
+        assert main(args + ["--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {setting} must be positive and finite, got {args[-1]}")
+
+    def test_non_finite_weights_are_usage_errors(self, tmp_path, capsys):
+        args = ["solve", "--method", "weighted_sum", "--weights", "1,nan", "--iters", "5"]
+        assert main(args + ["--out-dir", str(tmp_path)]) == 1
+        assert "weights must be a vector of finite" in capsys.readouterr().err
 
 
 def subcommand_args(command, tmp_path):
@@ -267,6 +295,137 @@ class TestTrainImbalanced:
         net, result = train_imbalanced(ds, method, 2.0, 1e-3, 2, 3, seed=2, hidden=5)
         assert np.array_equal(net.flat, result.final_point)
         assert result.iterations_used == 6
+
+
+def multiclass_dataset(c, seed):
+    """A c-class dataset with unequal class sizes and rows in shuffled order."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(c), [23, 9, 14, 7, 11][:c])
+    rng.shuffle(labels)
+    return Dataset(rng.standard_normal((labels.size, 3)), labels)
+
+
+def old_epoch_batch_oracle(net, spec, ds, plan, epochs):
+    """The oracle as it was: a generator of concatenated batches and the
+    public, checked ``per_class_losses`` on every call."""
+    X, y = ds.features, ds.labels
+    batch_iter = (
+        np.concatenate(batch)
+        for epoch in class_batches(ds, plan, epochs=epochs + 1)
+        for batch in epoch
+    )
+
+    def problem(theta):
+        net.flat[:] = theta
+        idx = next(batch_iter)
+        return per_class_losses(net, X[idx], y[idx], spec)
+
+    return problem
+
+
+def assert_same_bits(a, b):
+    """Equal shape, dtype and bytes: unlike ``np.array_equal``, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestEpochBatchOracle:
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_batches_and_results_match_the_old_oracle(self, c, monkeypatch):
+        ds = multiclass_dataset(c, seed=c)
+        plan = BatchPlan(batches_per_epoch=3, seed=40 + c)
+        epochs = 2
+        spec = ClassLossSpec(np.linspace(1.0, 2.0, c))
+        net = init_mlp([3, 6, c], c)
+        old_net = init_mlp([3, 6, c], c)
+        problem = _epoch_batch_oracle(net, spec, ds, plan, epochs)
+        old_problem = old_epoch_batch_oracle(old_net, spec, ds, plan, epochs)
+        batches = [np.concatenate(batch)
+                   for epoch in class_batches(ds, plan, epochs=epochs + 1) for batch in epoch]
+
+        seen = []
+
+        def spy(net, X, y, segments):
+            seen.append(X.copy())
+            return core(net, X, y, segments)
+
+        core = mograd.cli._grouped_losses
+        monkeypatch.setattr(mograd.cli, "_grouped_losses", spy)
+        rng = np.random.default_rng(c)
+        calls = epochs * plan.batches_per_epoch + 1
+        for k in range(calls):
+            theta = rng.standard_normal(net.n_params)
+            losses, grads = problem(theta)
+            old_losses, old_grads = old_problem(theta)
+            assert_same_bits(seen[k], ds.features[batches[k]])
+            assert_same_bits(losses, old_losses)
+            assert_same_bits(grads, old_grads)
+            assert_same_bits(net.flat, theta)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    @pytest.mark.parametrize("method", ["edm", "mgda", "sgd"])
+    def test_training_matches_the_old_oracle_bitwise(self, c, method, monkeypatch):
+        ds = multiclass_dataset(c, seed=10 + c)
+        args = (ds, method, 2.0, 1e-2, 3, 2)
+        net, result = train_imbalanced(*args, seed=c, hidden=5)
+        monkeypatch.setattr(mograd.cli, "_epoch_batch_oracle", old_epoch_batch_oracle)
+        old_net, old_result = train_imbalanced(*args, seed=c, hidden=5)
+        assert_same_bits(result.final_point, old_result.final_point)
+        assert_same_bits(net.flat, old_net.flat)
+        assert result.iterations_used == old_result.iterations_used == 6
+        assert result.stationarity == old_result.stationarity
+        for t, old in zip(result.trace, old_result.trace, strict=True):
+            assert_same_bits(t.losses, old.losses)
+            assert_same_bits(t.weights, old.weights)
+            assert (t.direction_norm, t.gamma, t.step_norm) == (
+                old.direction_norm, old.gamma, old.step_norm)
+
+    def test_class_missing_from_the_spec_is_rejected(self):
+        ds = multiclass_dataset(3, seed=0)
+        net = init_mlp([3, 4, 3], 0)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            _epoch_batch_oracle(net, ClassLossSpec(np.ones(2)), ds, BatchPlan(2, 0), 1)
+
+
+class TestWriteTrace:
+    @staticmethod
+    def reference_text(trace, n_losses):
+        header = (["iter"] + [f"loss_{i}" for i in range(n_losses)] + ["dir_norm", "gamma"]
+                  + [f"beta_{i}" for i in range(n_losses)] + ["step_norm"])
+        lines = [",".join(header)]
+        for t in trace:
+            cells = [str(t.iteration)]
+            cells += [repr(float(v)) for v in t.losses]
+            cells.append(repr(float(t.direction_norm)))
+            cells.append("" if t.gamma is None else repr(float(t.gamma)))
+            cells += [repr(float(v)) for v in t.weights]
+            cells.append(repr(float(t.step_norm)))
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("c", [2, 5])
+    @pytest.mark.parametrize("with_gamma", [False, True])
+    def test_text_matches_per_cell_repr(self, tmp_path, c, with_gamma):
+        rng = np.random.default_rng(c + 10 * with_gamma)
+        special = np.array([0.0, -0.0, 1.0, 0.1, 5e-324, 2.2250738585072014e-308, 1e300, -1e-5])
+
+        def values(n):
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+            return np.where(rng.random(n) < 0.3, rng.choice(special, size=n), v)
+
+        trace = [
+            IterationTrace(
+                k, values(c), float(values(1)[0]),
+                float(values(1)[0]) if with_gamma else None,
+                values(c), np.float64(values(1)[0]),
+            )
+            for k in range(40)
+        ]
+        path = tmp_path / "trace.csv"
+        _write_trace(path, trace, c)
+        assert path.read_text(encoding="utf-8") == self.reference_text(trace, c)
 
 
 class TestDeterminism:

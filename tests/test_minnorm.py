@@ -418,6 +418,11 @@ class TestFwConfig:
         with pytest.raises(ValueError):
             FwConfig(max_iters=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_tolerance(self, value):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            FwConfig(tolerance=value)
+
 
 class TestDefaultTolerance:
     def test_default_solve_meets_the_1e12_certificate(self):

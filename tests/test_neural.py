@@ -131,6 +131,13 @@ class TestCrossEntropy:
             cross_entropy(np.array([0.0, 0.0]), 2)
 
 
+class TestClassLossSpec:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_weights(self, value):
+        with pytest.raises(ValueError, match="class weights must be finite and nonnegative"):
+            ClassLossSpec(np.array([1.0, value]))
+
+
 class TestPerClassLosses:
     def test_single_class_batch(self):
         net = init_mlp([2, 4, 2], 4)
@@ -252,6 +259,18 @@ class TestPerClassLosses:
             assert np.array_equal(s_losses, losses)
             assert np.array_equal(s_grads, grads)
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int32, np.uint8])
+    def test_any_integer_label_dtype(self, dtype):
+        net = init_mlp([3, 6, 3], 3)
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((10, 3))
+        y = rng.integers(0, 3, size=10)
+        spec = ClassLossSpec(np.ones(3))
+        losses, grads = per_class_losses(net, X, y, spec)
+        d_losses, d_grads = per_class_losses(net, X, y.astype(dtype), spec)
+        assert np.array_equal(d_losses, losses)
+        assert np.array_equal(d_grads, grads)
+
     def test_label_out_of_range(self):
         net = init_mlp([2, 3, 2], 0)
         with pytest.raises(ValueError):
@@ -353,3 +372,152 @@ class TestBackpropOracle:
 
             fd = finite_diff_gradient(batch_loss, net.flatten())
             assert rel_err(total, fd) <= 1e-4
+
+
+def assert_same_bits(a, b):
+    """Equal shape, dtype and bytes: unlike ``np.array_equal``, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestInPlaceBuffers:
+    """The layer, loss and backward buffers are reused in place; every value
+    must stay bitwise that of the out-of-place expressions below."""
+
+    @staticmethod
+    def forward_reference(net, X):
+        activations = [X]
+        a = X
+        for W, b in net.layers[:-1]:
+            a = np.maximum(a @ W.T + b, 0.0)
+            activations.append(a)
+        W, b = net.layers[-1]
+        return activations, a @ W.T + b
+
+    @staticmethod
+    def ce_rows_reference(logits, labels):
+        m = logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits - m)
+        total = exp.sum(axis=1, keepdims=True)
+        rows = np.arange(logits.shape[0])
+        per_row = np.log(total[:, 0]) + m[:, 0] - logits[rows, labels]
+        dlogits = exp / total
+        dlogits[rows, labels] -= 1.0
+        return per_row, dlogits
+
+    @staticmethod
+    def backward_reference(layers, activations, delta, segments):
+        grads = np.empty((len(segments), sum(W.size + b.size for W, b in layers)))
+        end = grads.shape[1]
+        for j in range(len(layers) - 1, -1, -1):
+            W, b = layers[j]
+            start = end - W.size - b.size
+            act = activations[j]
+            for g, s in zip(grads, segments):
+                seg = delta[s]
+                np.matmul(seg.T, act[s], out=g[start : end - b.size].reshape(W.shape))
+                seg.sum(axis=0, out=g[end - b.size : end])
+            if j > 0:
+                delta = (delta @ W) * (act > 0)
+            end = start
+        return grads
+
+    @classmethod
+    def two_task_reference(cls, model, X, y1, y2):
+        trunk_acts, trunk_out = cls.forward_reference(model.trunk, X)
+        h = np.maximum(trunk_out, 0.0)
+        losses = np.empty(2)
+        grads = []
+        for k, (head, y) in enumerate(zip(model.heads, (y1, y2))):
+            head_acts, logits = cls.forward_reference(head, h)
+            per_row, dlogits = cls.ce_rows_reference(logits, y)
+            losses[k] = np.sum(per_row)
+            layers = model.trunk.layers + head.layers
+            grads.append(
+                cls.backward_reference(layers, trunk_acts + head_acts, dlogits, [slice(None)])[0]
+            )
+        n = model.n_shared
+        return losses, np.stack([g[:n] for g in grads]), (grads[0][n:], grads[1][n:])
+
+    @staticmethod
+    def mixed_labels(rng, logits):
+        """Labels that are the row's largest logit on even rows and not on odd rows."""
+        top = logits.argmax(axis=1)
+        other = (top + rng.integers(1, logits.shape[1], size=top.size)) % logits.shape[1]
+        labels = np.where(np.arange(top.size) % 2 == 0, top, other)
+        assert np.any(labels == top) and np.any(labels != top)
+        return labels
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_ce_rows_bitwise(self, c):
+        from mograd.neural import _ce_rows
+
+        rng = np.random.default_rng(c)
+        for scale in (1.0, 1e3, 1e150, 1e300):
+            logits = np.clip(rng.standard_normal((17, c)) * scale, -1e300, 1e300)
+            labels = self.mixed_labels(rng, logits)
+            ref_rows, ref_d = self.ce_rows_reference(logits, labels)
+            per_row, dlogits = _ce_rows(logits.copy(), labels)
+            assert_same_bits(per_row, ref_rows)
+            assert_same_bits(dlogits, ref_d)
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_forward_and_backward_bitwise(self, c):
+        from mograd.neural import _backward, _forward_cached
+
+        rng = np.random.default_rng(10 + c)
+        for scale in (1.0, 1e100, 1e290):
+            net = init_mlp([4, 9, 6, c], int(rng.integers(0, 10_000)))
+            net.layers[-1][0][:] *= scale
+            X = rng.standard_normal((13, 4))
+            acts, logits = _forward_cached(net, X)
+            ref_acts, ref_logits = self.forward_reference(net, X)
+            assert len(acts) == len(ref_acts)
+            for a, r in zip(acts, ref_acts):
+                assert_same_bits(a, r)
+            assert_same_bits(logits, ref_logits)
+            assert np.abs(logits).max() <= 1e300 * 1e3
+
+            delta = rng.standard_normal(logits.shape)
+            segments = [slice(0, 4), slice(4, 4), slice(4, 13)]
+            grads = _backward(net.layers, acts, delta, segments)
+            assert_same_bits(grads, self.backward_reference(net.layers, acts, delta, segments))
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_per_class_losses_bitwise(self, c):
+        rng = np.random.default_rng(20 + c)
+        net = init_mlp([3, 8, c], int(rng.integers(0, 10_000)))
+        X = rng.standard_normal((21, 3))
+        y = np.sort(rng.integers(0, c, size=21))
+        losses, grads = per_class_losses(net, X, y, ClassLossSpec(np.ones(c)))
+        acts, logits = self.forward_reference(net, X)
+        per_row, dlogits = self.ce_rows_reference(logits, y)
+        bounds = np.searchsorted(y, np.arange(c + 1))
+        segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert_same_bits(losses, [per_row[s].sum() for s in segments])
+        assert_same_bits(grads, self.backward_reference(net.layers, acts, dlogits, segments))
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_two_task_gradients_bitwise(self, c):
+        rng = np.random.default_rng(30 + c)
+        model = init_two_head_mlp(4, trunk_hidden=(6, 5), head_classes=(c, 2), seed=c)
+        X = rng.standard_normal((11, 4))
+        y1 = rng.integers(0, c, size=11)
+        y2 = rng.integers(0, 2, size=11)
+        losses, shared, heads = two_task_gradients(model, X, y1, y2)
+        ref_losses, ref_shared, ref_heads = self.two_task_reference(model, X, y1, y2)
+        assert_same_bits(losses, ref_losses)
+        assert_same_bits(shared, ref_shared)
+        for h, r in zip(heads, ref_heads):
+            assert_same_bits(h, r)
+
+    def test_two_task_labels_out_of_range(self):
+        model = init_two_head_mlp(4, trunk_hidden=(6, 5), head_classes=(2, 2), seed=0)
+        X = np.zeros((3, 4))
+        good = np.array([0, 1, 0])
+        for bad in (np.array([0, 2, 1]), np.array([0, -1, 1])):
+            with pytest.raises(ValueError, match=r"task labels must lie in \[0, 2\)"):
+                two_task_gradients(model, X, bad, good)
+            with pytest.raises(ValueError, match=r"task labels must lie in \[0, 2\)"):
+                two_task_gradients(model, X, good, bad)

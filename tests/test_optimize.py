@@ -269,6 +269,15 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(method="weighted_sum", weights=np.zeros(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_settings(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            OptimizerConfig(learning_rate=value)
+        with pytest.raises(ValueError, match="stop_tolerance must be positive and finite"):
+            OptimizerConfig(stop_tolerance=value)
+        with pytest.raises(ValueError, match="weights must be a vector of finite"):
+            OptimizerConfig(method="weighted_sum", weights=np.array([1.0, value]))
+
 
 class TestMethodRegistry:
     @pytest.mark.parametrize("method", ["edm", "mgda", "weighted_sum", "sgd", "EDM", "adam", ""])
@@ -395,6 +404,11 @@ class TestRunMultitask:
             )
         assert excinfo.value.iteration == 1
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("kappa", [0.5, np.nan, np.inf])
+    def test_kappa_below_one_or_non_finite_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
+            run_multitask(self.model, self.data, cfg(), kappa=kappa)
 
     def test_requires_two_labels(self):
         from mograd.data import synth_imbalanced

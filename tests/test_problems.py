@@ -73,6 +73,11 @@ class TestScaledLosses:
         with pytest.raises(ValueError):
             ScaledProblem(inner=PAIR, kappa=0.5)
 
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
+            ScaledProblem(inner=PAIR, kappa=kappa)
+
 
 class TestFiniteDiff:
     def test_known_quadratic_gradient(self):
