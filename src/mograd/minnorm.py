@@ -20,12 +20,12 @@ a proper face, usually two or three solves). When only the gap test
 rejects the chain's point, usually because dropping every non-positive
 weight at once dropped a vertex the optimum keeps, the major cycles start
 from that point and its support (a warm start), which is a valid state of
-Wolfe's method. When the chain fails, or the warm start ends uncertified,
-the major cycles start from a vertex. For two vectors the method is a
-single exact line search from the shorter vertex toward the other (the
-closed form of Sener & Koltun, NeurIPS 2018, Alg. 1), which the solver runs
-at T=2 in Python floats. It stops on the relative duality gap of the
-simplex problem.
+Wolfe's method, and their answer is returned, certified or not. Only when
+the chain fails do the major cycles start from a vertex. For two vectors
+the method is a single exact line search from the shorter vertex toward
+the other (the closed form of Sener & Koltun, NeurIPS 2018, Alg. 1), which
+the solver runs at T=2 in Python floats. It stops on the relative duality
+gap of the simplex problem.
 
 The solver's public names (``FwConfig``, ``FwResult``,
 ``frank_wolfe_min_norm``) keep their spelling from the Frank-Wolfe solver
@@ -91,17 +91,16 @@ class FwResult:
     quadratic form after k major cycles (index 0 is the starting point); its
     last entry is that of ``weights``, and it never increases by more than
     round-off. For T >= 3 the starting point is the end of the top-down
-    chain whenever the cycles from there answer: ``iterations`` 0 then means
+    chain whenever the chain ends on a point: ``iterations`` 0 then means
     the chain's point was certified as it stood, and ``objectives`` holds
     only its quadratic form; otherwise ``objectives[0]`` is still the chain's
     point and ``iterations`` counts the major cycles after it. When the
-    chain fails or its cycles end uncertified, the starting point is the
-    vertex with the smallest ``M_ii``, and ``iterations`` 0 means that
-    vertex was already certified. At T=2, ``iterations`` is at most 1
-    and ``objectives`` has at most 2 entries; the gap and objective after
-    the line step are computed in scalar arithmetic there, so ``last_eta``
-    may differ by round-off from one taken with a numpy matrix-vector
-    product.
+    chain fails, the starting point is the vertex with the smallest
+    ``M_ii``, and ``iterations`` 0 means that vertex was already certified.
+    At T=2, ``iterations`` is at most 1 and ``objectives`` has at most 2
+    entries; the gap and objective after the line step are computed in
+    scalar arithmetic there, so ``last_eta`` may differ by round-off from
+    one taken with a numpy matrix-vector product.
     """
 
     weights: np.ndarray
@@ -440,13 +439,13 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     positive weights of the last solve, until the weights are all
     positive. When the gap test certifies that point, no major cycle runs.
     When only the gap test rejects it, the major cycles run from the
-    chain's support and point (a warm start), and their answer is returned
-    if it ends certified. Otherwise, and whenever the chain has no end
-    point (an LU solve failed or the support emptied), the cycles run from
-    the vertex with the smallest ``M_ii``, exactly as if the chain had not
-    been tried. For two vectors the method is one exact line search
-    (``fw_line_search``) from the starting vertex toward the other, so it
-    runs as one, in scalar arithmetic on ``M.tolist()``.
+    chain's support and point (a warm start), and their answer is returned.
+    Only when the chain has no end point (an LU solve failed or the support
+    emptied) do the cycles run from the vertex with the smallest ``M_ii``,
+    exactly as if the chain had not been tried. For two vectors the method
+    is one exact line search (``fw_line_search``) from the starting vertex
+    toward the other, so it runs as one, in scalar arithmetic on
+    ``M.tolist()``.
 
     The solve stops once the relative duality gap is at or below the
     configured tolerance. Failing that, it stops when a major cycle did not
@@ -493,17 +492,16 @@ def _min_norm(M: np.ndarray, cfg: FwConfig) -> FwResult:
     # fails the residual test or leaves the point uncertified, so the solve
     # runs silently.
     with np.errstate(over="ignore", invalid="ignore"):
+        start = None
         if T > 2 and scale > 0.0:
             bordered, rhs = _bordered(M, scale)
-            chain = _support_start(bordered, rhs, scale)
-            if chain is not None:
-                warm = _major_cycles(M, bordered, rhs, scale, cfg, *chain)
-                if warm[1] <= cfg.tolerance:
-                    return _result(*warm)
-        corral = [int(np.argmin(diag))]
-        beta = np.zeros(T)
-        beta[corral[0]] = 1.0
-        beta, gap, iterations, objectives = _major_cycles(M, bordered, rhs, scale, cfg, corral, beta)
+            start = _support_start(bordered, rhs, scale)
+        if start is None:
+            vertex = int(np.argmin(diag))
+            beta = np.zeros(T)
+            beta[vertex] = 1.0
+            start = [vertex], beta
+        beta, gap, iterations, objectives = _major_cycles(M, bordered, rhs, scale, cfg, *start)
     if iterations == cfg.max_iters and gap > cfg.tolerance:
         _log.warning(
             "min-norm solve stopped at max_iters=%d with relative gap %.3g above tolerance %.3g",

@@ -9,6 +9,13 @@ what the descent loops in :mod:`mograd.optimize` operate on.
 Per-sample losses are cross-entropies and per-class or per-task losses are
 *sums* (not means) over their samples, so a class with more samples in the
 batch produces a proportionally larger gradient.
+
+The per-class oracle takes one backward pass and splits its per-layer sums
+by row segment. The two-task oracle stacks two heads of equal shape over a
+leading task axis and backpropagates both tasks through them and the
+shared trunk in one pass. Each stacked slice runs the same matrix product
+as its own 2-D pass would, so the results are bitwise those of one pass
+per task.
 """
 
 from __future__ import annotations
@@ -109,20 +116,24 @@ def init_mlp(dims: list[int], rng: np.random.Generator | int) -> MlpParams:
     return MlpParams(layers)
 
 
-def _forward_cached(net: MlpParams, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _forward_cached(layers, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """All layer inputs plus the final logits, for reuse by backprop.
 
-    Each layer's bias and rectifier act in place on its fresh product.
+    ``layers`` are ``(W, b)`` pairs, each 2-D as in :class:`MlpParams` or
+    stacked over a leading axis: W of shape (k, d_out, d_in) and b of shape
+    (k, 1, d_out) run k networks on the same rows at once, one matmul per
+    layer, and every output then carries that leading axis. Each layer's
+    bias and rectifier act in place on its fresh product.
     """
     activations = [X]
     a = X
-    for W, b in net.layers[:-1]:
-        a = a @ W.T
+    for W, b in layers[:-1]:
+        a = a @ W.mT
         a += b
         np.maximum(a, 0.0, out=a)
         activations.append(a)
-    W, b = net.layers[-1]
-    logits = a @ W.T
+    W, b = layers[-1]
+    logits = a @ W.mT
     logits += b
     return activations, logits
 
@@ -133,7 +144,7 @@ def forward(net: MlpParams, x) -> np.ndarray:
     X = x[None, :] if x.ndim == 1 else x
     if X.ndim != 2 or X.shape[1] != net.dims[0]:
         raise ValueError(f"input of shape {x.shape} does not match input dim {net.dims[0]}")
-    _, logits = _forward_cached(net, X)
+    _, logits = _forward_cached(net.layers, X)
     return logits[0] if x.ndim == 1 else logits
 
 
@@ -145,17 +156,26 @@ def _backward(layers, activations: list[np.ndarray], delta: np.ndarray, segments
     independently, so one pass gives every row's delta at every layer; row
     k of the result is the gradient of the rows ``segments[k]`` alone, the
     per-layer segment sums ``delta[s].T @ act[s]`` and ``delta[s].sum(0)``.
+
+    Stacked layers and activations, as :func:`_forward_cached` takes and
+    gives them, and a ``delta`` stacked the same way carry that leading
+    axis into the result, shape (k, len(segments), n_params); 2-D layers
+    and activations broadcast over it, so networks that share them share
+    their pass through those layers.
     """
-    grads = np.empty((len(segments), sum(W.size + b.size for W, b in layers)))
-    end = grads.shape[1]
+    n_params = sum(W.shape[-2] * (W.shape[-1] + 1) for W, _ in layers)
+    grads = np.empty(delta.shape[:-2] + (len(segments), n_params))
+    end = n_params
     for j in range(len(layers) - 1, -1, -1):
-        W, b = layers[j]
-        start = end - W.size - b.size
+        W, _ = layers[j]
+        mid = end - W.shape[-2]
+        start = mid - W.shape[-2] * W.shape[-1]
         act = activations[j]
-        for g, s in zip(grads, segments):
-            seg = delta[s]
-            np.matmul(seg.T, act[s], out=g[start : end - b.size].reshape(W.shape))
-            seg.sum(axis=0, out=g[end - b.size : end])
+        for k, s in enumerate(segments):
+            seg = delta[..., s, :]
+            out = grads[..., k, start:mid].reshape(grads.shape[:-2] + W.shape[-2:])
+            np.matmul(seg.mT, act[..., s, :], out=out)
+            np.add.reduce(seg, axis=-2, out=grads[..., k, mid:end])
         if j > 0:
             delta = delta @ W
             delta *= act > 0
@@ -261,7 +281,7 @@ def _grouped_losses(
     ``X`` is a float (N, m) batch whose rows are grouped by class, ``y``
     its labels, and ``segments[i]`` the rows of class i.
     """
-    activations, logits = _forward_cached(net, X)
+    activations, logits = _forward_cached(net.layers, X)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite activations in forward pass")
     per_row, dlogits = _ce_rows(logits, y)
@@ -331,10 +351,15 @@ def two_task_gradients(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Both task losses with their shared-block and head-block gradients.
 
-    Each task's summed cross-entropy is backpropagated through its own head
-    and the trunk in one pass (the junction is an internal layer boundary);
-    the two shared gradients are flat vectors over the trunk slice, the head
-    gradients over the matching head slice.
+    The trunk runs forward once. When the heads have equal ``dims``, each
+    head layer is stacked over a leading task axis, so one matmul per
+    layer runs both heads, one cross-entropy call covers both tasks' rows,
+    and one backward pass through the stacked head layers and the trunk
+    (the junction is an internal layer boundary) gives both tasks'
+    gradients; heads of unequal ``dims`` take that pass as two groups of
+    one head. Every task's arithmetic is that of its own pass. The two
+    shared gradients are the rows of a C-contiguous (2, n_shared) array,
+    and each head gradient is a flat vector over the matching head slice.
     """
     X = np.asarray(X, dtype=float)
     labels = (np.asarray(y1), np.asarray(y2))
@@ -346,27 +371,43 @@ def two_task_gradients(
         c = head.dims[-1]
         if y.min() < 0 or y.max() >= c:
             raise ValueError(f"task labels must lie in [0, {c})")
+    # Joined as they are, uint64 and int64 labels would promote to float.
+    labels = [y.astype(np.intp, casting="same_kind", copy=False) for y in labels]
 
-    trunk_acts, h = _forward_cached(model.trunk, X)
+    trunk_acts, h = _forward_cached(model.trunk.layers, X)
     np.maximum(h, 0.0, out=h)
 
-    losses = np.empty(2)
-    grads = []
-    for k, head in enumerate(model.heads):
-        head_acts, logits = _forward_cached(head, h)
-        if not np.isfinite(logits).all():
-            raise NumericalError(f"non-finite activations in task {k + 1} forward pass")
-        per_row, dlogits = _ce_rows(logits, labels[k])
-        losses[k] = np.sum(per_row)
-        layers = model.trunk.layers + head.layers
-        grads.append(_backward(layers, trunk_acts + head_acts, dlogits, [slice(None)])[0])
     n = model.n_shared
-    return losses, np.stack([g[:n] for g in grads]), (grads[0][n:], grads[1][n:])
+    losses = np.empty(2)
+    shared = np.empty((2, n))
+    head_grads = [None, None]
+    equal = model.heads[0].dims == model.heads[1].dims
+    for tasks in [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]:
+        heads = model.heads[tasks]
+        head_layers = [
+            (np.array([W for W, _ in layer]), np.array([b for _, b in layer])[:, None, :])
+            for layer in zip(*(head.layers for head in heads))
+        ]
+        head_acts, logits = _forward_cached(head_layers, h)
+        if not np.isfinite(logits).all():
+            first = np.isfinite(logits).all(axis=(1, 2)).argmin()
+            raise NumericalError(
+                f"non-finite activations in task {tasks.start + first + 1} forward pass"
+            )
+        # The (tasks * N, c) view: _ce_rows turns the stacked logits into their gradient.
+        per_row, _ = _ce_rows(logits.reshape(-1, logits.shape[-1]), np.concatenate(labels[tasks]))
+        losses[tasks] = np.add.reduce(per_row.reshape(len(heads), -1), axis=1)
+        grads = _backward(
+            model.trunk.layers + head_layers, trunk_acts + head_acts, logits, [slice(None)]
+        )
+        shared[tasks] = grads[:, 0, :n]
+        head_grads[tasks] = grads[:, 0, n:]
+    return losses, shared, tuple(head_grads)
 
 
 def predict_two_task(model: TwoHeadMlp, X) -> tuple[np.ndarray, np.ndarray]:
     """Logit matrices of both heads for a batch of rows."""
     X = np.asarray(X, dtype=float)
-    _, trunk_out = _forward_cached(model.trunk, X)
+    _, trunk_out = _forward_cached(model.trunk.layers, X)
     h = np.maximum(trunk_out, 0.0)
     return forward(model.heads[0], h), forward(model.heads[1], h)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mograd.exceptions import NumericalError
 from mograd.neural import (
     ClassLossSpec,
     MlpParams,
@@ -337,6 +338,33 @@ class TestTwoHead:
             other = model.head_slices[1 - task]
             assert np.max(np.abs(fd[other])) <= 1e-8
 
+    @pytest.mark.parametrize("dtypes", [(np.uint64, np.int64), (np.uint8, np.int32)])
+    def test_any_integer_label_dtypes(self, dtypes):
+        model = init_two_head_mlp(4, trunk_hidden=(6, 5), head_classes=(3, 3), seed=11)
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((10, 4))
+        y1 = rng.integers(0, 3, size=10)
+        y2 = rng.integers(0, 3, size=10)
+        ref = two_task_gradients(model, X, y1, y2)
+        for t1, t2 in (dtypes, dtypes[::-1]):
+            losses, shared, heads = two_task_gradients(model, X, y1.astype(t1), y2.astype(t2))
+            assert_same_bits(losses, ref[0])
+            assert_same_bits(shared, ref[1])
+            for h, r in zip(heads, ref[2]):
+                assert_same_bits(h, r)
+
+    @pytest.mark.parametrize("head_classes", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_logits_name_their_task(self, head_classes, bad):
+        model = init_two_head_mlp(4, trunk_hidden=(6, 4), head_classes=head_classes, seed=12)
+        X = np.random.default_rng(12).standard_normal((5, 4))
+        y = np.zeros(5, dtype=int)
+        for task in (2, 1):  # task 2 alone overflows, then both do
+            model.heads[task - 1].layers[-1][1][0] = bad
+            message = rf"^non-finite activations in task {task} forward pass$"
+            with pytest.raises(NumericalError, match=message):
+                two_task_gradients(model, X, y, y)
+
     def test_head_input_dim_checked(self):
         trunk = init_mlp([4, 6, 4], 0)
         bad_head = init_mlp([5, 2], 1)
@@ -471,7 +499,7 @@ class TestInPlaceBuffers:
             net = init_mlp([4, 9, 6, c], int(rng.integers(0, 10_000)))
             net.layers[-1][0][:] *= scale
             X = rng.standard_normal((13, 4))
-            acts, logits = _forward_cached(net, X)
+            acts, logits = _forward_cached(net.layers, X)
             ref_acts, ref_logits = self.forward_reference(net, X)
             assert len(acts) == len(ref_acts)
             for a, r in zip(acts, ref_acts):
@@ -498,17 +526,27 @@ class TestInPlaceBuffers:
         assert_same_bits(losses, [per_row[s].sum() for s in segments])
         assert_same_bits(grads, self.backward_reference(net.layers, acts, dlogits, segments))
 
-    @pytest.mark.parametrize("c", [2, 3, 5])
-    def test_two_task_gradients_bitwise(self, c):
-        rng = np.random.default_rng(30 + c)
-        model = init_two_head_mlp(4, trunk_hidden=(6, 5), head_classes=(c, 2), seed=c)
+    @pytest.mark.parametrize("seed, head_dims", [
+        pytest.param(2, ([5, 2], [5, 2]), id="2"),
+        pytest.param(3, ([5, 3], [5, 2]), id="3"),
+        pytest.param(5, ([5, 5], [5, 2]), id="5"),
+        pytest.param(7, ([5, 4, 2], [5, 4, 2]), id="deep-equal"),
+        pytest.param(8, ([5, 4, 3], [5, 6, 2]), id="deep-unequal"),
+    ])
+    def test_two_task_gradients_bitwise(self, seed, head_dims):
+        # the draws of init_two_head_mlp(4, (6, 5), ..., seed), with any head dims
+        init = np.random.default_rng(seed)
+        trunk = init_mlp([4, 6, 5], init)
+        model = TwoHeadMlp(trunk, tuple(init_mlp(dims, init) for dims in head_dims))
+        rng = np.random.default_rng(30 + seed)
         X = rng.standard_normal((11, 4))
-        y1 = rng.integers(0, c, size=11)
-        y2 = rng.integers(0, 2, size=11)
+        y1 = rng.integers(0, head_dims[0][-1], size=11)
+        y2 = rng.integers(0, head_dims[1][-1], size=11)
         losses, shared, heads = two_task_gradients(model, X, y1, y2)
         ref_losses, ref_shared, ref_heads = self.two_task_reference(model, X, y1, y2)
         assert_same_bits(losses, ref_losses)
         assert_same_bits(shared, ref_shared)
+        assert shared.flags.c_contiguous
         for h, r in zip(heads, ref_heads):
             assert_same_bits(h, r)
 
