@@ -128,12 +128,12 @@ def _forward_cached(layers, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray
     activations = [X]
     a = X
     for W, b in layers[:-1]:
-        a = a @ W.mT
+        a = a @ W.swapaxes(-1, -2)
         a += b
         np.maximum(a, 0.0, out=a)
         activations.append(a)
     W, b = layers[-1]
-    logits = a @ W.mT
+    logits = a @ W.swapaxes(-1, -2)
     logits += b
     return activations, logits
 
@@ -174,7 +174,7 @@ def _backward(layers, activations: list[np.ndarray], delta: np.ndarray, segments
         for k, s in enumerate(segments):
             seg = delta[..., s, :]
             out = grads[..., k, start:mid].reshape(grads.shape[:-2] + W.shape[-2:])
-            np.matmul(seg.mT, act[..., s, :], out=out)
+            np.matmul(seg.swapaxes(-1, -2), act[..., s, :], out=out)
             np.add.reduce(seg, axis=-2, out=grads[..., k, mid:end])
         if j > 0:
             delta = delta @ W
@@ -371,8 +371,6 @@ def two_task_gradients(
         c = head.dims[-1]
         if y.min() < 0 or y.max() >= c:
             raise ValueError(f"task labels must lie in [0, {c})")
-    # Joined as they are, uint64 and int64 labels would promote to float.
-    labels = [y.astype(np.intp, casting="same_kind", copy=False) for y in labels]
 
     trunk_acts, h = _forward_cached(model.trunk.layers, X)
     np.maximum(h, 0.0, out=h)
@@ -395,7 +393,8 @@ def two_task_gradients(
                 f"non-finite activations in task {tasks.start + first + 1} forward pass"
             )
         # The (tasks * N, c) view: _ce_rows turns the stacked logits into their gradient.
-        per_row, _ = _ce_rows(logits.reshape(-1, logits.shape[-1]), np.concatenate(labels[tasks]))
+        y = np.concatenate(labels[tasks], dtype=np.intp, casting="same_kind")
+        per_row, _ = _ce_rows(logits.reshape(-1, logits.shape[-1]), y)
         losses[tasks] = np.add.reduce(per_row.reshape(len(heads), -1), axis=1)
         grads = _backward(
             model.trunk.layers + head_layers, trunk_acts + head_acts, logits, [slice(None)]
