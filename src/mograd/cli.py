@@ -42,7 +42,7 @@ from .minnorm import FwConfig
 from .neural import (
     ClassLossSpec,
     MlpParams,
-    _class_segments,
+    _class_plan,
     _grouped_losses,
     init_mlp,
     init_two_head_mlp,
@@ -137,17 +137,20 @@ def _epoch_batch_oracle(net, spec, ds: Dataset, plan, epochs):
     final point, and that call reads the first batch of the spare epoch.
 
     Every batch holds the same number of rows of each class, in class
-    order, so its labels and class segments are fixed for the run. Each
-    epoch's schedule is one ``(batches_per_epoch, rows)`` index array,
-    checked against ``ds.labels`` once when it is drawn; a step then only
-    runs the forward pass, the loss and the backward pass.
+    order, so its labels and class segments are fixed for the run, and one
+    per-class plan (label picks, segments, gradient buffer and its layer
+    views) serves every step. Each call returns that same gradient buffer,
+    valid until the next call, as the descent loops allow. Each epoch's
+    schedule is one ``(batches_per_epoch, rows)`` index array, checked
+    against ``ds.labels`` once when it is drawn; a step then only runs the
+    forward pass, the loss and the backward pass.
     """
     X = ds.features
     sizes = [idx.size // plan.batches_per_epoch for idx in ds.class_index_sets]
     if len(sizes) > spec.n_classes:
         raise ValueError(f"labels must lie in [0, {spec.n_classes})")
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    segments = _class_segments(labels, spec.n_classes)
+    class_plan = _class_plan(net, labels, spec.n_classes)
     epochs_iter = class_batches(ds, plan, epochs=epochs + 1)
     schedule, step = None, plan.batches_per_epoch
 
@@ -161,7 +164,7 @@ def _epoch_batch_oracle(net, spec, ds: Dataset, plan, epochs):
         net.flat[:] = theta
         rows = schedule[step]
         step += 1
-        return _grouped_losses(net, X[rows], labels, segments)
+        return _grouped_losses(net, X[rows], class_plan)
 
     return problem
 

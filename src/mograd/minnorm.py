@@ -301,6 +301,10 @@ def _minor_cycles(
         out = (y < 0.0).nonzero()[0]
         if out.size == 0:
             beta[idx] = y
+            # A weight the minimizer leaves at exactly zero leaves the corral
+            # too: a zero-weight member would end the next cycle's first step
+            # at once and drop the vertex entering there with it.
+            corral[:] = [i for i in corral if beta[i] > 0.0]
             return
         x = beta[idx]
         ratio = x[out] / (x[out] - y[out])
@@ -414,11 +418,19 @@ def _major_cycles(
             iterations -= 1
             break
         objectives.append(max(objective, 0.0))
-        if gap <= cfg.tolerance or j in corral or iterations == cfg.max_iters:
+        if gap <= cfg.tolerance or corral == [j] or iterations == cfg.max_iters:
             break
-        corral.append(j)
         iterations += 1
         kept = (beta.copy(), objective, gap)
+        if j in corral:
+            # beta is not its corral's minimizer: a corral system that rounding
+            # left singular was solved by least squares. Swap weight toward j
+            # from the corral vertex that gains most, then solve again.
+            corral.remove(j)
+            corral.append(j)
+            _swap_step(M, beta, corral)
+        else:
+            corral.append(j)
         _minor_cycles(M, bordered, rhs, beta, corral, scale)
     return beta, gap, iterations, objectives
 
@@ -432,7 +444,11 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     the minimizer over the corral's affine hull, stepping back to the
     simplex boundary and dropping the vertex that hits zero while that
     minimizer has a negative weight. Every corral system is gathered from
-    one bordered system of the whole M, built once per solve.
+    one bordered system of the whole M, built once per solve. A chosen
+    vertex can already be in the corral only when rounding left a corral
+    system singular, so that least squares gave a point that is not the
+    corral's minimizer; that major cycle first takes a swap step toward it
+    (``_swap_step``), then runs the minor cycles.
 
     For T >= 3 the cycles first start where the top-down chain ends
     (``_support_start``): LU solves over the full support, then over the
@@ -450,7 +466,7 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     The solve stops once the relative duality gap is at or below the
     configured tolerance. Failing that, it stops when a major cycle did not
     lower the objective (that cycle is undone), when the chosen vertex is
-    already in the corral, or when the budget of major cycles is spent; the
+    the corral's only one, or when the budget of major cycles is spent; the
     last case, with the returned gap still above tolerance, logs a warning
     on the ``mograd.minnorm`` logger. Weights off the corral are exact
     zeros.

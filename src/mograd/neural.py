@@ -16,11 +16,19 @@ leading task axis and backpropagates both tasks through them and the
 shared trunk in one pass. Each stacked slice runs the same matrix product
 as its own 2-D pass would, so the results are bitwise those of one pass
 per task.
+
+A backward pass is planned, then run: the plan is the gradient buffer and
+its per-layer, per-segment write views, and a run fills that buffer. A
+per-class plan adds the label picks of the cross-entropy and the class
+segments. A training loop whose batches share one layout builds that plan
+once and runs every step into the same buffer; one-off calls build a plan
+per call and return fresh arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,6 +156,50 @@ def forward(net: MlpParams, x) -> np.ndarray:
     return logits[0] if x.ndim == 1 else logits
 
 
+def _backward_plan(layers, lead: tuple[int, ...], n_segments: int) -> tuple[np.ndarray, list]:
+    """A gradient buffer for :func:`_backward_run` and its write views.
+
+    The buffer has shape ``lead + (n_segments, n_params)``, ``lead`` being
+    the leading stack axes of the pass's ``delta`` (empty for a 2-D pass).
+    ``views[j][k]`` is the ``(weight, bias)`` pair of views into row k of
+    the buffer that layer ``j``'s gradient goes to, the weight view shaped
+    ``lead + W_j.shape[-2:]``. One plan serves any number of passes over
+    the same layer shapes; each pass overwrites the buffer.
+    """
+    n_params = sum(W.shape[-2] * (W.shape[-1] + 1) for W, _ in layers)
+    grads = np.empty(lead + (n_segments, n_params))
+    views = []
+    start = 0
+    for W, _ in layers:
+        mid = start + W.shape[-2] * W.shape[-1]
+        end = mid + W.shape[-2]
+        views.append([
+            (grads[..., k, start:mid].reshape(lead + W.shape[-2:]), grads[..., k, mid:end])
+            for k in range(n_segments)
+        ])
+        start = end
+    return grads, views
+
+
+def _backward_run(layers, activations: list[np.ndarray], delta: np.ndarray, segments,
+                  views) -> None:
+    """Backpropagate ``delta`` and write each segment's gradient into ``views``.
+
+    ``views`` comes from :func:`_backward_plan` for these layers, the
+    leading axes of ``delta`` and ``len(segments)`` segments.
+    """
+    for j in range(len(layers) - 1, -1, -1):
+        W, _ = layers[j]
+        act = activations[j]
+        for s, (w_out, b_out) in zip(segments, views[j]):
+            seg = delta[..., s, :]
+            np.matmul(seg.swapaxes(-1, -2), act[..., s, :], out=w_out)
+            np.add.reduce(seg, axis=-2, out=b_out)
+        if j > 0:
+            delta = delta @ W
+            delta *= act > 0
+
+
 def _backward(layers, activations: list[np.ndarray], delta: np.ndarray, segments) -> np.ndarray:
     """Flat parameter gradients of row segments, from one backward pass.
 
@@ -162,24 +214,13 @@ def _backward(layers, activations: list[np.ndarray], delta: np.ndarray, segments
     axis into the result, shape (k, len(segments), n_params); 2-D layers
     and activations broadcast over it, so networks that share them share
     their pass through those layers.
+
+    This is :func:`_backward_plan` then :func:`_backward_run`, so the result
+    is a fresh array; a caller that repeats passes of one shape can keep
+    the plan and run it again instead.
     """
-    n_params = sum(W.shape[-2] * (W.shape[-1] + 1) for W, _ in layers)
-    grads = np.empty(delta.shape[:-2] + (len(segments), n_params))
-    end = n_params
-    for j in range(len(layers) - 1, -1, -1):
-        W, _ = layers[j]
-        mid = end - W.shape[-2]
-        start = mid - W.shape[-2] * W.shape[-1]
-        act = activations[j]
-        for k, s in enumerate(segments):
-            seg = delta[..., s, :]
-            out = grads[..., k, start:mid].reshape(grads.shape[:-2] + W.shape[-2:])
-            np.matmul(seg.swapaxes(-1, -2), act[..., s, :], out=out)
-            np.add.reduce(seg, axis=-2, out=grads[..., k, mid:end])
-        if j > 0:
-            delta = delta @ W
-            delta *= act > 0
-        end = start
+    grads, views = _backward_plan(layers, delta.shape[:-2], len(segments))
+    _backward_run(layers, activations, delta, segments, views)
     return grads
 
 
@@ -194,17 +235,22 @@ def cross_entropy(logits, label: int) -> float:
     return float(m + np.log(np.exp(z - m).sum()) - z[label])
 
 
-def _ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _label_picks(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Flat indices of each row's labeled entry in a C-contiguous (N, n_classes) array."""
+    picks = np.arange(0, labels.shape[0] * n_classes, n_classes)
+    picks += labels.astype(np.intp, casting="same_kind", copy=False)
+    return picks
+
+
+def _ce_rows(logits: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cross-entropy of each row and its gradient (softmax minus one-hot).
 
     Works in place: the C-contiguous ``logits`` buffer becomes the gradient.
-    Labels are picked by flat index, so a label outside ``[0, c)`` would read
-    another row's entry; the callers check the range.
+    ``picks`` are the labels as :func:`_label_picks` gives them for the width
+    of ``logits``. A label outside ``[0, c)`` would pick another row's
+    entry; the callers check the range.
     """
-    n, c = logits.shape
     flat = logits.reshape(-1)
-    picks = np.arange(0, n * c, c)
-    picks += labels.astype(np.intp, casting="same_kind", copy=False)
     picked = flat[picks]
     m = logits.max(axis=1, keepdims=True)
     np.subtract(logits, m, out=logits)
@@ -249,7 +295,8 @@ def per_class_losses(
     class in increasing label order skip the sort. One forward pass and
     one backward pass of the whole batch then give every class's gradient
     as per-layer segment sums. Summing the per-class losses reproduces the
-    whole-batch loss exactly, since the classes partition the batch.
+    whole-batch loss exactly, since the classes partition the batch. Each
+    call plans its own pass, so the returned arrays are fresh.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -264,29 +311,47 @@ def per_class_losses(
     if not (y[:-1] <= y[1:]).all():
         order = np.argsort(y, kind="stable")
         X, y = X[order], y[order]
-    return _grouped_losses(net, X, y, _class_segments(y, c))
+    return _grouped_losses(net, X, _class_plan(net, y, c))
 
 
-def _class_segments(y: np.ndarray, n_classes: int) -> list[slice]:
-    """Row slice of each class in labels ``y`` sorted in increasing order."""
+class _ClassPlan(NamedTuple):
+    """What every per-class pass over one batch layout reuses.
+
+    ``picks`` are the batch labels as :func:`_label_picks` gives them for
+    the network's output width, ``segments[i]`` the rows of class i, and
+    ``grads`` the (len(segments), n_params) gradient buffer that ``views``
+    (from :func:`_backward_plan`) write into.
+    """
+
+    picks: np.ndarray
+    segments: list[slice]
+    grads: np.ndarray
+    views: list
+
+
+def _class_plan(net: MlpParams, y: np.ndarray, n_classes: int) -> _ClassPlan:
+    """The per-class plan for batches of ``net`` labeled ``y``, sorted in increasing order."""
     bounds = np.searchsorted(y, np.arange(n_classes + 1))
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    grads, views = _backward_plan(net.layers, (), n_classes)
+    return _ClassPlan(_label_picks(y, net.dims[-1]), segments, grads, views)
 
 
-def _grouped_losses(
-    net: MlpParams, X: np.ndarray, y: np.ndarray, segments: list[slice]
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`per_class_losses` without its checks.
+def _grouped_losses(net: MlpParams, X: np.ndarray, plan: _ClassPlan) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`per_class_losses` without its checks, into ``plan``'s buffer.
 
-    ``X`` is a float (N, m) batch whose rows are grouped by class, ``y``
-    its labels, and ``segments[i]`` the rows of class i.
+    ``X`` is a float (N, m) batch whose rows are grouped by class as
+    ``plan`` was built for. The losses are a fresh array; the gradients are
+    ``plan.grads``, which the next call with the same plan overwrites.
     """
     activations, logits = _forward_cached(net.layers, X)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite activations in forward pass")
-    per_row, dlogits = _ce_rows(logits, y)
+    picks, segments, grads, views = plan
+    per_row, dlogits = _ce_rows(logits, picks)
     losses = np.array([per_row[s].sum() for s in segments])
-    return losses, _backward(net.layers, activations, dlogits, segments)
+    _backward_run(net.layers, activations, dlogits, segments, views)
+    return losses, grads
 
 
 @dataclass
@@ -365,12 +430,18 @@ def two_task_gradients(
     labels = (np.asarray(y1), np.asarray(y2))
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("expected a nonempty (N, m) batch")
-    for y, head in zip(labels, model.heads):
+    for y in labels:
         if y.shape != (X.shape[0],):
             raise ValueError("each task needs one label per sample")
-        c = head.dims[-1]
-        if y.min() < 0 or y.max() >= c:
+    equal = model.heads[0].dims == model.heads[1].dims
+    groups = []
+    for tasks in [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]:
+        c = model.heads[tasks.start].dims[-1]
+        y = np.concatenate(labels[tasks], dtype=np.intp, casting="same_kind")
+        # A negative label wraps to a huge unsigned one, so one test checks both ends.
+        if np.maximum.reduce(y.view(np.uintp)) >= c:
             raise ValueError(f"task labels must lie in [0, {c})")
+        groups.append((tasks, _label_picks(y, c)))
 
     trunk_acts, h = _forward_cached(model.trunk.layers, X)
     np.maximum(h, 0.0, out=h)
@@ -379,8 +450,7 @@ def two_task_gradients(
     losses = np.empty(2)
     shared = np.empty((2, n))
     head_grads = [None, None]
-    equal = model.heads[0].dims == model.heads[1].dims
-    for tasks in [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]:
+    for tasks, picks in groups:
         heads = model.heads[tasks]
         head_layers = [
             (np.array([W for W, _ in layer]), np.array([b for _, b in layer])[:, None, :])
@@ -393,8 +463,7 @@ def two_task_gradients(
                 f"non-finite activations in task {tasks.start + first + 1} forward pass"
             )
         # The (tasks * N, c) view: _ce_rows turns the stacked logits into their gradient.
-        y = np.concatenate(labels[tasks], dtype=np.intp, casting="same_kind")
-        per_row, _ = _ce_rows(logits.reshape(-1, logits.shape[-1]), y)
+        per_row, _ = _ce_rows(logits.reshape(-1, logits.shape[-1]), picks)
         losses[tasks] = np.add.reduce(per_row.reshape(len(heads), -1), axis=1)
         grads = _backward(
             model.trunk.layers + head_layers, trunk_acts + head_acts, logits, [slice(None)]

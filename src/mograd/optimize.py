@@ -9,6 +9,11 @@ every step; ``run_multitask`` steps a two-head network per batch and traces
 each epoch's means. Both make each direction through one step core, which
 checks the caller's arrays, calls the registry, checks the direction and
 names the iteration or epoch in any ``NumericalError``.
+
+The oracle contract: the flat loop is done with the arrays of one problem
+call before it makes the next, and keeps none of them (a trace holds its
+own copy of the losses). So a problem may return the same buffers from
+every call, overwritten in place.
 """
 
 from __future__ import annotations

@@ -346,9 +346,9 @@ class TestEpochBatchOracle:
 
         seen = []
 
-        def spy(net, X, y, segments):
+        def spy(net, X, class_plan):
             seen.append(X.copy())
-            return core(net, X, y, segments)
+            return core(net, X, class_plan)
 
         core = mograd.cli._grouped_losses
         monkeypatch.setattr(mograd.cli, "_grouped_losses", spy)

@@ -149,6 +149,19 @@ class TestPerClassLosses:
         assert np.array_equal(grads[1], np.zeros(net.n_params))
         assert losses[0] > 0
 
+    def test_successive_calls_return_fresh_arrays(self):
+        net = init_mlp([3, 6, 3], 6)
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((12, 3))
+        y = np.sort(rng.integers(0, 3, size=12))
+        spec = ClassLossSpec(np.ones(3))
+        first = per_class_losses(net, X, y, spec)
+        kept = [a.copy() for a in first]
+        second = per_class_losses(net, 2.0 * X, y, spec)
+        for a, b, k in zip(first, second, kept):
+            assert not np.shares_memory(a, b)
+            assert a.tobytes() == k.tobytes()
+
     def test_partition_identity(self):
         net = init_mlp([3, 6, 3], 6)
         rng = np.random.default_rng(7)
@@ -479,14 +492,14 @@ class TestInPlaceBuffers:
 
     @pytest.mark.parametrize("c", [2, 3, 5])
     def test_ce_rows_bitwise(self, c):
-        from mograd.neural import _ce_rows
+        from mograd.neural import _ce_rows, _label_picks
 
         rng = np.random.default_rng(c)
         for scale in (1.0, 1e3, 1e150, 1e300):
             logits = np.clip(rng.standard_normal((17, c)) * scale, -1e300, 1e300)
             labels = self.mixed_labels(rng, logits)
             ref_rows, ref_d = self.ce_rows_reference(logits, labels)
-            per_row, dlogits = _ce_rows(logits.copy(), labels)
+            per_row, dlogits = _ce_rows(logits.copy(), _label_picks(labels, c))
             assert_same_bits(per_row, ref_rows)
             assert_same_bits(dlogits, ref_d)
 
@@ -511,6 +524,33 @@ class TestInPlaceBuffers:
             segments = [slice(0, 4), slice(4, 4), slice(4, 13)]
             grads = _backward(net.layers, acts, delta, segments)
             assert_same_bits(grads, self.backward_reference(net.layers, acts, delta, segments))
+
+    @pytest.mark.parametrize("shared", [0, 1], ids=["all-stacked", "first-layer-shared"])
+    def test_stacked_segmented_backward_matches_per_slice(self, shared):
+        from mograd.neural import _backward, _forward_cached
+
+        rng = np.random.default_rng(40 + shared)
+        nets = [init_mlp([4, 7, 5, 3], int(rng.integers(0, 10_000))) for _ in range(2)]
+        # the first ``shared`` layers are 2-D and common to both networks
+        for k in range(shared):
+            for net in nets[1:]:
+                for dst, src in zip(net.layers[k], nets[0].layers[k]):
+                    dst[:] = src
+        layers = nets[0].layers[:shared] + [
+            (np.array([W for W, _ in layer]), np.array([b for _, b in layer])[:, None, :])
+            for layer in zip(*(net.layers[shared:] for net in nets))
+        ]
+        X = rng.standard_normal((13, 4))
+        acts, logits = _forward_cached(layers, X)
+        assert logits.shape == (2, 13, 3)
+        delta = rng.standard_normal(logits.shape)
+        segments = [slice(0, 5), slice(5, 6), slice(6, 13)]
+        grads = _backward(layers, acts, delta, segments)
+        assert grads.shape == (2, 3, nets[0].n_params)
+        for i, net in enumerate(nets):
+            net_acts, net_logits = _forward_cached(net.layers, X)
+            assert_same_bits(logits[i], net_logits)
+            assert_same_bits(grads[i], _backward(net.layers, net_acts, delta[i], segments))
 
     @pytest.mark.parametrize("c", [2, 3, 5])
     def test_per_class_losses_bitwise(self, c):

@@ -192,6 +192,46 @@ class TestFourClassLoop:
         assert np.array_equal(raw, edm_direction(G).raw_direction)
 
 
+class Buffered:
+    """``problem`` behind one pair of output buffers, overwritten by every
+    call (``reuse``), or behind fresh copies of its arrays."""
+
+    def __init__(self, problem, reuse):
+        self.problem, self.reuse = problem, reuse
+        self.buffers = None
+
+    def __call__(self, theta):
+        losses, grads = self.problem(theta)
+        if not self.reuse:
+            return losses.copy(), grads.copy()
+        if self.buffers is None:
+            self.buffers = np.empty_like(losses), np.empty_like(grads)
+        self.buffers[0][:], self.buffers[1][:] = losses, grads
+        return self.buffers
+
+
+class TestReusedOracleBuffers:
+    """The oracle contract: a problem may return the same buffers from every call."""
+
+    @pytest.mark.parametrize("run, method", [
+        (run_edm, "edm"), (run_mgda, "mgda"), (run_weighted_sum, "weighted_sum")])
+    def test_runs_match_fresh_copies_bitwise(self, run, method):
+        config = cfg(method=method, learning_rate=0.01, max_iters=40, stop_tolerance=1e-12,
+                     weights=np.array([1.0, 2.0, 3.0, 4.0]))
+        oracle = PerClassOracle()
+        reused = run(Buffered(oracle, reuse=True), oracle.theta0, config)
+        fresh = run(Buffered(oracle, reuse=False), oracle.theta0, config)
+        assert reused.final_point.tobytes() == fresh.final_point.tobytes()
+        assert reused.stationarity == fresh.stationarity
+        assert (reused.converged, reused.iterations_used) == (fresh.converged, fresh.iterations_used)
+        assert len(reused.trace) == len(fresh.trace) == 40
+        for r, f in zip(reused.trace, fresh.trace):
+            assert r.losses.tobytes() == f.losses.tobytes()
+            assert r.weights.tobytes() == f.weights.tobytes()
+            assert (r.iteration, r.direction_norm, r.gamma, r.step_norm) == (
+                f.iteration, f.direction_norm, f.gamma, f.step_norm)
+
+
 class TestRunMgda:
     def test_converges_to_trade_off_segment(self):
         result = run_mgda(PAIR, np.array([0.5, -1.2]), cfg())
