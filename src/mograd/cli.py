@@ -9,8 +9,9 @@ Subcommands::
 
 Every run writes one trace CSV and one summary JSON per seed, plus one
 aggregate JSON across seeds. Flags override values from --config (a JSON
-file with flat keys named like the flags). Exit codes: 0 success, 1
-usage or config error, 2 data error, 3 numerical failure.
+file with flat keys named like the flags, each value read as its flag's
+text would be). Exit codes: 0 success, 1 usage or config error, 2 data
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -463,26 +464,54 @@ def cmd_multitask(opts: dict) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_COMMON_DEFAULTS = {
-    "method": "edm",
-    "lr": 0.01,
-    "eps": 1e-6,
-    "fw_tol": FwConfig().tolerance,
-    "fw_max_iters": FwConfig().max_iters,
-    "seed": 0,
-    "repeats": 1,
-    "out_dir": "runs",
+# Every option once: key -> (type, help). Key ``foo_bar`` is flag ``--foo-bar``.
+_OPTIONS = {
+    "method": (str, "step method, one of those named above"),
+    "lr": (float, "learning rate"),
+    "eps": (float, "stopping tolerance on the direction norm"),
+    "fw_tol": (float, "relative duality-gap tolerance of the simplex solver"),
+    "fw_max_iters": (int, "simplex solver major-cycle cap"),
+    "seed": (int, "seed of the first repeat"),
+    "repeats": (int, "number of seeds to run"),
+    "out_dir": (str, "output directory"),
+    "problem": (str, "quadratic2 | quadratic10"),
+    "iters": (int, "iteration budget"),
+    "weights": (str, "comma-separated loss weights of weighted_sum"),
+    "mu": (float, "minor-class loss weight of sgd"),
+    "csv": (str, "dataset CSV path (default: synthetic data)"),
+    "label_column": (str, "label column name"),
+    "synthetic": (str, "'n_major,n_minor,n_features,separation'"),
+    "test_fraction": (float, "share of the data held out for testing"),
+    "batches_per_epoch": (int, "per-class batches per epoch"),
+    "hidden": (int, "hidden layer width"),
+    "epochs": (int, "training epochs"),
+    "kappa": (float, "multiplier on the second task loss"),
+    "n": (int, "dataset size"),
+    "m": (int, "feature count"),
+    "batch_size": (int, "rows per batch"),
 }
 
-_DEFAULTS = {
-    "direction": {**_COMMON_DEFAULTS},
-    "solve": {**_COMMON_DEFAULTS, "problem": "quadratic2", "lr": 0.1, "iters": 5000,
-              "weights": "1,1"},
-    "imbalanced": {**_COMMON_DEFAULTS, "lr": 0.001, "epochs": 30, "mu": 1.0,
-                   "csv": None, "label_column": "label", "synthetic": "1000,50,8,3.5",
-                   "test_fraction": 0.2, "batches_per_epoch": 40, "hidden": 100},
-    "multitask": {**_COMMON_DEFAULTS, "epochs": 15, "kappa": 1.0, "n": 2000, "m": 8,
-                  "test_fraction": 0.25, "batch_size": 64},
+# The options every subcommand reads, with their defaults.
+_SHARED = {"method": "edm", "fw_tol": FwConfig().tolerance,
+           "fw_max_iters": FwConfig().max_iters, "out_dir": "runs"}
+
+# Per subcommand: its help line and the defaults of exactly the options it reads.
+_SUBCOMMANDS = {
+    "direction": ("one-shot direction report from a gradients file; methods edm, mgda",
+                  _SHARED),
+    "solve": ("descent on an analytic benchmark; methods edm, mgda, weighted_sum",
+              {**_SHARED, "lr": 0.1, "eps": 1e-6, "seed": 0, "repeats": 1,
+               "problem": "quadratic2", "iters": 5000, "weights": "1,1"}),
+    "imbalanced": ("imbalanced classification study; methods edm, mgda, sgd "
+                   "(the class-weighted sum)",
+                   {**_SHARED, "lr": 0.001, "seed": 0, "repeats": 1, "mu": 1.0,
+                    "csv": None, "label_column": "label", "synthetic": "1000,50,8,3.5",
+                    "test_fraction": 0.2, "batches_per_epoch": 40, "hidden": 100,
+                    "epochs": 30}),
+    "multitask": ("two-task loss-scaling study; methods edm, mgda, weighted_sum",
+                  {**_SHARED, "lr": 0.01, "seed": 0, "repeats": 1, "kappa": 1.0,
+                   "epochs": 15, "n": 2000, "m": 8, "test_fraction": 0.25,
+                   "batch_size": 64}),
 }
 
 _COMMANDS = {
@@ -491,10 +520,6 @@ _COMMANDS = {
     "imbalanced": cmd_imbalanced,
     "multitask": cmd_multitask,
 }
-
-_INT_KEYS = {"iters", "epochs", "seed", "repeats", "fw_max_iters", "batches_per_epoch",
-             "hidden", "n", "m", "batch_size"}
-_FLOAT_KEYS = {"lr", "eps", "fw_tol", "mu", "kappa", "test_fraction"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -506,88 +531,55 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mograd", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, methods="edm | mgda | weighted_sum"):
-        p.add_argument("--method", help=methods)
-        p.add_argument("--lr", type=float, help="learning rate")
-        p.add_argument("--eps", type=float, help="stopping tolerance on the direction norm")
-        p.add_argument("--fw-tol", dest="fw_tol", type=float,
-                       help=f"relative duality-gap tolerance of the simplex solver "
-                            f"(default {FwConfig().tolerance:g})")
-        p.add_argument("--fw-max-iters", dest="fw_max_iters", type=int,
-                       help="simplex solver major-cycle cap")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--repeats", type=int, help="number of seeds to run")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    for command, (text, defaults) in _SUBCOMMANDS.items():
+        # An option left unset is absent from the namespace, so it cannot
+        # override the config file.
+        p = sub.add_parser(command, help=text, description=text,
+                           argument_default=argparse.SUPPRESS)
+        if command == "direction":
+            p.add_argument("gradients_file",
+                           help="text file, one comma-separated gradient per line")
+        for key, default in defaults.items():
+            kind, help_text = _OPTIONS[key]
+            if default is not None:
+                help_text += f" (default {default})"
+            p.add_argument(f"--{key.replace('_', '-')}", type=kind, help=help_text)
         p.add_argument("--config", help="JSON file with flat keys; flags override it")
-
-    p = sub.add_parser("direction", help="one-shot direction report from a gradients file")
-    p.add_argument("gradients_file", help="text file, one comma-separated gradient per line")
-    add_common(p, "edm | mgda")
-
-    p = sub.add_parser("solve", help="descent on an analytic benchmark")
-    p.add_argument("--problem", help="quadratic2 | quadratic10")
-    p.add_argument("--iters", type=int, help="iteration budget")
-    p.add_argument("--weights", help="comma-separated loss weights (weighted_sum)")
-    add_common(p)
-
-    p = sub.add_parser("imbalanced", help="imbalanced classification study")
-    p.add_argument("--mu", type=float, help="minor-class loss weight (sgd)")
-    p.add_argument("--csv", help="dataset CSV path (default: synthetic)")
-    p.add_argument("--label-column", dest="label_column", help="label column name")
-    p.add_argument("--synthetic", help="'n_major,n_minor,n_features,separation'")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--batches-per-epoch", dest="batches_per_epoch", type=int)
-    p.add_argument("--hidden", type=int, help="hidden layer width")
-    p.add_argument("--epochs", type=int)
-    add_common(p, "edm | mgda | sgd (the class-weighted sum)")
-
-    p = sub.add_parser("multitask", help="two-task loss-scaling study")
-    p.add_argument("--kappa", type=float, help="multiplier on the second task loss")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--n", type=int, help="dataset size")
-    p.add_argument("--m", type=int, help="feature count")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    add_common(p)
-
     return parser
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    defaults = _DEFAULTS[args.command]
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise ValueError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object with flat keys")
-        for key, value in loaded.items():
-            if key not in defaults:
-                raise ValueError(f"unknown config field {key!r} for {args.command}")
-            merged[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if hasattr(args, "gradients_file"):
-        merged["gradients_file"] = args.gradients_file
-    for key in merged:
-        if merged[key] is None:
+def _read_config(path: Path, command: str) -> dict:
+    """The config file's settings, each value coerced as its flag's text would be."""
+    if not path.exists():
+        raise ValueError(f"config file not found: {path}")
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ValueError("config file must hold a JSON object with flat keys")
+    settings = {}
+    for key, value in loaded.items():
+        if key not in _SUBCOMMANDS[command][1]:
+            raise ValueError(f"unknown config field {key!r} for {command}")
+        if value is None:  # null leaves the default
             continue
         try:
-            if key in _INT_KEYS:
-                merged[key] = int(merged[key])
-            elif key in _FLOAT_KEYS:
-                merged[key] = float(merged[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config field {key!r} has invalid value {merged[key]!r}") from exc
+            settings[key] = _OPTIONS[key][0](str(value))
+        except ValueError as exc:
+            raise ValueError(f"config field {key!r} has invalid value {value!r}") from exc
+    return settings
+
+
+def _merge_options(args: argparse.Namespace) -> dict:
+    """Defaults, then the config file, then the flags given."""
+    flags = dict(vars(args))
+    command = flags.pop("command")
+    config = flags.pop("config", None)
+    merged = dict(_SUBCOMMANDS[command][1])
+    if config:
+        merged.update(_read_config(Path(config), command))
+    merged.update(flags)
     return merged
 
 

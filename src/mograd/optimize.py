@@ -27,6 +27,7 @@ import numpy as np
 from .direction import (
     DirectionResult,
     GradientSet,
+    _combine,
     edm_direction,
     mgda_direction,
     stationarity_residual,
@@ -54,16 +55,8 @@ def _weighted_sum(gs: GradientSet, cfg: OptimizerConfig) -> DirectionResult:
         raise ValueError("weighted_sum needs cfg.weights")
     if w.shape[0] != gs.n_objectives:
         raise ValueError(f"{w.shape[0]} weights do not match {gs.n_objectives} objectives")
-    raw = w @ gs.gradients
-    return DirectionResult(
-        weights=w / w.sum(),
-        raw_direction=raw,
-        gamma=None,
-        normalized_direction=raw,
-        direction_norm=math.sqrt(raw @ raw),
-        # OptimizerConfig rejects negative weights, so the nonzero ones are the support.
-        support=w.nonzero()[0],
-    )
+    # OptimizerConfig rejects negative weights, so the nonzero ones are the support.
+    return _combine(gs, w / w.sum(), w, None, w.nonzero()[0])
 
 
 # The entries look up the direction functions in this module's globals at
@@ -227,7 +220,6 @@ def run_multitask(
     *,
     kappa: float = 1.0,
     batch_size: int = 64,
-    epochs: int | None = None,
 ) -> tuple[TwoHeadMlp, RunResult]:
     """Train a two-head network: multi-objective trunk, per-task head steps.
 
@@ -237,9 +229,10 @@ def run_multitask(
     learning rate. All gradients of a batch are computed before any
     parameter moves, and the steps update the parameter buffers of a copy
     of ``model`` in place; the caller's model is never changed. ``kappa``
-    rescales the second task's loss (and hence every gradient of it). The
-    trace holds one record per epoch with batch-averaged losses, direction
-    norms, and weights; a zero-epoch run returns the model unchanged.
+    rescales the second task's loss (and hence every gradient of it). It
+    runs ``cfg.max_iters`` epochs. The trace holds one record per epoch with
+    batch-averaged losses, direction norms, and weights; a zero-epoch run
+    returns the model unchanged.
 
     Returns the trained model and the run record; ``final_point`` is the
     full flat parameter vector.
@@ -250,9 +243,6 @@ def run_multitask(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if data.labels2 is None:
         raise ValueError("multitask training needs a dataset with two labels per sample")
-    n_epochs = cfg.max_iters if epochs is None else epochs
-    if n_epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {n_epochs}")
 
     model = model.copy()
     X, y1, y2 = data.features, data.labels, data.labels2
@@ -262,7 +252,7 @@ def run_multitask(
     converged = False
     used = 0
 
-    for epoch in range(n_epochs):
+    for epoch in range(cfg.max_iters):
         start_flat = model.flatten()
         order = rng.permutation(X.shape[0])
         sum_losses = np.zeros(2)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -460,3 +461,108 @@ class TestHelp:
 
     def test_subcommand_required(self):
         assert main([]) == 1
+
+
+def flag_args(settings):
+    return [f for key, value in settings.items()
+            for f in (f"--{key.replace('_', '-')}", str(value))]
+
+
+def assert_same_outputs(a, b):
+    """The same files: traces byte-identical, JSON equal except ``wall_time_ms``."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert any(name.startswith("trace_") for name in names)
+    for name in names:
+        if name.endswith(".csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        else:
+            ja, jb = read_json(a / name), read_json(b / name)
+            ja.pop("wall_time_ms", None)
+            jb.pop("wall_time_ms", None)
+            assert ja == jb
+
+
+class TestOptionTable:
+    # (subcommand, flag) pairs that no subcommand reads, so none accepts them
+    UNREAD = [("direction", "lr", "0.1"), ("direction", "eps", "1e-6"),
+              ("direction", "seed", "1"), ("direction", "repeats", "2"),
+              ("imbalanced", "eps", "1e-6"), ("multitask", "eps", "1e-6")]
+
+    @pytest.mark.parametrize("command, key, value", UNREAD)
+    def test_unread_flag_is_usage_error_without_output(self, tmp_path, command, key, value):
+        out = tmp_path / "out"
+        args = subcommand_args(command, tmp_path) + [f"--{key}", value, "--out-dir", str(out)]
+        assert main(args) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", UNREAD)
+    def test_unread_config_field_is_rejected(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "out"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: float(value)}))
+        args = subcommand_args(command, tmp_path) + ["--config", str(config),
+                                                     "--out-dir", str(out)]
+        assert main(args) == 1
+        assert f"unknown config field {key!r} for {command}" in capsys.readouterr().err
+        assert not out.exists()
+
+    SHARED = {"--method", "--fw-tol", "--fw-max-iters", "--out-dir", "--config", "--help"}
+    RUNS = {"--lr", "--seed", "--repeats"}
+
+    @pytest.mark.parametrize("command, flags", [
+        ("direction", SHARED),
+        ("solve", SHARED | RUNS | {"--eps", "--problem", "--iters", "--weights"}),
+        ("imbalanced", SHARED | RUNS | {"--mu", "--csv", "--label-column", "--synthetic",
+                                        "--test-fraction", "--batches-per-epoch", "--hidden",
+                                        "--epochs"}),
+        ("multitask", SHARED | RUNS | {"--kappa", "--epochs", "--n", "--m", "--test-fraction",
+                                       "--batch-size"}),
+    ])
+    def test_help_lists_exactly_the_options_read(self, capsys, command, flags):
+        assert main([command, "--help"]) == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags
+
+    @pytest.mark.parametrize("as_strings", [False, True])
+    @pytest.mark.parametrize("command, settings", [
+        ("solve", {"problem": "quadratic10", "method": "mgda", "lr": 0.05, "eps": 1e-7,
+                   "iters": 30, "seed": 4, "repeats": 2, "fw_tol": 1e-11, "fw_max_iters": 50}),
+        ("solve", {"method": "weighted_sum", "weights": "1,3", "lr": 0.2, "iters": 12}),
+        ("imbalanced", {"method": "edm", "mu": 2.5, "lr": 0.002, "epochs": 2,
+                        "batches_per_epoch": 2, "synthetic": "60,12,3,3.0", "hidden": 5,
+                        "test_fraction": 0.25, "seed": 1, "fw_tol": 1e-10}),
+        ("multitask", {"method": "mgda", "kappa": 2.5, "epochs": 2, "n": 200, "m": 4,
+                       "test_fraction": 0.3, "batch_size": 50, "lr": 0.02, "seed": 3,
+                       "repeats": 2, "fw_max_iters": 40}),
+    ])
+    def test_config_runs_like_the_same_flags(self, tmp_path, capsys, command, settings,
+                                             as_strings):
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        assert main([command, *flag_args(settings), "--out-dir", str(by_flags)]) == 0
+        config = tmp_path / "cfg.json"
+        values = {k: str(v) for k, v in settings.items()} if as_strings else settings
+        config.write_text(json.dumps(values))
+        assert main([command, "--config", str(config), "--out-dir", str(by_config)]) == 0
+        assert_same_outputs(by_flags, by_config)
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("iters", 2.9, "2.9"), ("iters", 3.0, "3.0"), ("repeats", True, "True"),
+        ("iters", "2.9", "'2.9'"), ("lr", True, "True"), ("lr", "fast", "'fast'"),
+    ])
+    def test_config_value_coerced_like_flag_text(self, tmp_path, capsys, key, value, shown):
+        out = tmp_path / "out"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        assert main(["solve", "--config", str(config), "--out-dir", str(out)]) == 1
+        assert f"config field {key!r} has invalid value {shown}" in capsys.readouterr().err
+        assert not out.exists()
+        # the same text as a flag is rejected too
+        assert main(["solve", f"--{key}", str(value), "--out-dir", str(out)]) == 1
+        assert not out.exists()
+
+    def test_null_config_value_keeps_the_default(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"lr": None, "seed": None, "iters": 3}))
+        assert main(["solve", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+        summary = read_json(tmp_path / "summary_quadratic2_edm_0.json")
+        assert summary["iterations"] == 3

@@ -386,7 +386,7 @@ class TestRunMultitask:
 
     def test_zero_epoch_run_returns_model_unchanged(self):
         trained, result = run_multitask(
-            self.model, self.data, cfg(max_iters=5), epochs=0, batch_size=30
+            self.model, self.data, cfg(max_iters=0), batch_size=30
         )
         assert np.array_equal(trained.flatten(), self.model.flatten())
         assert result.trace == []
