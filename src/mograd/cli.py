@@ -572,7 +572,7 @@ def _read_config(path: Path, command: str) -> dict:
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    """Defaults, then the config file, then the flags given."""
+    """Defaults, then the config file, then the flags given; at least one repeat."""
     flags = dict(vars(args))
     command = flags.pop("command")
     config = flags.pop("config", None)
@@ -580,6 +580,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
     if config:
         merged.update(_read_config(Path(config), command))
     merged.update(flags)
+    if merged.get("repeats", 1) < 1:
+        raise ValueError(f"repeats must be >= 1, got {merged['repeats']}")
     return merged
 
 

@@ -22,7 +22,11 @@ its per-layer, per-segment write views, and a run fills that buffer. A
 per-class plan adds the label picks of the cross-entropy and the class
 segments. A training loop whose batches share one layout builds that plan
 once and runs every step into the same buffer; one-off calls build a plan
-per call and return fresh arrays.
+per call and return fresh arrays. A two-task plan holds a whole run's
+labels of both tasks, stacked and range-checked once, and the buffer of
+each stacked pass. Neither depends on the number of rows in a batch, so a
+two-task loop runs every batch into one plan, the short last batch of an
+epoch included, and picks each batch's labels by its row indices.
 """
 
 from __future__ import annotations
@@ -185,8 +189,19 @@ def _backward_run(layers, activations: list[np.ndarray], delta: np.ndarray, segm
                   views) -> None:
     """Backpropagate ``delta`` and write each segment's gradient into ``views``.
 
-    ``views`` comes from :func:`_backward_plan` for these layers, the
-    leading axes of ``delta`` and ``len(segments)`` segments.
+    ``delta`` is the loss gradient at the logits, one row per sample, and
+    ``activations[j]`` is the input of ``layers[j]``. Rows backpropagate
+    independently, so one pass gives every row's delta at every layer; row
+    k of the buffer becomes the gradient of the rows ``segments[k]`` alone,
+    the per-layer segment sums ``delta[s].T @ act[s]`` and ``delta[s].sum(0)``.
+
+    Stacked layers and activations, as :func:`_forward_cached` takes and
+    gives them, and a ``delta`` stacked the same way carry that leading
+    axis into the buffer, shape (k, len(segments), n_params); 2-D layers
+    and activations broadcast over it, so networks that share them share
+    their pass through those layers. ``views`` comes from
+    :func:`_backward_plan` for these layers, the leading axes of ``delta``
+    and ``len(segments)`` segments.
     """
     for j in range(len(layers) - 1, -1, -1):
         W, _ = layers[j]
@@ -198,30 +213,6 @@ def _backward_run(layers, activations: list[np.ndarray], delta: np.ndarray, segm
         if j > 0:
             delta = delta @ W
             delta *= act > 0
-
-
-def _backward(layers, activations: list[np.ndarray], delta: np.ndarray, segments) -> np.ndarray:
-    """Flat parameter gradients of row segments, from one backward pass.
-
-    ``delta`` is the loss gradient at the logits, one row per sample, and
-    ``activations[j]`` is the input of ``layers[j]``. Rows backpropagate
-    independently, so one pass gives every row's delta at every layer; row
-    k of the result is the gradient of the rows ``segments[k]`` alone, the
-    per-layer segment sums ``delta[s].T @ act[s]`` and ``delta[s].sum(0)``.
-
-    Stacked layers and activations, as :func:`_forward_cached` takes and
-    gives them, and a ``delta`` stacked the same way carry that leading
-    axis into the result, shape (k, len(segments), n_params); 2-D layers
-    and activations broadcast over it, so networks that share them share
-    their pass through those layers.
-
-    This is :func:`_backward_plan` then :func:`_backward_run`, so the result
-    is a fresh array; a caller that repeats passes of one shape can keep
-    the plan and run it again instead.
-    """
-    grads, views = _backward_plan(layers, delta.shape[:-2], len(segments))
-    _backward_run(layers, activations, delta, segments, views)
-    return grads
 
 
 def cross_entropy(logits, label: int) -> float:
@@ -425,24 +416,61 @@ def two_task_gradients(
     one head. Every task's arithmetic is that of its own pass. The two
     shared gradients are the rows of a C-contiguous (2, n_shared) array,
     and each head gradient is a flat vector over the matching head slice.
+    Each call plans its own pass, so the returned arrays are fresh.
     """
     X = np.asarray(X, dtype=float)
-    labels = (np.asarray(y1), np.asarray(y2))
+    y1, y2 = np.asarray(y1), np.asarray(y2)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("expected a nonempty (N, m) batch")
-    for y in labels:
+    for y in (y1, y2):
         if y.shape != (X.shape[0],):
             raise ValueError("each task needs one label per sample")
+    return _two_task_run(model, X, np.arange(X.shape[0]), _two_task_plan(model, y1, y2))
+
+
+class _TwoTaskPlan(NamedTuple):
+    """What every two-task pass over one run's labels reuses.
+
+    ``labels`` are both tasks' labels, a (2, n) ``intp`` array checked
+    against each head's class count. Each of ``groups`` is a ``(tasks,
+    n_classes, grads, views)`` tuple: the task slice that one stacked pass
+    covers (both tasks when the heads have equal ``dims``, else one task
+    each), its heads' class count, and its (len(tasks), 1, n_params)
+    gradient buffer over trunk and heads with the ``views`` (from
+    :func:`_backward_plan`) that write into it. No part depends on the
+    number of rows in a batch.
+    """
+
+    labels: np.ndarray
+    groups: list[tuple[slice, int, np.ndarray, list]]
+
+
+def _two_task_plan(model: TwoHeadMlp, y1: np.ndarray, y2: np.ndarray) -> _TwoTaskPlan:
+    """The two-task plan for batches of ``model`` drawn from the rows labeled ``y1``, ``y2``."""
+    labels = np.stack((y1, y2), dtype=np.intp, casting="same_kind")
     equal = model.heads[0].dims == model.heads[1].dims
     groups = []
     for tasks in [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]:
         c = model.heads[tasks.start].dims[-1]
-        y = np.concatenate(labels[tasks], dtype=np.intp, casting="same_kind")
         # A negative label wraps to a huge unsigned one, so one test checks both ends.
-        if np.maximum.reduce(y.view(np.uintp)) >= c:
+        if np.maximum.reduce(labels[tasks].view(np.uintp), axis=None) >= c:
             raise ValueError(f"task labels must lie in [0, {c})")
-        groups.append((tasks, _label_picks(y, c)))
+        layers = model.trunk.layers + model.heads[tasks.start].layers
+        grads, views = _backward_plan(layers, (tasks.stop - tasks.start,), 1)
+        groups.append((tasks, c, grads, views))
+    return _TwoTaskPlan(labels, groups)
 
+
+def _two_task_run(
+    model: TwoHeadMlp, X: np.ndarray, idx, plan: _TwoTaskPlan
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """:func:`two_task_gradients` without its checks, into ``plan``'s buffers.
+
+    ``X`` is the float (N, m) batch of the rows ``idx`` (an index array) of
+    the labels ``plan`` was built for. The losses and the shared
+    gradients are fresh arrays; the head gradients are views into the
+    plan's buffers, which the next call with the same plan overwrites.
+    """
     trunk_acts, h = _forward_cached(model.trunk.layers, X)
     np.maximum(h, 0.0, out=h)
 
@@ -450,7 +478,7 @@ def two_task_gradients(
     losses = np.empty(2)
     shared = np.empty((2, n))
     head_grads = [None, None]
-    for tasks, picks in groups:
+    for tasks, c, grads, views in plan.groups:
         heads = model.heads[tasks]
         head_layers = [
             (np.array([W for W, _ in layer]), np.array([b for _, b in layer])[:, None, :])
@@ -462,11 +490,12 @@ def two_task_gradients(
             raise NumericalError(
                 f"non-finite activations in task {tasks.start + first + 1} forward pass"
             )
+        picks = _label_picks(plan.labels[tasks].take(idx, axis=1).reshape(-1), c)
         # The (tasks * N, c) view: _ce_rows turns the stacked logits into their gradient.
-        per_row, _ = _ce_rows(logits.reshape(-1, logits.shape[-1]), picks)
+        per_row, _ = _ce_rows(logits.reshape(-1, c), picks)
         losses[tasks] = np.add.reduce(per_row.reshape(len(heads), -1), axis=1)
-        grads = _backward(
-            model.trunk.layers + head_layers, trunk_acts + head_acts, logits, [slice(None)]
+        _backward_run(
+            model.trunk.layers + head_layers, trunk_acts + head_acts, logits, [slice(None)], views
         )
         shared[tasks] = grads[:, 0, :n]
         head_grads[tasks] = grads[:, 0, n:]

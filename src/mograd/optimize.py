@@ -34,7 +34,7 @@ from .direction import (
 )
 from .exceptions import NumericalError
 from .minnorm import FwConfig
-from .neural import TwoHeadMlp, two_task_gradients
+from .neural import TwoHeadMlp, _two_task_plan, _two_task_run, two_task_gradients
 from .problems import MultiLossProblem
 
 __all__ = [
@@ -226,7 +226,9 @@ def run_multitask(
     Per batch, both task losses are backpropagated separately; the chosen
     method turns the two shared-block gradients into one trunk direction,
     and each head takes a plain gradient step on its own loss at the same
-    learning rate. All gradients of a batch are computed before any
+    learning rate. The labels of both tasks are checked, and the batches'
+    backward pass planned, once per run; a bad label raises before any
+    step. All gradients of a batch are computed before any
     parameter moves, and the steps update the parameter buffers of a copy
     of ``model`` in place; the caller's model is never changed. ``kappa``
     rescales the second task's loss (and hence every gradient of it). It
@@ -236,6 +238,11 @@ def run_multitask(
 
     Returns the trained model and the run record; ``final_point`` is the
     full flat parameter vector.
+
+    The oracle contract: each batch's oracle call returns fresh losses and
+    shared gradients, but its head gradients are views into the plan's
+    buffer, which the next batch's call overwrites. The loop steps the
+    heads with them before that call and keeps none of them.
     """
     if not (1 <= kappa < math.inf):
         raise ValueError(f"kappa must be >= 1 and finite, got {kappa}")
@@ -246,6 +253,7 @@ def run_multitask(
 
     model = model.copy()
     X, y1, y2 = data.features, data.labels, data.labels2
+    plan = _two_task_plan(model, y1, y2)
     rng = np.random.default_rng(cfg.seed)
     s = cfg.learning_rate
     trace: list[IterationTrace] = []
@@ -263,7 +271,7 @@ def run_multitask(
         n_batches = 0
         for lo in range(0, order.size, batch_size):
             idx = order[lo : lo + batch_size]
-            losses, shared, head_grads = two_task_gradients(model, X[idx], y1[idx], y2[idx])
+            losses, shared, head_grads = _two_task_run(model, X.take(idx, axis=0), idx, plan)
             losses, shared, head_grads = _apply_kappa(losses, shared, head_grads, kappa)
             res, direction_norm = _step(
                 cfg.method, cfg, shared, "loss or head gradient", (losses, *head_grads),

@@ -242,6 +242,25 @@ def subcommand_args(command, tmp_path):
     return ["solve", "--iters", "5"]
 
 
+class TestRepeats:
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("command", ["solve", "imbalanced", "multitask"])
+    def test_below_one_is_usage_error_without_output(self, tmp_path, capsys, command, value,
+                                                      via):
+        out = tmp_path / "out"
+        args = subcommand_args(command, tmp_path)
+        if via == "flag":
+            args += ["--repeats", str(value)]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"repeats": value}))
+            args += ["--config", str(config)]
+        assert main(args + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: repeats must be >= 1, got {value}\n"
+        assert not out.exists()
+
+
 class TestMethodValidation:
     @pytest.mark.parametrize("command", ["direction", "solve", "imbalanced", "multitask"])
     def test_unknown_method_is_usage_error_without_output(self, tmp_path, command):

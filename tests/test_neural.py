@@ -415,6 +415,15 @@ class TestBackpropOracle:
             assert rel_err(total, fd) <= 1e-4
 
 
+def planned_backward(layers, activations, delta, segments):
+    """One backward pass into the buffer of a fresh plan."""
+    from mograd.neural import _backward_plan, _backward_run
+
+    grads, views = _backward_plan(layers, delta.shape[:-2], len(segments))
+    _backward_run(layers, activations, delta, segments, views)
+    return grads
+
+
 def assert_same_bits(a, b):
     """Equal shape, dtype and bytes: unlike ``np.array_equal``, tells -0.0 from 0.0."""
     a, b = np.asarray(a), np.asarray(b)
@@ -505,7 +514,7 @@ class TestInPlaceBuffers:
 
     @pytest.mark.parametrize("c", [2, 3, 5])
     def test_forward_and_backward_bitwise(self, c):
-        from mograd.neural import _backward, _forward_cached
+        from mograd.neural import _forward_cached
 
         rng = np.random.default_rng(10 + c)
         for scale in (1.0, 1e100, 1e290):
@@ -522,12 +531,12 @@ class TestInPlaceBuffers:
 
             delta = rng.standard_normal(logits.shape)
             segments = [slice(0, 4), slice(4, 4), slice(4, 13)]
-            grads = _backward(net.layers, acts, delta, segments)
+            grads = planned_backward(net.layers, acts, delta, segments)
             assert_same_bits(grads, self.backward_reference(net.layers, acts, delta, segments))
 
     @pytest.mark.parametrize("shared", [0, 1], ids=["all-stacked", "first-layer-shared"])
     def test_stacked_segmented_backward_matches_per_slice(self, shared):
-        from mograd.neural import _backward, _forward_cached
+        from mograd.neural import _forward_cached
 
         rng = np.random.default_rng(40 + shared)
         nets = [init_mlp([4, 7, 5, 3], int(rng.integers(0, 10_000))) for _ in range(2)]
@@ -545,12 +554,12 @@ class TestInPlaceBuffers:
         assert logits.shape == (2, 13, 3)
         delta = rng.standard_normal(logits.shape)
         segments = [slice(0, 5), slice(5, 6), slice(6, 13)]
-        grads = _backward(layers, acts, delta, segments)
+        grads = planned_backward(layers, acts, delta, segments)
         assert grads.shape == (2, 3, nets[0].n_params)
         for i, net in enumerate(nets):
             net_acts, net_logits = _forward_cached(net.layers, X)
             assert_same_bits(logits[i], net_logits)
-            assert_same_bits(grads[i], _backward(net.layers, net_acts, delta[i], segments))
+            assert_same_bits(grads[i], planned_backward(net.layers, net_acts, delta[i], segments))
 
     @pytest.mark.parametrize("c", [2, 3, 5])
     def test_per_class_losses_bitwise(self, c):
@@ -599,3 +608,103 @@ class TestInPlaceBuffers:
                 two_task_gradients(model, X, bad, good)
             with pytest.raises(ValueError, match=r"task labels must lie in \[0, 2\)"):
                 two_task_gradients(model, X, good, bad)
+
+
+
+class TestTwoTaskPlan:
+    """``run_multitask`` plans its labels and gradient buffer once per run and
+    runs every batch into that plan; each run must be bitwise the one-off call."""
+
+    def setup_method(self):
+        from mograd.data import synth_two_task
+
+        self.data = synth_two_task(300, 6, seed=0)
+        self.model = init_two_head_mlp(6, trunk_hidden=(12, 8), head_classes=(2, 2), seed=1)
+
+    def train(self, monkeypatch, run, kappa=1.0, data=None):
+        """Two epochs of 64-row batches (four full, one of 44 rows), each batch
+        through ``run(real_run, *args)`` in place of the planned run."""
+        import mograd.optimize
+        from mograd.optimize import OptimizerConfig, run_multitask
+
+        real = mograd.optimize._two_task_run
+        monkeypatch.setattr(mograd.optimize, "_two_task_run", lambda *args: run(real, *args))
+        cfg = OptimizerConfig(learning_rate=0.01, max_iters=2, stop_tolerance=1e-14, seed=3)
+        return run_multitask(self.model, data or self.data, cfg, kappa=kappa, batch_size=64)
+
+    @pytest.mark.parametrize("kappa", [1.0, 50.0])
+    def test_every_batch_matches_the_one_off_call(self, monkeypatch, kappa):
+        y1, y2 = self.data.labels, self.data.labels2
+        rows = []
+
+        def run(real, model, X_batch, idx, plan):
+            ref = two_task_gradients(model, X_batch, y1[idx], y2[idx])
+            out = real(model, X_batch, idx, plan)
+            assert_same_bits(out[0], ref[0])
+            assert_same_bits(out[1], ref[1])
+            assert out[1].flags.c_contiguous
+            for h, r in zip(out[2], ref[2]):
+                assert_same_bits(h, r)
+            rows.append(idx.size)
+            return out
+
+        self.train(monkeypatch, run, kappa)
+        assert rows == [64, 64, 64, 64, 44] * 2
+
+    def test_every_batch_runs_into_one_buffer(self, monkeypatch):
+        import mograd.neural
+
+        buffers = []
+        real_plan = mograd.neural._backward_plan
+
+        def recorded_plan(*args):
+            grads, views = real_plan(*args)
+            buffers.append(grads)
+            return grads, views
+
+        monkeypatch.setattr(mograd.neural, "_backward_plan", recorded_plan)
+        plans = []
+
+        def run(real, model, X_batch, idx, plan):
+            out = real(model, X_batch, idx, plan)
+            assert len(buffers) == 1
+            for h in out[2]:
+                assert h.base is buffers[0]
+            plans.append(plan)
+            return out
+
+        self.train(monkeypatch, run)
+        assert len(plans) == 10
+        assert all(plan is plans[0] for plan in plans)
+
+    @pytest.mark.parametrize("task, bad", [(0, 2), (1, 2), (1, -1)])
+    def test_out_of_range_label_raises_before_any_step(self, monkeypatch, task, bad):
+        from mograd.data import Dataset
+
+        labels = [self.data.labels.copy(), self.data.labels2.copy()]
+        labels[task][-1] = bad  # the last row: in a late batch of any epoch
+        data = Dataset(self.data.features, labels[0], labels[1])
+        before = self.model.flatten()
+        calls = []
+        with pytest.raises(ValueError, match=r"^task labels must lie in \[0, 2\)$"):
+            self.train(monkeypatch, lambda real, *args: calls.append(args), data=data)
+        assert calls == []
+        assert_same_bits(self.model.flatten(), before)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_labels_rejected_as_by_the_one_off_call(self, monkeypatch, dtype):
+        from types import SimpleNamespace
+
+        from mograd.neural import _two_task_plan
+
+        y1, y2 = self.data.labels, self.data.labels2.astype(dtype)
+        X = self.data.features
+        with pytest.raises(TypeError) as one_off:
+            two_task_gradients(self.model, X[:64], y1[:64], y2[:64])
+        with pytest.raises(TypeError) as planned:
+            _two_task_plan(self.model, y1, y2)
+        with pytest.raises(TypeError) as trained:
+            self.train(monkeypatch, lambda real, *args: real(*args),
+                       data=SimpleNamespace(features=X, labels=y1, labels2=y2))
+        assert str(planned.value) == str(one_off.value)
+        assert str(trained.value) == str(one_off.value)

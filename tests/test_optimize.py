@@ -9,6 +9,7 @@ from mograd.exceptions import NumericalError
 from mograd.neural import (
     ClassLossSpec,
     MlpParams,
+    _two_task_run,
     init_mlp,
     init_two_head_mlp,
     per_class_losses,
@@ -429,12 +430,12 @@ class TestRunMultitask:
         calls = itertools.count(1)
 
         def poisoned(*args):
-            losses, shared, heads = two_task_gradients(*args)
+            losses, shared, heads = _two_task_run(*args)
             if next(calls) == 13:  # the third of ten batches in epoch 1
                 (shared if part == "shared" else heads[1])[0, ...] = np.nan
             return losses, shared, heads
 
-        monkeypatch.setattr("mograd.optimize.two_task_gradients", poisoned)
+        monkeypatch.setattr("mograd.optimize._two_task_run", poisoned)
         with pytest.raises(NumericalError) as excinfo:
             run_multitask(
                 self.model,
