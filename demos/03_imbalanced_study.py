@@ -14,8 +14,8 @@ gradient, mirroring how each method is tuned in practice.
 
 import numpy as np
 
-from mograd.cli import train_imbalanced
 from mograd.data import accuracy_per_class, stratified_split, synth_imbalanced
+from mograd.optimize import train_imbalanced
 
 SEEDS = (0, 1, 2)
 SETUPS = [

@@ -11,8 +11,7 @@ instead collapses onto the small gradient, starving the rescaled task.
 
 import numpy as np
 
-from mograd.cli import two_task_accuracy
-from mograd.data import stratified_split, synth_two_task
+from mograd.data import stratified_split, synth_two_task, two_task_accuracy
 from mograd.direction import edm_direction
 from mograd.neural import init_two_head_mlp, two_task_gradients
 from mograd.optimize import OptimizerConfig, run_multitask

@@ -1,18 +1,6 @@
-"""Config-driven experiment runner.
-
-Subcommands::
-
-    mograd direction GRADIENTS_FILE --method edm   one-shot direction report
-    mograd solve       descent on an analytic benchmark, trace + summary
-    mograd imbalanced  per-class training study on imbalanced data
-    mograd multitask   shared-trunk two-task study with loss scaling
-
-Every run writes one trace CSV and one summary JSON per seed, plus one
-aggregate JSON across seeds. Flags override values from --config (a JSON
-file with flat keys named like the flags, each value read as its flag's
-text would be). Exit codes: 0 success, 1 usage or config error, 2 data
-error, 3 numerical failure.
-"""
+"""Argument plumbing and output files of the ``mograd`` command (its help
+text is ``_DESCRIPTION``). The study cores live in ``mograd.optimize``
+and ``mograd.data``; every study writes its files through ``_study``."""
 
 from __future__ import annotations
 
@@ -27,37 +15,34 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    BatchPlan,
     Dataset,
     accuracy_per_class,
-    class_batches,
     load_csv,
     stratified_split,
     synth_imbalanced,
     synth_two_task,
+    two_task_accuracy,
 )
-from . import optimize
 from .direction import GradientSet
 from .exceptions import DataError, NumericalError
 from .minnorm import FwConfig
-from .neural import (
-    ClassLossSpec,
-    MlpParams,
-    _class_plan,
-    _grouped_losses,
-    init_mlp,
-    init_two_head_mlp,
-    predict_two_task,
+from .neural import init_two_head_mlp
+from .optimize import (
+    METHODS,
+    OptimizerConfig,
+    _imbalanced_method,
+    _run_flat,
+    run_multitask,
+    train_imbalanced,
 )
-from .optimize import METHODS, OptimizerConfig, RunResult, run_multitask
-from .problems import MultiLossProblem, QuadraticPair, pareto_set_distance
+from .problems import QuadraticPair, pareto_set_distance
 
 # a direction this short counts as a stationarity certificate in reports
 _STATIONARY_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# output files
+# output files and the per-seed frame of the studies
 
 
 def _fmt(value) -> str:
@@ -92,137 +77,60 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _summary(method: str, seed: int, result: RunResult, wall_ms: float, **extra) -> dict:
-    payload = {
-        "method": method,
-        "seed": seed,
-        "iterations": result.iterations_used,
-        "converged": result.converged,
-        "final_losses": [float(v) for v in result.trace[-1].losses] if result.trace else [],
-        "stationarity_residual": result.stationarity,
-        "wall_time_ms": wall_ms,
+class _Clock:
+    """Times the ``with`` block it guards, in milliseconds."""
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.ms = 1000.0 * (time.perf_counter() - self._start)
+
+
+def _study(opts: dict, name: str, run_seed, aggregate) -> int:
+    """Run one study's seeds and write its files; the frame of every study.
+
+    ``run_seed(seed, clock)`` runs one seed, with its training call alone
+    inside ``with clock:``, and returns the ``RunResult``, the number of
+    losses, the extra summary fields and the line to print. Each seed
+    writes ``trace_{name}_{seed}.csv`` and ``summary_{name}_{seed}.json``;
+    after the last, ``aggregate(name, summaries)`` plus the seeds goes to
+    ``aggregate_{name}.json``. The output directory is made with the first
+    file, so a run that fails before then leaves none.
+    """
+    out_dir = Path(opts["out_dir"])
+    summaries = []
+    for repeat in range(opts["repeats"]):
+        seed = opts["seed"] + repeat
+        clock = _Clock()
+        result, n_losses, extra, line = run_seed(seed, clock)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_trace(out_dir / f"trace_{name}_{seed}.csv", result.trace, n_losses)
+        summary = {
+            "method": opts["method"],
+            "seed": seed,
+            "iterations": result.iterations_used,
+            "converged": result.converged,
+            "final_losses": [float(v) for v in result.trace[-1].losses] if result.trace else [],
+            "stationarity_residual": result.stationarity,
+            "wall_time_ms": clock.ms,
+            **extra,
+        }
+        _write_json(out_dir / f"summary_{name}_{seed}.json", summary)
+        summaries.append(summary)
+        print(f"seed {seed}: {line}")
+    payload = {"seeds": [s["seed"] for s in summaries], **aggregate(name, summaries)}
+    _write_json(out_dir / f"aggregate_{name}.json", payload)
+    return 0
+
+
+def _accuracy_aggregate(name: str, summaries: list[dict]) -> dict:
+    accs = np.array([s["per_class_accuracy"] for s in summaries], dtype=float)
+    return {
+        "experiment": name,
+        "mean_accuracy": [float(v) for v in accs.mean(axis=0)],
+        "std_accuracy": [float(v) for v in accs.std(axis=0)],
     }
-    payload.update(extra)
-    return payload
-
-
-def _aggregate(path: Path, name: str, summaries: list[dict], accuracy_key: str) -> None:
-    accs = np.array([s[accuracy_key] for s in summaries], dtype=float)
-    _write_json(
-        path,
-        {
-            "experiment": name,
-            "seeds": [s["seed"] for s in summaries],
-            "mean_accuracy": [float(v) for v in accs.mean(axis=0)],
-            "std_accuracy": [float(v) for v in accs.std(axis=0)],
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# experiment cores (also used by the demo scripts and the acceptance suite)
-
-
-def _run_flat(problem: MultiLossProblem, theta0, cfg: OptimizerConfig) -> RunResult:
-    """The flat loop of ``cfg.method``, looked up on ``mograd.optimize`` at call time
-    so that wrappers installed there (the benchmark's tracer) see the call."""
-    return getattr(optimize, f"run_{cfg.method}")(problem, theta0, cfg)
-
-
-def _epoch_batch_oracle(net, spec, ds: Dataset, plan, epochs):
-    """Stateful problem oracle: each call evaluates the next per-class batch.
-
-    Writes ``theta`` into ``net``'s buffer in place. Single-consumer (the
-    descent loop). The batches are those of ``class_batches`` for
-    ``epochs + 1`` epochs: the loop evaluates the oracle once more at the
-    final point, and that call reads the first batch of the spare epoch.
-
-    Every batch holds the same number of rows of each class, in class
-    order, so its labels and class segments are fixed for the run, and one
-    per-class plan (label picks, segments, gradient buffer and its layer
-    views) serves every step. Each call returns that same gradient buffer,
-    valid until the next call, as the descent loops allow. Each epoch's
-    schedule is one ``(batches_per_epoch, rows)`` index array, checked
-    against ``ds.labels`` once when it is drawn; a step then only runs the
-    forward pass, the loss and the backward pass.
-    """
-    X = ds.features
-    sizes = [idx.size // plan.batches_per_epoch for idx in ds.class_index_sets]
-    if len(sizes) > spec.n_classes:
-        raise ValueError(f"labels must lie in [0, {spec.n_classes})")
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    class_plan = _class_plan(net, labels, spec.n_classes)
-    epochs_iter = class_batches(ds, plan, epochs=epochs + 1)
-    schedule, step = None, plan.batches_per_epoch
-
-    def problem(theta):
-        nonlocal schedule, step
-        if step == plan.batches_per_epoch:
-            schedule = np.array([np.concatenate(batch) for batch in next(epochs_iter)])
-            if not (ds.labels[schedule] == labels).all():
-                raise ValueError("a batch's rows are not grouped by class")
-            step = 0
-        net.flat[:] = theta
-        rows = schedule[step]
-        step += 1
-        return _grouped_losses(net, X[rows], class_plan)
-
-    return problem
-
-
-def _imbalanced_method(method: str) -> str:
-    """The registry method behind an imbalanced-study ``method``: ``edm``,
-    ``mgda``, or ``sgd``, the class-weighted sum (``weighted_sum`` itself
-    is not accepted)."""
-    if method not in ("edm", "mgda", "sgd"):
-        raise ValueError(f"method must be edm, mgda, or sgd, got {method!r}")
-    return "weighted_sum" if method == "sgd" else method
-
-
-def train_imbalanced(
-    train_ds: Dataset,
-    method: str,
-    mu: float,
-    lr: float,
-    epochs: int,
-    batches_per_epoch: int,
-    seed: int,
-    hidden: int = 100,
-    fw: FwConfig = FwConfig(),
-) -> tuple[MlpParams, RunResult]:
-    """Train the two-layer classifier on per-class batch losses.
-
-    ``method`` is ``edm``, ``mgda``, or ``sgd`` (gradient descent on the
-    class-weighted total loss with minor-class weight ``mu``). Returns the
-    trained network, whose ``flat`` is the run's ``final_point``.
-    """
-    run_method = _imbalanced_method(method)
-    n_classes = train_ds.n_classes
-    net = init_mlp([train_ds.n_features, hidden, n_classes], seed)
-    spec = ClassLossSpec(np.array([1.0] + [float(mu)] * (n_classes - 1)))
-    plan = BatchPlan(batches_per_epoch=batches_per_epoch, seed=seed + 1)
-    problem = _epoch_batch_oracle(net, spec, train_ds, plan, epochs)
-    cfg = OptimizerConfig(
-        method=run_method,
-        learning_rate=lr,
-        max_iters=epochs * batches_per_epoch,
-        stop_tolerance=1e-300,
-        weights=spec.class_weights,
-        fw=fw,
-        seed=seed,
-    )
-    # The loop's last oracle call writes final_point into net.flat.
-    result = _run_flat(problem, net.flat, cfg)
-    return net, result
-
-
-def two_task_accuracy(model, ds: Dataset) -> list[float]:
-    """Test accuracy of each head on its own task."""
-    logits1, logits2 = predict_two_task(model, ds.features)
-    return [
-        float(np.mean(np.argmax(logits1, axis=1) == ds.labels)),
-        float(np.mean(np.argmax(logits2, axis=1) == ds.labels2)),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -311,55 +219,34 @@ def cmd_solve(opts: dict) -> int:
         weights=weights,
         fw=_fw_config(opts),
     )
-    out_dir = Path(opts["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    summaries = []
-    for repeat in range(opts["repeats"]):
-        seed = opts["seed"] + repeat
-        rng = np.random.default_rng(seed)
-        theta0 = rng.uniform(-2.0, 2.0, size=pair.dim)
-        t0 = time.perf_counter()
-        result = _run_flat(pair, theta0, replace(base, seed=seed))
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
-        name = f"{opts['problem']}_{method}"
-        _write_trace(out_dir / f"trace_{name}_{seed}.csv", result.trace, 2)
-        summary = _summary(
-            method,
-            seed,
-            result,
-            wall_ms,
-            problem=opts["problem"],
-            final_point=[float(v) for v in result.final_point],
-            segment_distance=pareto_set_distance(pair, result.final_point),
-        )
-        _write_json(out_dir / f"summary_{name}_{seed}.json", summary)
-        summaries.append(summary)
-        print(
-            f"seed {seed}: converged={summary['converged']} "
-            f"iterations={summary['iterations']} "
-            f"segment_distance={summary['segment_distance']:.2e}"
-        )
-    _write_json(
-        out_dir / f"aggregate_{opts['problem']}_{method}.json",
-        {
-            "experiment": f"solve_{opts['problem']}_{method}",
-            "seeds": [s["seed"] for s in summaries],
+    def run_seed(seed, clock):
+        theta0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=pair.dim)
+        with clock:
+            result = _run_flat(pair, theta0, replace(base, seed=seed))
+        distance = pareto_set_distance(pair, result.final_point)
+        extra = {
+            "problem": opts["problem"],
+            "final_point": [float(v) for v in result.final_point],
+            "segment_distance": distance,
+        }
+        line = (f"converged={result.converged} iterations={result.iterations_used} "
+                f"segment_distance={distance:.2e}")
+        return result, 2, extra, line
+
+    def aggregate(name, summaries):
+        return {
+            "experiment": f"solve_{name}",
             "converged": [s["converged"] for s in summaries],
-            "mean_segment_distance": float(
-                np.mean([s["segment_distance"] for s in summaries])
-            ),
-        },
-    )
-    return 0
+            "mean_segment_distance": float(np.mean([s["segment_distance"] for s in summaries])),
+        }
+
+    return _study(opts, f"{opts['problem']}_{method}", run_seed, aggregate)
 
 
 def _imbalanced_dataset(opts: dict, seed: int) -> Dataset:
     if opts["csv"]:
-        return load_csv(
-            opts["csv"],
-            label_column=opts["label_column"],
-        )
+        return load_csv(opts["csv"], label_column=opts["label_column"])
     try:
         n_major, n_minor, m, separation = (
             float(v) for v in str(opts["synthetic"]).split(",")
@@ -368,56 +255,33 @@ def _imbalanced_dataset(opts: dict, seed: int) -> Dataset:
         raise ValueError(
             "--synthetic expects 'n_major,n_minor,n_features,separation'"
         ) from exc
+    if not all(v.is_integer() for v in (n_major, n_minor, m)):
+        raise ValueError(f"--synthetic counts must be integers, got {opts['synthetic']!r}")
     return synth_imbalanced(int(n_major), int(n_minor), int(m), separation, seed=seed)
 
 
 def cmd_imbalanced(opts: dict) -> int:
-    _imbalanced_method(opts["method"])
+    _imbalanced_method(opts["method"])  # a usage error before any data is read
     if not (0 < opts["mu"] < math.inf):
         raise ValueError(f"mu must be positive and finite, got {opts['mu']}")
-    out_dir = Path(opts["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     fw = _fw_config(opts)
 
-    summaries = []
-    for repeat in range(opts["repeats"]):
-        seed = opts["seed"] + repeat
+    def run_seed(seed, clock):
         ds = _imbalanced_dataset(opts, seed)
         train_ds, test_ds = stratified_split(ds, opts["test_fraction"], seed=seed)
-        t0 = time.perf_counter()
-        net, result = train_imbalanced(
-            train_ds,
-            opts["method"],
-            opts["mu"],
-            opts["lr"],
-            opts["epochs"],
-            opts["batches_per_epoch"],
-            seed,
-            hidden=opts["hidden"],
-            fw=fw,
-        )
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
+        with clock:
+            net, result = train_imbalanced(
+                train_ds, opts["method"], opts["mu"], opts["lr"], opts["epochs"],
+                opts["batches_per_epoch"], seed, hidden=opts["hidden"], fw=fw,
+            )
         accuracy = accuracy_per_class(net, test_ds)
-        name = f"imbalanced_{opts['method']}"
-        _write_trace(out_dir / f"trace_{name}_{seed}.csv", result.trace, ds.n_classes)
-        summary = _summary(
-            opts["method"],
-            seed,
-            result,
-            wall_ms,
-            mu=opts["mu"],
-            per_class_accuracy=accuracy,
-        )
-        _write_json(out_dir / f"summary_{name}_{seed}.json", summary)
-        summaries.append(summary)
-        print(f"seed {seed}: per-class accuracy {accuracy}")
-    _aggregate(out_dir / f"aggregate_{name}.json", name, summaries, "per_class_accuracy")
-    return 0
+        extra = {"mu": opts["mu"], "per_class_accuracy": accuracy}
+        return result, ds.n_classes, extra, f"per-class accuracy {accuracy}"
+
+    return _study(opts, f"imbalanced_{opts['method']}", run_seed, _accuracy_aggregate)
 
 
 def cmd_multitask(opts: dict) -> int:
-    if not (1 <= opts["kappa"] < math.inf):
-        raise ValueError(f"kappa must be >= 1 and finite, got {opts['kappa']}")
     base = OptimizerConfig(
         method=opts["method"],
         learning_rate=opts["lr"],
@@ -426,43 +290,44 @@ def cmd_multitask(opts: dict) -> int:
         weights=np.ones(2),
         fw=_fw_config(opts),
     )
-    out_dir = Path(opts["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     data = synth_two_task(opts["n"], opts["m"], seed=opts["seed"])
     train_ds, test_ds = stratified_split(data, opts["test_fraction"], seed=opts["seed"])
-    summaries = []
-    for repeat in range(opts["repeats"]):
-        seed = opts["seed"] + repeat
+
+    def run_seed(seed, clock):
         model = init_two_head_mlp(
             opts["m"], trunk_hidden=(32, 16), head_classes=(2, 2), seed=seed
         )
         cfg = replace(base, seed=seed + 10_000)
-        t0 = time.perf_counter()
-        trained, result = run_multitask(
-            model, train_ds, cfg, kappa=opts["kappa"], batch_size=opts["batch_size"]
-        )
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
+        with clock:
+            trained, result = run_multitask(
+                model, train_ds, cfg, kappa=opts["kappa"], batch_size=opts["batch_size"]
+            )
         accuracy = two_task_accuracy(trained, test_ds)
-        name = f"multitask_{opts['method']}_k{opts['kappa']:g}"
-        _write_trace(out_dir / f"trace_{name}_{seed}.csv", result.trace, 2)
-        summary = _summary(
-            opts["method"],
-            seed,
-            result,
-            wall_ms,
-            kappa=opts["kappa"],
-            per_class_accuracy=accuracy,
-        )
-        _write_json(out_dir / f"summary_{name}_{seed}.json", summary)
-        summaries.append(summary)
-        print(f"seed {seed}: per-task accuracy {accuracy}")
-    _aggregate(out_dir / f"aggregate_{name}.json", name, summaries, "per_class_accuracy")
-    return 0
+        extra = {"kappa": opts["kappa"], "per_class_accuracy": accuracy}
+        return result, 2, extra, f"per-task accuracy {accuracy}"
+
+    name = f"multitask_{opts['method']}_k{opts['kappa']:g}"
+    return _study(opts, name, run_seed, _accuracy_aggregate)
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+_DESCRIPTION = """Config-driven experiment runner.
+
+Subcommands::
+
+    mograd direction GRADIENTS_FILE --method edm   one-shot direction report
+    mograd solve       descent on an analytic benchmark, trace + summary
+    mograd imbalanced  per-class training study on imbalanced data
+    mograd multitask   shared-trunk two-task study with loss scaling
+
+Every run writes one trace CSV and one summary JSON per seed, plus one
+aggregate JSON across seeds. Flags override values from --config (a JSON
+file with flat keys named like the flags, each value read as its flag's
+text would be). Exit codes: 0 success, 1 usage or config error, 2 data
+error, 3 numerical failure.
+"""
 
 # Every option once: key -> (type, help). Key ``foo_bar`` is flag ``--foo-bar``.
 _OPTIONS = {
@@ -528,7 +393,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="mograd", description=__doc__,
+    parser = _Parser(prog="mograd", description=_DESCRIPTION,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, defaults) in _SUBCOMMANDS.items():

@@ -9,6 +9,7 @@ dataset reloads bitwise.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -16,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .exceptions import DataError
-from .neural import MlpParams, forward
+from .neural import MlpParams, TwoHeadMlp, forward, predict_two_task
 
 __all__ = [
     "Dataset",
@@ -29,6 +30,7 @@ __all__ = [
     "stratified_counts",
     "class_batches",
     "accuracy_per_class",
+    "two_task_accuracy",
 ]
 
 
@@ -100,6 +102,8 @@ def synth_imbalanced(
         raise ValueError("both classes need at least one sample")
     if m < 1:
         raise ValueError("need at least one feature")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     rng = np.random.default_rng(seed)
     offset = separation / np.sqrt(m)
     major = rng.standard_normal((n_major, m))
@@ -119,6 +123,8 @@ def synth_two_task(n: int, m: int, seed: int, separation: float = 4.0) -> Datase
         raise ValueError("need at least one sample")
     if m < 2:
         raise ValueError("need at least two features to host two tasks")
+    if not math.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
     rng = np.random.default_rng(seed)
     half = m // 2
     y1 = rng.integers(0, 2, size=n)
@@ -277,3 +283,12 @@ def accuracy_per_class(net: MlpParams, ds: Dataset) -> list[float | None]:
         else:
             result.append(float(np.mean(predictions[idx] == ds.labels[idx])))
     return result
+
+
+def two_task_accuracy(model: TwoHeadMlp, ds: Dataset) -> list[float]:
+    """Test accuracy of each head on its own task."""
+    logits1, logits2 = predict_two_task(model, ds.features)
+    return [
+        float(np.mean(np.argmax(logits1, axis=1) == ds.labels)),
+        float(np.mean(np.argmax(logits2, axis=1) == ds.labels2)),
+    ]

@@ -119,6 +119,8 @@ def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list, int]:
 
 def init_mlp(dims: list[int], rng: np.random.Generator | int) -> MlpParams:
     """Seeded initialization: weights uniform in +-sqrt(6/(fan_in+fan_out)), biases 0."""
+    if min(dims) < 1:
+        raise ValueError(f"layer width must be >= 1, got {min(dims)} in dims {list(dims)}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     layers = []

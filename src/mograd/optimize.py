@@ -8,7 +8,9 @@ its ``normalized_direction``. The flat loop (``run_edm``/``run_mgda``/
 every step; ``run_multitask`` steps a two-head network per batch and traces
 each epoch's means. Both make each direction through one step core, which
 checks the caller's arrays, calls the registry, checks the direction and
-names the iteration or epoch in any ``NumericalError``.
+names the iteration or epoch in any ``NumericalError``. The two studies'
+trainers live here too: ``train_imbalanced`` runs the flat loop on
+per-class batch losses, and ``run_multitask`` is the two-task trainer.
 
 The oracle contract: the flat loop is done with the arrays of one problem
 call before it makes the next, and keeps none of them (a trace holds its
@@ -24,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .data import BatchPlan, Dataset, class_batches
 from .direction import (
     DirectionResult,
     GradientSet,
@@ -34,7 +37,17 @@ from .direction import (
 )
 from .exceptions import NumericalError
 from .minnorm import FwConfig
-from .neural import TwoHeadMlp, _two_task_plan, _two_task_run, two_task_gradients
+from .neural import (
+    ClassLossSpec,
+    MlpParams,
+    TwoHeadMlp,
+    _class_plan,
+    _grouped_losses,
+    _two_task_plan,
+    _two_task_run,
+    init_mlp,
+    two_task_gradients,
+)
 from .problems import MultiLossProblem
 
 __all__ = [
@@ -46,6 +59,7 @@ __all__ = [
     "run_mgda",
     "run_weighted_sum",
     "run_multitask",
+    "train_imbalanced",
 ]
 
 
@@ -199,6 +213,99 @@ def run_mgda(problem: MultiLossProblem, theta0, cfg: OptimizerConfig) -> RunResu
 def run_weighted_sum(problem: MultiLossProblem, theta0, cfg: OptimizerConfig) -> RunResult:
     """Plain gradient descent on the fixed conical combination of the losses."""
     return _descend(problem, theta0, cfg, "weighted_sum")
+
+
+def _run_flat(problem: MultiLossProblem, theta0, cfg: OptimizerConfig) -> RunResult:
+    """The flat loop of ``cfg.method``, looked up in this module at call time
+    so that wrappers installed on it (the benchmark's tracer) see the call."""
+    return globals()[f"run_{cfg.method}"](problem, theta0, cfg)
+
+
+def _epoch_batch_oracle(net, spec, ds: Dataset, plan, epochs):
+    """Stateful problem oracle: each call evaluates the next per-class batch.
+
+    Writes ``theta`` into ``net``'s buffer in place. Single-consumer (the
+    descent loop). The batches are those of ``class_batches`` for
+    ``epochs + 1`` epochs: the loop evaluates the oracle once more at the
+    final point, and that call reads the first batch of the spare epoch.
+
+    Every batch holds the same number of rows of each class, in class
+    order, so its labels and class segments are fixed for the run, and one
+    per-class plan (label picks, segments, gradient buffer and its layer
+    views) serves every step. Each call returns that same gradient buffer,
+    valid until the next call, as the descent loops allow. Each epoch's
+    schedule is one ``(batches_per_epoch, rows)`` index array, checked
+    against ``ds.labels`` once when it is drawn; a step then only runs the
+    forward pass, the loss and the backward pass.
+    """
+    X = ds.features
+    sizes = [idx.size // plan.batches_per_epoch for idx in ds.class_index_sets]
+    if len(sizes) > spec.n_classes:
+        raise ValueError(f"labels must lie in [0, {spec.n_classes})")
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    class_plan = _class_plan(net, labels, spec.n_classes)
+    epochs_iter = class_batches(ds, plan, epochs=epochs + 1)
+    schedule, step = None, plan.batches_per_epoch
+
+    def problem(theta):
+        nonlocal schedule, step
+        if step == plan.batches_per_epoch:
+            schedule = np.array([np.concatenate(batch) for batch in next(epochs_iter)])
+            if not (ds.labels[schedule] == labels).all():
+                raise ValueError("a batch's rows are not grouped by class")
+            step = 0
+        net.flat[:] = theta
+        rows = schedule[step]
+        step += 1
+        return _grouped_losses(net, X[rows], class_plan)
+
+    return problem
+
+
+def _imbalanced_method(method: str) -> str:
+    """The registry method behind an imbalanced-study ``method``: ``edm``,
+    ``mgda``, or ``sgd``, the class-weighted sum (``weighted_sum`` itself
+    is not accepted)."""
+    if method not in ("edm", "mgda", "sgd"):
+        raise ValueError(f"method must be edm, mgda, or sgd, got {method!r}")
+    return "weighted_sum" if method == "sgd" else method
+
+
+def train_imbalanced(
+    train_ds: Dataset,
+    method: str,
+    mu: float,
+    lr: float,
+    epochs: int,
+    batches_per_epoch: int,
+    seed: int,
+    hidden: int = 100,
+    fw: FwConfig = FwConfig(),
+) -> tuple[MlpParams, RunResult]:
+    """Train the two-layer classifier on per-class batch losses.
+
+    ``method`` is ``edm``, ``mgda``, or ``sgd`` (gradient descent on the
+    class-weighted total loss with minor-class weight ``mu``). Returns the
+    trained network, whose ``flat`` is the run's ``final_point``.
+    """
+    run_method = _imbalanced_method(method)
+    n_classes = train_ds.n_classes
+    net = init_mlp([train_ds.n_features, hidden, n_classes], seed)
+    spec = ClassLossSpec(np.array([1.0] + [float(mu)] * (n_classes - 1)))
+    plan = BatchPlan(batches_per_epoch=batches_per_epoch, seed=seed + 1)
+    problem = _epoch_batch_oracle(net, spec, train_ds, plan, epochs)
+    cfg = OptimizerConfig(
+        method=run_method,
+        learning_rate=lr,
+        max_iters=epochs * batches_per_epoch,
+        stop_tolerance=1e-300,
+        weights=spec.class_weights,
+        fw=fw,
+        seed=seed,
+    )
+    # The loop's last oracle call writes final_point into net.flat.
+    result = _run_flat(problem, net.flat, cfg)
+    return net, result
 
 
 def _apply_kappa(losses, shared, head_grads, kappa: float):

@@ -4,12 +4,11 @@ import re
 import numpy as np
 import pytest
 
-import mograd.cli
 import mograd.optimize
-from mograd.cli import _epoch_batch_oracle, _write_trace, main, train_imbalanced
+from mograd.cli import _write_trace, main, train_imbalanced
 from mograd.data import BatchPlan, Dataset, class_batches, synth_imbalanced
 from mograd.neural import ClassLossSpec, init_mlp, per_class_losses
-from mograd.optimize import IterationTrace
+from mograd.optimize import IterationTrace, _epoch_batch_oracle
 
 
 def read_json(path):
@@ -22,6 +21,7 @@ def write_grads(path, lines):
 
 TINY_IMBALANCED = ["--epochs", "2", "--batches-per-epoch", "2", "--synthetic", "60,12,3,3.0",
                    "--hidden", "5"]
+TINY_MULTITASK = ["--epochs", "1", "--n", "200", "--m", "4"]
 
 
 class TestDirectionCommand:
@@ -238,7 +238,7 @@ def subcommand_args(command, tmp_path):
     if command == "imbalanced":
         return ["imbalanced", *TINY_IMBALANCED]
     if command == "multitask":
-        return ["multitask", "--epochs", "1", "--n", "200", "--m", "4"]
+        return ["multitask", *TINY_MULTITASK]
     return ["solve", "--iters", "5"]
 
 
@@ -259,6 +259,61 @@ class TestRepeats:
         assert main(args + ["--out-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: repeats must be >= 1, got {value}\n"
         assert not out.exists()
+
+
+class TestErrorsLeaveNoOutput:
+    @pytest.mark.parametrize("args, code", [
+        (["imbalanced", *TINY_IMBALANCED, "--lr", "nan"], 1),
+        (["imbalanced", *TINY_IMBALANCED, "--test-fraction", "2"], 1),
+        (["imbalanced", *TINY_IMBALANCED, "--epochs", "-1"], 1),
+        (["imbalanced", *TINY_IMBALANCED, "--batches-per-epoch", "0"], 1),
+        (["imbalanced", "--csv", "missing.csv"], 2),
+        (["multitask", *TINY_MULTITASK, "--batch-size", "0"], 1),
+        (["multitask", *TINY_MULTITASK, "--test-fraction", "2"], 1),
+        (["multitask", *TINY_MULTITASK, "--n", "0"], 1),
+        (["multitask", *TINY_MULTITASK, "--kappa", "nan"], 1),
+        (["solve", "--method", "weighted_sum", "--weights", "1,1,1", "--iters", "5"], 1),
+    ])
+    def test_error_exits_without_output(self, tmp_path, args, code):
+        out = tmp_path / "out"
+        assert main(args + ["--out-dir", str(out)]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--hidden", "0"], "layer width must be >= 1, got 0"),
+        (["--hidden", "-1"], "layer width must be >= 1, got -1"),
+        (["--synthetic", "60,12,3.9,3.0"], "--synthetic counts must be integers"),
+        (["--synthetic", "60,12,inf,3.0"], "--synthetic counts must be integers"),
+        (["--synthetic", "60,12,3,nan"], "separation must be finite, got nan"),
+        (["--synthetic", "60,12,3,inf"], "separation must be finite, got inf"),
+    ])
+    def test_imbalanced_usage_errors(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert main(["imbalanced", *TINY_IMBALANCED, *flags, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_synthetic_counts_in_float_notation_run(self, tmp_path):
+        args = ["imbalanced", *TINY_IMBALANCED, "--synthetic", "6e1,12.0,3,3.0"]
+        assert main(args + ["--out-dir", str(tmp_path)]) == 0
+
+
+class TestStudyFrame:
+    @pytest.mark.parametrize("args, name", [
+        (["solve", "--iters", "5"], "quadratic2_edm"),
+        (["imbalanced", *TINY_IMBALANCED], "imbalanced_edm"),
+        (["multitask", *TINY_MULTITASK], "multitask_edm_k1"),
+    ])
+    def test_files_lines_and_seeds_per_repeat(self, tmp_path, capsys, args, name):
+        assert main(args + ["--seed", "3", "--repeats", "2", "--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+            f"aggregate_{name}.json",
+            f"summary_{name}_3.json", f"summary_{name}_4.json",
+            f"trace_{name}_3.csv", f"trace_{name}_4.csv",
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["seed 3", "seed 4"]
+        assert read_json(tmp_path / f"aggregate_{name}.json")["seeds"] == [3, 4]
 
 
 class TestMethodValidation:
@@ -301,11 +356,13 @@ class TestLoopBindings:
         assert loops == ["run_edm"]
         assert len(directions) >= 5
 
-    def test_imbalanced_sgd_calls_run_weighted_sum(self, tmp_path, monkeypatch):
-        loops = self.spy(monkeypatch, "run_weighted_sum")
-        args = ["imbalanced", "--method", "sgd", *TINY_IMBALANCED, "--out-dir", str(tmp_path)]
+    @pytest.mark.parametrize("method, loop", [
+        ("edm", "run_edm"), ("mgda", "run_mgda"), ("sgd", "run_weighted_sum")])
+    def test_imbalanced_calls_the_module_loop(self, tmp_path, monkeypatch, method, loop):
+        loops = self.spy(monkeypatch, loop)
+        args = ["imbalanced", "--method", method, *TINY_IMBALANCED, "--out-dir", str(tmp_path)]
         assert main(args) == 0
-        assert loops == ["run_weighted_sum"]
+        assert loops == [loop]
 
 
 class TestTrainImbalanced:
@@ -370,8 +427,8 @@ class TestEpochBatchOracle:
             seen.append(X.copy())
             return core(net, X, class_plan)
 
-        core = mograd.cli._grouped_losses
-        monkeypatch.setattr(mograd.cli, "_grouped_losses", spy)
+        core = mograd.optimize._grouped_losses
+        monkeypatch.setattr(mograd.optimize, "_grouped_losses", spy)
         rng = np.random.default_rng(c)
         calls = epochs * plan.batches_per_epoch + 1
         for k in range(calls):
@@ -390,7 +447,7 @@ class TestEpochBatchOracle:
         ds = multiclass_dataset(c, seed=10 + c)
         args = (ds, method, 2.0, 1e-2, 3, 2)
         net, result = train_imbalanced(*args, seed=c, hidden=5)
-        monkeypatch.setattr(mograd.cli, "_epoch_batch_oracle", old_epoch_batch_oracle)
+        monkeypatch.setattr(mograd.optimize, "_epoch_batch_oracle", old_epoch_batch_oracle)
         old_net, old_result = train_imbalanced(*args, seed=c, hidden=5)
         assert_same_bits(result.final_point, old_result.final_point)
         assert_same_bits(net.flat, old_net.flat)

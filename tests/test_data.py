@@ -48,6 +48,11 @@ class TestSynthImbalanced:
         with pytest.raises(ValueError):
             synth_imbalanced(0, 10, 2, 1.0, seed=0)
 
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+    def test_non_finite_separation(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            synth_imbalanced(10, 5, 2, separation, seed=0)
+
 
 class TestSynthTwoTask:
     def test_per_task_linear_separability(self):
@@ -71,6 +76,11 @@ class TestSynthTwoTask:
     def test_too_few_features(self):
         with pytest.raises(ValueError):
             synth_two_task(10, 1, seed=0)
+
+    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+    def test_non_finite_separation(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            synth_two_task(10, 4, seed=0, separation=separation)
 
 
 class TestCsv:

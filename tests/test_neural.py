@@ -79,6 +79,16 @@ class TestMlpParams:
             assert np.all(np.abs(W) <= bound)
             assert np.array_equal(b, np.zeros_like(b))
 
+    @pytest.mark.parametrize("dims, width", [
+        ([4, 0, 2], 0), ([4, -1, 2], -1), ([0, 5, 2], 0), ([4, 5, 0], 0)])
+    def test_init_rejects_a_width_below_one(self, dims, width):
+        with pytest.raises(ValueError, match=rf"layer width must be >= 1, got {width} in dims"):
+            init_mlp(dims, 0)
+
+    def test_two_head_init_rejects_a_zero_trunk_width(self):
+        with pytest.raises(ValueError, match="layer width must be >= 1, got 0"):
+            init_two_head_mlp(4, trunk_hidden=(6, 0), head_classes=(2, 2), seed=0)
+
 
 class TestForward:
     def test_zero_net_gives_zero_logits(self):
