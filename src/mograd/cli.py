@@ -244,19 +244,15 @@ def cmd_solve(opts: dict) -> int:
     return _study(opts, f"{opts['problem']}_{method}", run_seed, aggregate)
 
 
-def _imbalanced_dataset(opts: dict, seed: int) -> Dataset:
-    if opts["csv"]:
-        return load_csv(opts["csv"], label_column=opts["label_column"])
+def _synthetic_dataset(spec: str, seed: int) -> Dataset:
     try:
-        n_major, n_minor, m, separation = (
-            float(v) for v in str(opts["synthetic"]).split(",")
-        )
+        n_major, n_minor, m, separation = (float(v) for v in str(spec).split(","))
     except ValueError as exc:
         raise ValueError(
             "--synthetic expects 'n_major,n_minor,n_features,separation'"
         ) from exc
     if not all(v.is_integer() for v in (n_major, n_minor, m)):
-        raise ValueError(f"--synthetic counts must be integers, got {opts['synthetic']!r}")
+        raise ValueError(f"--synthetic counts must be integers, got {spec!r}")
     return synth_imbalanced(int(n_major), int(n_minor), int(m), separation, seed=seed)
 
 
@@ -265,9 +261,11 @@ def cmd_imbalanced(opts: dict) -> int:
     if not (0 < opts["mu"] < math.inf):
         raise ValueError(f"mu must be positive and finite, got {opts['mu']}")
     fw = _fw_config(opts)
+    # A CSV dataset does not depend on the seed; a synthetic one is drawn per seed.
+    csv_ds = load_csv(opts["csv"], label_column=opts["label_column"]) if opts["csv"] else None
 
     def run_seed(seed, clock):
-        ds = _imbalanced_dataset(opts, seed)
+        ds = csv_ds or _synthetic_dataset(opts["synthetic"], seed)
         train_ds, test_ds = stratified_split(ds, opts["test_fraction"], seed=seed)
         with clock:
             net, result = train_imbalanced(

@@ -21,7 +21,6 @@ from .neural import MlpParams, TwoHeadMlp, forward, predict_two_task
 
 __all__ = [
     "Dataset",
-    "BatchPlan",
     "synth_imbalanced",
     "synth_two_task",
     "load_csv",
@@ -80,18 +79,6 @@ class Dataset:
             labels2=None if self.labels2 is None else self.labels2[indices],
             feature_names=self.feature_names,
         )
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """How many per-class batches each epoch draws, and the shuffle seed."""
-
-    batches_per_epoch: int = 40
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.batches_per_epoch < 1:
-            raise ValueError(f"batches_per_epoch must be >= 1, got {self.batches_per_epoch}")
 
 
 def synth_imbalanced(
@@ -238,32 +225,34 @@ def stratified_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
 
 
 def class_batches(
-    ds: Dataset, plan: BatchPlan, epochs: int = 1
-) -> Iterator[list[tuple[np.ndarray, ...]]]:
-    """Yield, per epoch, the planned number of per-class index-batch tuples.
+    ds: Dataset, batches_per_epoch: int, seed: int, epochs: int
+) -> Iterator[np.ndarray]:
+    """Iterate over ``epochs`` epochs of per-class batches, one index array each.
 
     Each epoch reshuffles every class and slices it into
     ``batches_per_epoch`` equal batches of ``floor(|C_i| / batches_per_epoch)``
-    samples; leftover tail samples are dropped for that epoch. Tuple k of
-    an epoch holds batch k of every class.
+    samples; leftover tail samples are dropped for that epoch. An epoch is a
+    ``(batches_per_epoch, rows)`` array whose row k is batch k: class 0's
+    rows, then class 1's, and so on. The arguments are checked here, before
+    the first epoch is drawn.
     """
-    sizes = [idx.size // plan.batches_per_epoch for idx in ds.class_index_sets]
+    if batches_per_epoch < 1:
+        raise ValueError(f"batches_per_epoch must be >= 1, got {batches_per_epoch}")
+    sizes = [idx.size // batches_per_epoch for idx in ds.class_index_sets]
     for i, size in enumerate(sizes):
         if size < 1:
             raise ValueError(
                 f"class {i} has {ds.class_index_sets[i].size} samples, "
-                f"fewer than {plan.batches_per_epoch} batches per epoch"
+                f"fewer than {batches_per_epoch} batches per epoch"
             )
-    rng = np.random.default_rng(plan.seed)
-    for _ in range(epochs):
-        shuffled = [rng.permutation(idx) for idx in ds.class_index_sets]
-        yield [
-            tuple(
-                shuffled[c][k * sizes[c] : (k + 1) * sizes[c]]
-                for c in range(len(shuffled))
-            )
-            for k in range(plan.batches_per_epoch)
-        ]
+    rng = np.random.default_rng(seed)
+    return (
+        np.hstack([
+            rng.permutation(idx)[: size * batches_per_epoch].reshape(batches_per_epoch, size)
+            for idx, size in zip(ds.class_index_sets, sizes)
+        ])
+        for _ in range(epochs)
+    )
 
 
 def accuracy_per_class(net: MlpParams, ds: Dataset) -> list[float | None]:

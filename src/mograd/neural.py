@@ -45,7 +45,6 @@ __all__ = [
     "init_mlp",
     "init_two_head_mlp",
     "forward",
-    "cross_entropy",
     "per_class_losses",
     "two_task_gradients",
     "predict_two_task",
@@ -215,17 +214,6 @@ def _backward_run(layers, activations: list[np.ndarray], delta: np.ndarray, segm
         if j > 0:
             delta = delta @ W
             delta *= act > 0
-
-
-def cross_entropy(logits, label: int) -> float:
-    """Negative log-softmax of the labeled class, stable for huge logits."""
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1:
-        raise ValueError("expected a single logits vector")
-    if not 0 <= label < z.shape[0]:
-        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()) - z[label])
 
 
 def _label_picks(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BatchPlan, Dataset, class_batches
+from .data import Dataset, class_batches
 from .direction import (
     DirectionResult,
     GradientSet,
@@ -46,6 +46,7 @@ from .neural import (
     _two_task_plan,
     _two_task_run,
     init_mlp,
+    per_class_losses,
     two_task_gradients,
 )
 from .problems import MultiLossProblem
@@ -221,40 +222,46 @@ def _run_flat(problem: MultiLossProblem, theta0, cfg: OptimizerConfig) -> RunRes
     return globals()[f"run_{cfg.method}"](problem, theta0, cfg)
 
 
-def _epoch_batch_oracle(net, spec, ds: Dataset, plan, epochs):
+def _epoch_batch_oracle(net, spec, ds: Dataset, batches_per_epoch: int, seed: int, epochs: int):
     """Stateful problem oracle: each call evaluates the next per-class batch.
 
     Writes ``theta`` into ``net``'s buffer in place. Single-consumer (the
-    descent loop). The batches are those of ``class_batches`` for
-    ``epochs + 1`` epochs: the loop evaluates the oracle once more at the
-    final point, and that call reads the first batch of the spare epoch.
+    descent loop). The batches are the rows of ``class_batches``'s
+    ``epochs`` epochs, in order. Once they are spent, every later call
+    evaluates the whole of ``ds`` with ``per_class_losses``, which returns
+    fresh arrays: a run of ``epochs * batches_per_epoch`` iterations takes
+    its final residual on the training set. A run that stops early takes
+    it on the next batch instead (an early stop needs a direction norm at
+    most the trainer's 1e-300 tolerance).
 
     Every batch holds the same number of rows of each class, in class
     order, so its labels and class segments are fixed for the run, and one
     per-class plan (label picks, segments, gradient buffer and its layer
-    views) serves every step. Each call returns that same gradient buffer,
-    valid until the next call, as the descent loops allow. Each epoch's
-    schedule is one ``(batches_per_epoch, rows)`` index array, checked
-    against ``ds.labels`` once when it is drawn; a step then only runs the
-    forward pass, the loss and the backward pass.
+    views) serves every step. Each batch call returns that same gradient
+    buffer, valid until the next call, as the descent loops allow. Each
+    epoch's index array is checked against ``ds.labels`` once when it is
+    drawn; a step then only runs the forward pass, the loss and the
+    backward pass.
     """
     X = ds.features
-    sizes = [idx.size // plan.batches_per_epoch for idx in ds.class_index_sets]
+    epochs_iter = class_batches(ds, batches_per_epoch, seed, epochs)
+    sizes = [idx.size // batches_per_epoch for idx in ds.class_index_sets]
     if len(sizes) > spec.n_classes:
         raise ValueError(f"labels must lie in [0, {spec.n_classes})")
     labels = np.repeat(np.arange(len(sizes)), sizes)
     class_plan = _class_plan(net, labels, spec.n_classes)
-    epochs_iter = class_batches(ds, plan, epochs=epochs + 1)
-    schedule, step = None, plan.batches_per_epoch
+    schedule, step = None, batches_per_epoch
 
     def problem(theta):
         nonlocal schedule, step
-        if step == plan.batches_per_epoch:
-            schedule = np.array([np.concatenate(batch) for batch in next(epochs_iter)])
+        net.flat[:] = theta
+        if step == batches_per_epoch:
+            schedule = next(epochs_iter, None)
+            if schedule is None:
+                return per_class_losses(net, X, ds.labels, spec)
             if not (ds.labels[schedule] == labels).all():
                 raise ValueError("a batch's rows are not grouped by class")
             step = 0
-        net.flat[:] = theta
         rows = schedule[step]
         step += 1
         return _grouped_losses(net, X[rows], class_plan)
@@ -286,14 +293,14 @@ def train_imbalanced(
 
     ``method`` is ``edm``, ``mgda``, or ``sgd`` (gradient descent on the
     class-weighted total loss with minor-class weight ``mu``). Returns the
-    trained network, whose ``flat`` is the run's ``final_point``.
+    trained network, whose ``flat`` is the run's ``final_point``, and the
+    run, whose ``stationarity`` is taken on all of ``train_ds``.
     """
     run_method = _imbalanced_method(method)
     n_classes = train_ds.n_classes
     net = init_mlp([train_ds.n_features, hidden, n_classes], seed)
     spec = ClassLossSpec(np.array([1.0] + [float(mu)] * (n_classes - 1)))
-    plan = BatchPlan(batches_per_epoch=batches_per_epoch, seed=seed + 1)
-    problem = _epoch_batch_oracle(net, spec, train_ds, plan, epochs)
+    problem = _epoch_batch_oracle(net, spec, train_ds, batches_per_epoch, seed + 1, epochs)
     cfg = OptimizerConfig(
         method=run_method,
         learning_rate=lr,
@@ -330,12 +337,12 @@ def run_multitask(
 ) -> tuple[TwoHeadMlp, RunResult]:
     """Train a two-head network: multi-objective trunk, per-task head steps.
 
-    Per batch, both task losses are backpropagated separately; the chosen
-    method turns the two shared-block gradients into one trunk direction,
-    and each head takes a plain gradient step on its own loss at the same
-    learning rate. The labels of both tasks are checked, and the batches'
-    backward pass planned, once per run; a bad label raises before any
-    step. All gradients of a batch are computed before any
+    Per batch, both task losses are backpropagated in one stacked pass; the
+    chosen method turns the two shared-block gradients into one trunk
+    direction, and each head takes a plain gradient step on its own loss at
+    the same learning rate. The labels of both tasks are checked, and the
+    batches' backward pass planned, once per run; a bad label raises before
+    any step. All gradients of a batch are computed before any
     parameter moves, and the steps update the parameter buffers of a copy
     of ``model`` in place; the caller's model is never changed. ``kappa``
     rescales the second task's loss (and hence every gradient of it). It

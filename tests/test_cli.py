@@ -4,10 +4,13 @@ import re
 import numpy as np
 import pytest
 
+import mograd.cli
 import mograd.optimize
 from mograd.cli import _write_trace, main, train_imbalanced
-from mograd.data import BatchPlan, Dataset, class_batches, synth_imbalanced
-from mograd.neural import ClassLossSpec, init_mlp, per_class_losses
+from mograd.data import Dataset, class_batches, save_csv, synth_imbalanced
+from mograd.direction import stationarity_residual
+from mograd.minnorm import FwConfig
+from mograd.neural import ClassLossSpec, MlpParams, init_mlp, per_class_losses
 from mograd.optimize import IterationTrace, _epoch_batch_oracle
 
 
@@ -174,6 +177,33 @@ class TestImbalancedCommand:
              "--epochs", "30", "--batches-per-epoch", "1", "--out-dir", str(tmp_path)]
         )
         assert rc == 0
+
+    def test_csv_is_loaded_once_per_run(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "ds.csv"
+        save_csv(synth_imbalanced(60, 12, 3, 3.0, seed=5), csv_path)
+        args = ["imbalanced", "--csv", str(csv_path), *TINY_IMBALANCED]
+        for seed in range(3):  # one run per seed: the files as each seed wrote them alone
+            assert main(args + ["--seed", str(seed), "--out-dir", str(tmp_path / "one")]) == 0
+        loads, real_load = [], mograd.cli.load_csv
+
+        def counted(*a, **kw):
+            loads.append(a)
+            return real_load(*a, **kw)
+
+        monkeypatch.setattr(mograd.cli, "load_csv", counted)
+        assert main(args + ["--repeats", "3", "--out-dir", str(tmp_path / "three")]) == 0
+        assert len(loads) == 1
+        names = [f"{kind}_imbalanced_edm_{seed}.{ext}" for seed in range(3)
+                 for kind, ext in (("trace", "csv"), ("summary", "json"))]
+        assert sorted(p.name for p in (tmp_path / "three").iterdir()) == sorted(
+            names + ["aggregate_imbalanced_edm.json"])
+        for name in names:
+            one, three = (tmp_path / d / name for d in ("one", "three"))
+            if name.endswith(".csv"):
+                assert one.read_bytes() == three.read_bytes()
+            else:
+                assert {**read_json(one), "wall_time_ms": 0} == {
+                    **read_json(three), "wall_time_ms": 0}
 
     def test_bad_mu_rejected(self, tmp_path):
         rc = main(["imbalanced", "--mu", "0", "--out-dir", str(tmp_path)])
@@ -382,14 +412,13 @@ def multiclass_dataset(c, seed):
     return Dataset(rng.standard_normal((labels.size, 3)), labels)
 
 
-def old_epoch_batch_oracle(net, spec, ds, plan, epochs):
-    """The oracle as it was: a generator of concatenated batches and the
-    public, checked ``per_class_losses`` on every call."""
+def old_epoch_batch_oracle(net, spec, ds, batches_per_epoch, seed, epochs):
+    """The oracle as it was: every batch of ``epochs + 1`` epochs in turn,
+    each through the public, checked ``per_class_losses``; the loop's final
+    call reads the first batch of the spare last epoch."""
     X, y = ds.features, ds.labels
     batch_iter = (
-        np.concatenate(batch)
-        for epoch in class_batches(ds, plan, epochs=epochs + 1)
-        for batch in epoch
+        idx for epoch in class_batches(ds, batches_per_epoch, seed, epochs + 1) for idx in epoch
     )
 
     def problem(theta):
@@ -411,15 +440,14 @@ class TestEpochBatchOracle:
     @pytest.mark.parametrize("c", [2, 3, 5])
     def test_batches_and_results_match_the_old_oracle(self, c, monkeypatch):
         ds = multiclass_dataset(c, seed=c)
-        plan = BatchPlan(batches_per_epoch=3, seed=40 + c)
-        epochs = 2
+        batches_per_epoch, seed, epochs = 3, 40 + c, 2
         spec = ClassLossSpec(np.linspace(1.0, 2.0, c))
         net = init_mlp([3, 6, c], c)
         old_net = init_mlp([3, 6, c], c)
-        problem = _epoch_batch_oracle(net, spec, ds, plan, epochs)
-        old_problem = old_epoch_batch_oracle(old_net, spec, ds, plan, epochs)
-        batches = [np.concatenate(batch)
-                   for epoch in class_batches(ds, plan, epochs=epochs + 1) for batch in epoch]
+        problem = _epoch_batch_oracle(net, spec, ds, batches_per_epoch, seed, epochs)
+        old_problem = old_epoch_batch_oracle(old_net, spec, ds, batches_per_epoch, seed, epochs)
+        batches = [idx for epoch in class_batches(ds, batches_per_epoch, seed, epochs)
+                   for idx in epoch]
 
         seen = []
 
@@ -430,8 +458,7 @@ class TestEpochBatchOracle:
         core = mograd.optimize._grouped_losses
         monkeypatch.setattr(mograd.optimize, "_grouped_losses", spy)
         rng = np.random.default_rng(c)
-        calls = epochs * plan.batches_per_epoch + 1
-        for k in range(calls):
+        for k in range(epochs * batches_per_epoch):
             theta = rng.standard_normal(net.n_params)
             losses, grads = problem(theta)
             old_losses, old_grads = old_problem(theta)
@@ -439,7 +466,14 @@ class TestEpochBatchOracle:
             assert_same_bits(losses, old_losses)
             assert_same_bits(grads, old_grads)
             assert_same_bits(net.flat, theta)
-        assert len(seen) == calls
+
+        # The schedule is spent: the next call evaluates every training row.
+        theta = rng.standard_normal(net.n_params)
+        losses, grads = problem(theta)
+        assert_same_bits(net.flat, theta)
+        for got, want in zip((losses, grads), per_class_losses(net, ds.features, ds.labels, spec)):
+            assert_same_bits(got, want)
+        assert len(seen) == epochs * batches_per_epoch
 
     @pytest.mark.parametrize("c", [2, 3, 5])
     @pytest.mark.parametrize("method", ["edm", "mgda", "sgd"])
@@ -452,18 +486,37 @@ class TestEpochBatchOracle:
         assert_same_bits(result.final_point, old_result.final_point)
         assert_same_bits(net.flat, old_net.flat)
         assert result.iterations_used == old_result.iterations_used == 6
-        assert result.stationarity == old_result.stationarity
         for t, old in zip(result.trace, old_result.trace, strict=True):
             assert_same_bits(t.losses, old.losses)
             assert_same_bits(t.weights, old.weights)
             assert (t.direction_norm, t.gamma, t.step_norm) == (
                 old.direction_norm, old.gamma, old.step_norm)
 
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    @pytest.mark.parametrize("method", ["edm", "mgda", "sgd"])
+    def test_stationarity_is_the_training_set_residual(self, c, method, monkeypatch):
+        ds = multiclass_dataset(c, seed=20 + c)
+        drawn = []
+
+        def counted(*args, **kwargs):
+            for epoch in class_batches(*args, **kwargs):
+                drawn.append(epoch)
+                yield epoch
+
+        monkeypatch.setattr(mograd.optimize, "class_batches", counted)
+        fw = FwConfig()
+        net, result = train_imbalanced(ds, method, 2.0, 1e-2, 3, 2, seed=c, hidden=5, fw=fw)
+        assert len(drawn) == 3
+        final = MlpParams.from_flat(result.final_point, net.dims)
+        spec = ClassLossSpec(np.array([1.0] + [2.0] * (c - 1)))
+        _, grads = per_class_losses(final, ds.features, ds.labels, spec)
+        assert result.stationarity == stationarity_residual(grads, fw)[0]
+
     def test_class_missing_from_the_spec_is_rejected(self):
         ds = multiclass_dataset(3, seed=0)
         net = init_mlp([3, 4, 3], 0)
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
-            _epoch_batch_oracle(net, ClassLossSpec(np.ones(2)), ds, BatchPlan(2, 0), 1)
+            _epoch_batch_oracle(net, ClassLossSpec(np.ones(2)), ds, 2, 0, 1)
 
 
 class TestWriteTrace:

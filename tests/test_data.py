@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mograd.data import (
-    BatchPlan,
     Dataset,
     accuracy_per_class,
     class_batches,
@@ -191,42 +190,66 @@ class TestStratifiedSplit:
         )
 
 
+def tuple_class_batches(ds, batches_per_epoch, seed, epochs):
+    """The per-class schedule in its earlier format: per epoch, a list of
+    ``batches_per_epoch`` tuples holding batch k of every class."""
+    sizes = [idx.size // batches_per_epoch for idx in ds.class_index_sets]
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        shuffled = [rng.permutation(idx) for idx in ds.class_index_sets]
+        yield [
+            tuple(shuffled[c][k * sizes[c] : (k + 1) * sizes[c]] for c in range(len(shuffled)))
+            for k in range(batches_per_epoch)
+        ]
+
+
 class TestClassBatches:
     def test_floor_division_batch_sizes(self):
         ds = synth_imbalanced(400, 40, 2, 2.0, seed=10)
-        plan = BatchPlan(batches_per_epoch=40, seed=0)
-        (epoch,) = list(class_batches(ds, plan, epochs=1))
-        assert len(epoch) == 40
-        for major_batch, minor_batch in epoch:
-            assert major_batch.size == 10
-            assert minor_batch.size == 1
+        (epoch,) = list(class_batches(ds, 40, 0, 1))
+        assert epoch.shape == (40, 11)
+        for batch in epoch:
+            assert np.array_equal(ds.labels[batch], [0] * 10 + [1])
 
     def test_no_duplicates_within_epoch(self):
         ds = synth_imbalanced(100, 50, 2, 2.0, seed=11)
-        plan = BatchPlan(batches_per_epoch=10, seed=1)
-        (epoch,) = list(class_batches(ds, plan, epochs=1))
+        (epoch,) = list(class_batches(ds, 10, 1, 1))
         for c in range(2):
-            seen = np.concatenate([batch[c] for batch in epoch])
+            seen = epoch[ds.labels[epoch] == c]
             assert seen.size == np.unique(seen).size
             assert set(seen) <= set(ds.class_index_sets[c])
 
     def test_epochs_reshuffle_but_reruns_reproduce(self):
         ds = synth_imbalanced(60, 30, 2, 2.0, seed=12)
-        plan = BatchPlan(batches_per_epoch=3, seed=2)
-        run1 = [epoch for epoch in class_batches(ds, plan, epochs=2)]
-        run2 = [epoch for epoch in class_batches(ds, plan, epochs=2)]
-        first_epoch = np.concatenate([b[0] for b in run1[0]])
-        second_epoch = np.concatenate([b[0] for b in run1[1]])
-        assert not np.array_equal(first_epoch, second_epoch)
-        for e in range(2):
-            for b in range(3):
-                for c in range(2):
-                    assert np.array_equal(run1[e][b][c], run2[e][b][c])
+        run1 = list(class_batches(ds, 3, 2, 2))
+        run2 = list(class_batches(ds, 3, 2, 2))
+        assert not np.array_equal(run1[0], run1[1])
+        for first, second in zip(run1, run2, strict=True):
+            assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("c", [2, 3, 5])
+    def test_rows_are_the_concatenated_tuples_bitwise(self, c):
+        rng = np.random.default_rng(c)
+        labels = np.repeat(np.arange(c), [23, 9, 14, 7, 11][:c])
+        rng.shuffle(labels)
+        ds = Dataset(rng.standard_normal((labels.size, 2)), labels)
+        epochs = list(class_batches(ds, 3, 40 + c, 3))
+        old = list(tuple_class_batches(ds, 3, 40 + c, 3))
+        assert len(epochs) == len(old) == 3
+        for epoch, old_epoch in zip(epochs, old):
+            stacked = np.array([np.concatenate(batch) for batch in old_epoch])
+            assert (epoch.shape, epoch.dtype) == (stacked.shape, stacked.dtype)
+            assert epoch.tobytes() == stacked.tobytes()
 
     def test_class_smaller_than_batch_count_rejected(self):
         ds = synth_imbalanced(100, 39, 2, 2.0, seed=13)
-        with pytest.raises(ValueError):
-            next(class_batches(ds, BatchPlan(batches_per_epoch=40, seed=0), epochs=1))
+        with pytest.raises(ValueError, match="fewer than 40 batches per epoch"):
+            class_batches(ds, 40, 0, 1)
+
+    def test_batch_count_below_one_rejected(self):
+        ds = synth_imbalanced(100, 39, 2, 2.0, seed=13)
+        with pytest.raises(ValueError, match="batches_per_epoch must be >= 1, got 0"):
+            class_batches(ds, 0, 0, 1)
 
 
 class TestAccuracyPerClass:

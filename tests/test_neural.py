@@ -6,7 +6,6 @@ from mograd.neural import (
     ClassLossSpec,
     MlpParams,
     TwoHeadMlp,
-    cross_entropy,
     forward,
     init_mlp,
     init_two_head_mlp,
@@ -124,22 +123,39 @@ class TestForward:
             forward(net, np.zeros(4))
 
 
+def one_row_loss(logits, label):
+    """``per_class_losses``'s total on one row whose logits are ``logits``:
+    a one-layer net with zero weights and the logits as its bias."""
+    logits = np.asarray(logits, dtype=float)
+    net = MlpParams([(np.zeros((logits.size, 1)), logits)])
+    losses, _ = per_class_losses(net, np.zeros((1, 1)), np.array([label]),
+                                 ClassLossSpec(np.ones(logits.size)))
+    return losses.sum()
+
+
+def cross_entropy(logits, label):
+    """Reference for the partition identity: negative log-softmax of the labeled class."""
+    z = np.asarray(logits, dtype=float)
+    m = z.max()
+    return float(m + np.log(np.exp(z - m).sum()) - z[label])
+
+
 class TestCrossEntropy:
     def test_uniform_two_class(self):
-        assert cross_entropy(np.array([0.0, 0.0]), 0) == pytest.approx(np.log(2))
+        assert one_row_loss([0.0, 0.0], 0) == pytest.approx(np.log(2))
 
     def test_confident_correct_no_overflow(self):
-        assert cross_entropy(np.array([1000.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-12)
+        assert one_row_loss([1000.0, 0.0], 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_confident_wrong_is_stable(self):
-        assert cross_entropy(np.array([0.0, 1000.0]), 0) == pytest.approx(1000.0, rel=1e-12)
+        assert one_row_loss([0.0, 1000.0], 0) == pytest.approx(1000.0, rel=1e-12)
 
     def test_finite_up_to_huge_logits(self):
-        assert np.isfinite(cross_entropy(np.array([1e6, -1e6, 0.0]), 1))
+        assert np.isfinite(one_row_loss([1e6, -1e6, 0.0], 1))
 
     def test_bad_label(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.array([0.0, 0.0]), 2)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            one_row_loss([0.0, 0.0], 2)
 
 
 class TestClassLossSpec:
