@@ -43,7 +43,6 @@ from .optimize import (
 )
 from .problems import (
     QuadraticPair,
-    ScaledProblem,
     finite_diff_gradient,
     pareto_set_distance,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "OptimizerConfig",
     "QuadraticPair",
     "RunResult",
-    "ScaledProblem",
     "bisector_two",
     "combination_norm_sq",
     "edm_direction",

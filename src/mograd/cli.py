@@ -211,7 +211,7 @@ def cmd_solve(opts: dict) -> int:
     weights = None
     if method == "weighted_sum":
         weights = np.array([float(v) for v in str(opts["weights"]).split(",")])
-    base = OptimizerConfig(
+    cfg = OptimizerConfig(
         method=method,
         learning_rate=opts["lr"],
         max_iters=opts["iters"],
@@ -223,7 +223,7 @@ def cmd_solve(opts: dict) -> int:
     def run_seed(seed, clock):
         theta0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=pair.dim)
         with clock:
-            result = _run_flat(pair, theta0, replace(base, seed=seed))
+            result = _run_flat(pair, theta0, cfg)
         distance = pareto_set_distance(pair, result.final_point)
         extra = {
             "problem": opts["problem"],

@@ -32,6 +32,9 @@ __all__ = [
     "two_task_accuracy",
 ]
 
+# Distance between the class means of each task of ``synth_two_task``.
+_TWO_TASK_SEPARATION = 4.0
+
 
 @dataclass
 class Dataset:
@@ -100,25 +103,25 @@ def synth_imbalanced(
     return Dataset(features=features, labels=labels)
 
 
-def synth_two_task(n: int, m: int, seed: int, separation: float = 4.0) -> Dataset:
+def synth_two_task(n: int, m: int, seed: int) -> Dataset:
     """Two independent binary cluster structures in disjoint feature halves.
 
     The first task's label shifts coordinates 0..m//2, the second task's
-    label shifts the rest; the two labels are drawn independently.
+    label shifts the rest; the two labels are drawn independently. Each
+    task's two class means lie ``_TWO_TASK_SEPARATION`` apart.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if m < 2:
         raise ValueError("need at least two features to host two tasks")
-    if not math.isfinite(separation):
-        raise ValueError(f"separation must be finite, got {separation}")
     rng = np.random.default_rng(seed)
     half = m // 2
+    shift = _TWO_TASK_SEPARATION / 2.0
     y1 = rng.integers(0, 2, size=n)
     y2 = rng.integers(0, 2, size=n)
     X = rng.standard_normal((n, m))
-    X[:, :half] += (2.0 * y1 - 1.0)[:, None] * (separation / 2.0) / np.sqrt(half)
-    X[:, half:] += (2.0 * y2 - 1.0)[:, None] * (separation / 2.0) / np.sqrt(m - half)
+    X[:, :half] += (2.0 * y1 - 1.0)[:, None] * shift / np.sqrt(half)
+    X[:, half:] += (2.0 * y2 - 1.0)[:, None] * shift / np.sqrt(m - half)
     return Dataset(features=X, labels=y1, labels2=y2)
 
 
@@ -276,6 +279,8 @@ def accuracy_per_class(net: MlpParams, ds: Dataset) -> list[float | None]:
 
 def two_task_accuracy(model: TwoHeadMlp, ds: Dataset) -> list[float]:
     """Test accuracy of each head on its own task."""
+    if ds.labels2 is None:
+        raise ValueError("two-task accuracy needs a dataset with two labels per sample")
     logits1, logits2 = predict_two_task(model, ds.features)
     return [
         float(np.mean(np.argmax(logits1, axis=1) == ds.labels)),

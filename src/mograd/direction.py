@@ -213,12 +213,15 @@ def bisector_two(g1, g2) -> np.ndarray:
 
 
 def stationarity_residual(grads, cfg: FwConfig = FwConfig()) -> tuple[float, np.ndarray]:
-    """Norm of the best convex combination of gradients, with its weights.
+    """Norm of the convex gradient combination that EDM's weights give, and those weights.
 
     Recovers simplex weights ``alpha_i = gamma * beta_i / ||g_i||`` from the
     equiangular solution (zero for inactive objectives, renormalized onto
-    the simplex) and returns ``(||sum_i alpha_i g_i||, alpha)``. A residual
-    of zero certifies a stationary point through this alpha.
+    the simplex) and returns ``(||sum_i alpha_i g_i||, alpha)``. The weights
+    come from ``edm_direction`` whatever method made the steps. The
+    residual is zero exactly when the min-norm point ``d_h`` of the active
+    gradients' hull is zero, so a zero residual certifies a stationary
+    point; otherwise it is at least ``||d_h||``, and in general larger.
     """
     gs = _as_gradient_set(grads)
     T = gs.n_objectives

@@ -90,6 +90,8 @@ class OptimizerConfig:
     ``stop_tolerance`` applies to the norm of the stepped direction.
     ``weights`` is only consulted by the weighted-sum method. ``max_iters``
     may be zero, in which case a run returns its starting point untouched.
+    ``seed`` seeds ``run_multitask``'s batch shuffle; the flat loop draws
+    nothing, so it ignores it.
     """
 
     method: str = "edm"
@@ -308,7 +310,6 @@ def train_imbalanced(
         stop_tolerance=1e-300,
         weights=spec.class_weights,
         fw=fw,
-        seed=seed,
     )
     # The loop's last oracle call writes final_point into net.flat.
     result = _run_flat(problem, net.flat, cfg)

@@ -11,9 +11,10 @@ from mograd.data import (
     stratified_split,
     synth_imbalanced,
     synth_two_task,
+    two_task_accuracy,
 )
 from mograd.exceptions import DataError
-from mograd.neural import MlpParams
+from mograd.neural import MlpParams, init_two_head_mlp
 
 
 def linear_probe_per_class_accuracy(X, y, n_classes):
@@ -75,11 +76,6 @@ class TestSynthTwoTask:
     def test_too_few_features(self):
         with pytest.raises(ValueError):
             synth_two_task(10, 1, seed=0)
-
-    @pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
-    def test_non_finite_separation(self, separation):
-        with pytest.raises(ValueError, match="separation must be finite"):
-            synth_two_task(10, 4, seed=0, separation=separation)
 
 
 class TestCsv:
@@ -296,3 +292,10 @@ class TestAccuracyPerClass:
         assert accuracy[0] == 1.0
         assert accuracy[1] is None
         assert accuracy[2] == 0.0
+
+
+class TestTwoTaskAccuracy:
+    def test_one_label_dataset_rejected(self):
+        ds = synth_imbalanced(20, 10, 4, 3.0, seed=0)
+        with pytest.raises(ValueError, match="needs a dataset with two labels per sample"):
+            two_task_accuracy(init_two_head_mlp(4, seed=0), ds)

@@ -25,9 +25,17 @@ from mograd.optimize import (
     run_multitask,
     run_weighted_sum,
 )
-from mograd.problems import QuadraticPair, ScaledProblem, pareto_set_distance
+from mograd.problems import QuadraticPair, pareto_set_distance
 
 PAIR = QuadraticPair(center1=np.array([-1.0, 0.0]), center2=np.array([1.0, 0.0]))
+
+
+def scaled(problem, s):
+    """``problem`` with loss k and gradient row k multiplied by ``s[k]``."""
+    def call(theta):
+        losses, grads = problem(theta)
+        return losses * s, grads * s[:, None]
+    return call
 
 
 def cfg(**kwargs):
@@ -56,11 +64,11 @@ class TestRunEdm:
         # bitwise unchanged. gamma depends on the norms, so the trajectory
         # does not stay the same.
         theta0 = np.array([0.0, 1.0])
-        scaled = ScaledProblem(PAIR, 2.0**k)
+        problem = scaled(PAIR, np.array([1.0, 2.0**k]))
         base = run_edm(PAIR, theta0, cfg())
-        run = run_edm(scaled, theta0, cfg())
+        run = run_edm(problem, theta0, cfg())
         assert np.array_equal(run.trace[0].weights, base.trace[0].weights)
-        raw = edm_direction(scaled(theta0)[1]).raw_direction
+        raw = edm_direction(problem(theta0)[1]).raw_direction
         assert np.array_equal(raw, edm_direction(PAIR(theta0)[1]).raw_direction)
         assert run.trace[0].gamma != base.trace[0].gamma
 
@@ -185,11 +193,11 @@ class TestFourClassLoop:
         oracle = PerClassOracle()
         one = cfg(learning_rate=0.01, max_iters=1, stop_tolerance=1e-12)
         base = run_edm(oracle, oracle.theta0, one)
-        scaled = ScaledProblem(oracle, 2.0**k, target=2)
-        run = run_edm(scaled, oracle.theta0, one)
+        problem = scaled(oracle, np.array([1.0, 1.0, 2.0**k, 1.0]))
+        run = run_edm(problem, oracle.theta0, one)
         assert np.array_equal(run.trace[0].weights, base.trace[0].weights)
         G = oracle(oracle.theta0)[1]
-        raw = edm_direction(scaled(oracle.theta0)[1]).raw_direction
+        raw = edm_direction(problem(oracle.theta0)[1]).raw_direction
         assert np.array_equal(raw, edm_direction(G).raw_direction)
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from mograd.problems import (
     QuadraticPair,
-    ScaledProblem,
     finite_diff_gradient,
     pareto_set_distance,
 )
@@ -34,49 +33,6 @@ class TestQuadraticLosses:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             PAIR(np.zeros(3))
-
-    def test_diagonal_scales(self):
-        pair = QuadraticPair(
-            center1=np.zeros(2), center2=np.ones(2), scale1=np.array([2.0, 3.0])
-        )
-        losses, grads = pair(np.array([1.0, 1.0]))
-        assert losses[0] == pytest.approx(0.5 * (2 + 3))
-        assert np.allclose(grads[0], [2.0, 3.0], atol=1e-12)
-
-    def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticPair(np.zeros(2), np.ones(2), scale1=np.array([1.0, 0.0]))
-
-
-class TestScaledLosses:
-    def test_kappa_one_is_identity(self):
-        sp = ScaledProblem(inner=PAIR, kappa=1.0)
-        theta = np.array([0.3, -0.7])
-        assert np.array_equal(sp(theta)[0], PAIR(theta)[0])
-        assert np.array_equal(sp(theta)[1], PAIR(theta)[1])
-
-    def test_kappa_ten_scales_target(self):
-        sp = ScaledProblem(inner=PAIR, kappa=10.0)
-        losses, grads = sp(np.array([0.0, 1.0]))
-        assert losses[1] == pytest.approx(10.0)
-        assert np.allclose(grads[1], [-10.0, 10.0], atol=1e-12)
-        assert np.allclose(grads[0], [1.0, 1.0], atol=1e-12)
-
-    def test_gradient_norm_homogeneity(self):
-        sp = ScaledProblem(inner=PAIR, kappa=50.0)
-        theta = np.array([0.4, 0.2])
-        _, raw = PAIR(theta)
-        _, scaled = sp(theta)
-        assert np.linalg.norm(scaled[1]) == pytest.approx(50.0 * np.linalg.norm(raw[1]))
-
-    def test_kappa_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            ScaledProblem(inner=PAIR, kappa=0.5)
-
-    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
-    def test_non_finite_kappa_rejected(self, kappa):
-        with pytest.raises(ValueError, match="kappa must be >= 1 and finite"):
-            ScaledProblem(inner=PAIR, kappa=kappa)
 
 
 class TestFiniteDiff:
@@ -119,11 +75,6 @@ class TestParetoSetDistance:
 
     def test_beyond_endpoint(self):
         assert pareto_set_distance(PAIR, np.array([2.0, 0.0])) == pytest.approx(1.0)
-
-    def test_anisotropic_scales_rejected(self):
-        pair = QuadraticPair(np.zeros(2), np.ones(2), scale1=np.array([2.0, 2.0]))
-        with pytest.raises(ValueError):
-            pareto_set_distance(pair, np.zeros(2))
 
     def test_residual_agrees_with_segment_membership(self):
         rng = np.random.default_rng(1)
