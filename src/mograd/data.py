@@ -26,7 +26,6 @@ __all__ = [
     "load_csv",
     "save_csv",
     "stratified_split",
-    "stratified_counts",
     "class_batches",
     "accuracy_per_class",
     "two_task_accuracy",
@@ -198,7 +197,7 @@ def save_csv(ds: Dataset, path) -> None:
             writer.writerow(row)
 
 
-def stratified_counts(class_sizes: list[int], test_fraction: float) -> list[int]:
+def _stratified_counts(class_sizes: list[int], test_fraction: float) -> list[int]:
     """Per-class test counts: round to nearest, at least one sample per side."""
     counts = []
     for size in class_sizes:
@@ -215,7 +214,7 @@ def stratified_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
         if idx.size < 2:
             raise DataError(f"class {i} has {idx.size} samples; need at least 2 to split")
     rng = np.random.default_rng(seed)
-    test_counts = stratified_counts([idx.size for idx in ds.class_index_sets], test_fraction)
+    test_counts = _stratified_counts([idx.size for idx in ds.class_index_sets], test_fraction)
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for idx, n_test in zip(ds.class_index_sets, test_counts):

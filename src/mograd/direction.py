@@ -218,15 +218,22 @@ def stationarity_residual(grads, cfg: FwConfig = FwConfig()) -> tuple[float, np.
     Recovers simplex weights ``alpha_i = gamma * beta_i / ||g_i||`` from the
     equiangular solution (zero for inactive objectives, renormalized onto
     the simplex) and returns ``(||sum_i alpha_i g_i||, alpha)``. The weights
-    come from ``edm_direction`` whatever method made the steps. The
-    residual is zero exactly when the min-norm point ``d_h`` of the active
-    gradients' hull is zero, so a zero residual certifies a stationary
-    point; otherwise it is at least ``||d_h||``, and in general larger.
+    come from ``edm_direction`` whatever method made the steps. A gradient
+    of norm exactly zero puts the origin in the hull: the residual is then
+    0.0, with all weight on the first such gradient. Otherwise the residual
+    is zero exactly when the min-norm point ``d_h`` of the active gradients'
+    hull is zero, so a zero residual certifies a stationary point; else it
+    is at least ``||d_h||``, and in general larger.
     """
     gs = _as_gradient_set(grads)
     T = gs.n_objectives
     if gs.active.size == 0:
         return 0.0, np.full(T, 1.0 / T)
+    zero = (gs.norms == 0.0).nonzero()[0]
+    if zero.size:
+        alpha = np.zeros(T)
+        alpha[zero[0]] = 1.0
+        return 0.0, alpha
 
     res = edm_direction(gs, cfg)
     alpha = np.zeros(T)

@@ -7,7 +7,3 @@ class DataError(ValueError):
 
 class NumericalError(RuntimeError):
     """A computation produced non-finite values (NaN or infinity)."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message)
-        self.iteration = iteration

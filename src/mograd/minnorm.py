@@ -6,14 +6,19 @@ Wolfe's min-norm-point active-set method (Wolfe 1976, Math. Programming
 11) on the Gram matrix M_ij = <v_i, v_j>. Each major cycle adds one
 vertex to a working set (the corral) and strictly decreases the
 objective; on a corral the optimum is the solution of a small bordered
-linear system, solved by LU and checked against its residual, with least
-squares as the fallback, so the method is exact on every face. Every
-corral's system is gathered from one bordered system of the whole Gram
-matrix, built once per solve. For three or more vectors the solver first
-works top down (by LU alone): it solves that system once for all of them,
-and while some weights are not positive, drops those vertices and solves
-again on the rest. When the chain ends on positive weights that the gap
-test certifies, that point is the optimum and no major cycle runs. This is
+linear system, solved by LU and checked against its residual, so the
+method is exact on every face. When LU cannot certify a corral's system
+(its vertices are affinely dependent up to rounding), the solver keeps the
+feasible point it has and moves weight by an exact pairwise line search
+instead. Every corral's system is gathered from one bordered system of the
+whole Gram matrix, built once per solve, after the matrix is scaled by a
+power of two into [-1, 1): that scaling is exact, so the solve takes the
+same steps at any magnitude and nothing in it overflows. For three or more
+vectors the solver first works top down (by LU alone): it solves that
+system once for all of them, and while some weights are not positive,
+drops those vertices and solves again on the rest. When the chain ends on
+positive weights that the gap test certifies, that point is the optimum
+and no major cycle runs. This is
 the common case both for many nearly orthogonal objectives (an interior
 optimum, one solve) and for raw gradients of unequal scale (an optimum on
 a proper face, usually two or three solves). When only the gap test
@@ -53,7 +58,7 @@ __all__ = [
 ]
 
 # An LU solution of the bordered system is accepted when its residual is at
-# most this many units of round-off, eps * (||A|| ||x|| + s).
+# most this many units of round-off, eps * (||A|| ||x|| + 1).
 _RESIDUAL_ULPS = 16.0
 _EPS = float(np.finfo(float).eps)
 
@@ -187,60 +192,46 @@ def _line_step(w_M_w: float, w_M_e: float, e_M_e: float) -> float:
     return toward / (toward + away)
 
 
-def _bordered(M: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The optimality system ``A [y; mu] = [0; s]``, ``A = [M s1; s1^T 0]``, of all T vertices.
+def _bordered(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimality system ``A [y; mu] = [0; 1]``, ``A = [M 1; 1^T 0]``, of all T vertices.
 
     A subset S of the vertices has the system ``A[ix[:, None], ix]``,
     ``rhs[-len(ix):]`` with ``ix = S + [T]``, so one build serves a whole
     solve. Its solution y sums to one and minimizes ``y^T M_SS y`` over the
-    affine hull of S, ignoring signs. The border carries the matrix's own
-    scale s, which keeps the system balanced at any magnitude of M.
+    affine hull of S, ignoring signs. M comes prescaled into [-1, 1) by
+    ``_min_norm``, so a border of ones keeps the system balanced.
     """
     T = M.shape[0]
-    bordered = np.full((T + 1, T + 1), scale)
+    bordered = np.ones((T + 1, T + 1))
     bordered[:T, :T] = M
     bordered[T, T] = 0.0
     rhs = np.zeros(T + 1)
-    rhs[T] = scale
+    rhs[T] = 1.0
     return bordered, rhs
 
 
-def _lu_minimizer(bordered: np.ndarray, rhs: np.ndarray, scale: float) -> np.ndarray | None:
+def _lu_minimizer(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """The y of the bordered system by LU, or None unless certified.
 
     The LU solution is kept only when it is finite and its residual is at
-    round-off, at most a small multiple of ``eps * (||A|| ||x|| + s)`` in
-    the max norm. None means LU found an exactly singular pivot, or the
-    system is so close to singular that LU lost the residual.
+    round-off, at most a small multiple of ``eps * (||A|| ||x|| + 1)`` in
+    the max norm, with ``||A|| <= len(rhs)`` as no entry exceeds the border's
+    1. None means LU found an exactly singular pivot, or the system is so
+    close to singular (affinely dependent vertices, up to rounding) that LU
+    lost the residual; the callers then keep the feasible point they have.
     """
     try:
         x = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         return None
-    # Measured in units of s, so the test itself cannot overflow near the
-    # float max; an overflowed residual is inf or nan and fails it.
-    size = np.abs(x).max()
-    norm = len(rhs) * (np.abs(bordered).max() / scale)
-    residual = np.abs(bordered @ x - rhs).max() / scale
-    if np.isfinite(size) and residual <= _RESIDUAL_ULPS * _EPS * (norm * size + 1.0):
+    # With every entry of A at most 1, no sum in A x exceeds this bound, so
+    # the residual cannot overflow once the bound is finite.
+    bound = len(rhs) * float(np.abs(x).max())
+    if not bound < math.inf:
+        return None
+    if np.abs(bordered @ x - rhs).max() <= _RESIDUAL_ULPS * _EPS * (bound + 1.0):
         return x[:-1]
     return None
-
-
-def _affine_minimizer(bordered: np.ndarray, rhs: np.ndarray, ix: np.ndarray, scale: float) -> np.ndarray:
-    """Weights summing to one that minimize ``y^T M_SS y`` over ``S = ix[:-1]``, ignoring signs.
-
-    Gathers the system of S from the full bordered system (``_bordered``)
-    and solves it by LU (``_lu_minimizer``). When LU is not certified, the
-    system is solved again by least squares, which returns a minimizer for
-    singular systems too.
-    """
-    A = bordered[ix[:, None], ix]
-    b = rhs[-ix.size:]
-    y = _lu_minimizer(A, b, scale)
-    if y is None:
-        y = np.linalg.lstsq(A, b, rcond=None)[0][:-1]
-    return y
 
 
 def _swap_step(M: np.ndarray, beta: np.ndarray, corral: list[int]) -> bool:
@@ -270,9 +261,7 @@ def _swap_step(M: np.ndarray, beta: np.ndarray, corral: list[int]) -> bool:
     return True
 
 
-def _minor_cycles(
-    M: np.ndarray, bordered: np.ndarray, rhs: np.ndarray, beta: np.ndarray, corral: list[int], scale: float
-) -> None:
+def _minor_cycles(M: np.ndarray, bordered: np.ndarray, rhs: np.ndarray, beta: np.ndarray, corral: list[int]) -> None:
     """Move beta to the minimizer over the corral's affine hull, staying feasible.
 
     While that minimizer has a negative weight, step from beta toward it
@@ -284,15 +273,20 @@ def _minor_cycles(
     positive weight. When rounding denies it any (it nearly duplicates a
     corral vertex, closer than the Gram matrix resolves), the first cycle
     would drop it again without moving, and the next major cycle would add
-    it back. A swap step toward it is taken instead.
+    it back. A swap step toward it is taken instead, also when LU cannot
+    certify the corral's system (``_lu_minimizer`` returns None). A later
+    cycle that LU cannot certify ends the minor cycles at the feasible beta
+    they reached.
     """
     T = M.shape[0]
     entering = True
     while True:
         ix = np.array(corral + [T])
         idx = ix[:-1]
-        y = _affine_minimizer(bordered, rhs, ix, scale)
-        if entering and y[-1] <= 0.0:
+        y = _lu_minimizer(bordered[ix[:, None], ix], rhs[-ix.size:])
+        if y is None and not entering:
+            return
+        if entering and (y is None or y[-1] <= 0.0):
             if not _swap_step(M, beta, corral):
                 return
             entering = False
@@ -352,23 +346,23 @@ def _solve_two(M: list[list[float]], tolerance: float) -> FwResult:
     )
 
 
-def _support_start(bordered: np.ndarray, rhs: np.ndarray, scale: float) -> tuple[list[int], np.ndarray] | None:
+def _support_start(bordered: np.ndarray, rhs: np.ndarray) -> tuple[list[int], np.ndarray] | None:
     """A starting state for the major cycles, found top down from the full support, or None.
 
     Takes the minimizer over the affine hull of all T vertices. While some
     of its weights are not positive, drops those vertices and takes the
     minimizer over the affine hull of the rest, so every solve shrinks the
     support and there are at most T of them. Each is one LU solve of a
-    system gathered from ``bordered``, with its round-off residual test and
-    no least-squares fallback. When every solve passes, the chain ends on
-    positive weights over its support: that pair ``(corral, beta)``, with
-    beta zero off the corral, is returned. It is a valid state for Wolfe's
-    major cycles, the affine minimizer of its corral with positive weights,
-    and when the gap test certifies it, the optimum. None means an LU solve
-    failed or the support emptied.
+    system gathered from ``bordered``, with its round-off residual test.
+    When every solve passes, the chain ends on positive weights over its
+    support: that pair ``(corral, beta)``, with beta zero off the corral, is
+    returned. It is a valid state for Wolfe's major cycles, the affine
+    minimizer of its corral with positive weights, and when the gap test
+    certifies it, the optimum. None means an LU solve failed or the support
+    emptied.
     """
     T = rhs.size - 1
-    y = _lu_minimizer(bordered, rhs, scale)
+    y = _lu_minimizer(bordered, rhs)
     if y is None:
         return None
     support = None
@@ -377,7 +371,7 @@ def _support_start(bordered: np.ndarray, rhs: np.ndarray, scale: float) -> tuple
         if support.size == 0:
             return None
         ix = np.concatenate((support, [T]))
-        y = _lu_minimizer(bordered[ix[:, None], ix], rhs[-ix.size:], scale)
+        y = _lu_minimizer(bordered[ix[:, None], ix], rhs[-ix.size:])
         if y is None:
             return None
     if support is None:
@@ -423,15 +417,16 @@ def _major_cycles(
         iterations += 1
         kept = (beta.copy(), objective, gap)
         if j in corral:
-            # beta is not its corral's minimizer: a corral system that rounding
-            # left singular was solved by least squares. Swap weight toward j
-            # from the corral vertex that gains most, then solve again.
+            # beta is not its corral's minimizer: LU could not certify a corral
+            # system that rounding left singular, or round-off in the minor
+            # cycles left beta short of it. Swap weight toward j from the
+            # corral vertex that gains most, then solve again.
             corral.remove(j)
             corral.append(j)
             _swap_step(M, beta, corral)
         else:
             corral.append(j)
-        _minor_cycles(M, bordered, rhs, beta, corral, scale)
+        _minor_cycles(M, bordered, rhs, beta, corral)
     return beta, gap, iterations, objectives
 
 
@@ -444,11 +439,14 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     the minimizer over the corral's affine hull, stepping back to the
     simplex boundary and dropping the vertex that hits zero while that
     minimizer has a negative weight. Every corral system is gathered from
-    one bordered system of the whole M, built once per solve. A chosen
-    vertex can already be in the corral only when rounding left a corral
-    system singular, so that least squares gave a point that is not the
-    corral's minimizer; that major cycle first takes a swap step toward it
-    (``_swap_step``), then runs the minor cycles.
+    one bordered system of the whole M, built once per solve, after M is
+    multiplied by the power of two that puts its largest entry in [0.5, 1)
+    (T != 2). That is exact: M times any power of two that keeps every
+    entry finite and normal gives bitwise the same weights. An LU solve
+    that fails its residual test gives the entering vertex a swap step
+    (``_swap_step``) and stops a later minor cycle, so a chosen vertex can
+    already be in the corral; that major cycle first takes a swap step
+    toward it, then runs the minor cycles.
 
     For T >= 3 the cycles first start where the top-down chain ends
     (``_support_start``): LU solves over the full support, then over the
@@ -501,35 +499,31 @@ def _min_norm(M: np.ndarray, cfg: FwConfig) -> FwResult:
     if T == 2:
         return _solve_two(M.tolist(), cfg.tolerance)
 
+    # Scaling by a power of two is exact, so the solve below sees the same
+    # matrix (entries in [-1, 1)) at any magnitude of M and never overflows.
+    shift = math.frexp(float(np.abs(M).max()))[1]
+    M = np.ldexp(M, -shift)
     diag = M.diagonal()
     scale = float(diag.max())
     bordered = rhs = None
-    # Near the float max an LU residual or a gap can overflow. That only
-    # fails the residual test or leaves the point uncertified, so the solve
-    # runs silently.
-    with np.errstate(over="ignore", invalid="ignore"):
-        start = None
-        if T > 2 and scale > 0.0:
-            bordered, rhs = _bordered(M, scale)
-            start = _support_start(bordered, rhs, scale)
-        if start is None:
-            vertex = int(np.argmin(diag))
-            beta = np.zeros(T)
-            beta[vertex] = 1.0
-            start = [vertex], beta
-        beta, gap, iterations, objectives = _major_cycles(M, bordered, rhs, scale, cfg, *start)
+    start = None
+    if T > 2 and scale > 0.0:
+        bordered, rhs = _bordered(M)
+        start = _support_start(bordered, rhs)
+    if start is None:
+        vertex = int(np.argmin(diag))
+        beta = np.zeros(T)
+        beta[vertex] = 1.0
+        start = [vertex], beta
+    beta, gap, iterations, objectives = _major_cycles(M, bordered, rhs, scale, cfg, *start)
     if iterations == cfg.max_iters and gap > cfg.tolerance:
         _log.warning(
             "min-norm solve stopped at max_iters=%d with relative gap %.3g above tolerance %.3g",
             cfg.max_iters, gap, cfg.tolerance,
         )
-    return _result(beta, gap, iterations, objectives)
-
-
-def _result(beta: np.ndarray, gap: float, iterations: int, objectives: list[float]) -> FwResult:
     return FwResult(
         weights=beta / beta.sum(),
         last_eta=gap,
         iterations=iterations,
-        objectives=np.asarray(objectives),
+        objectives=np.ldexp(objectives, shift),
     )

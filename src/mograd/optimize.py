@@ -144,7 +144,7 @@ class RunResult:
 
 
 def _at(exc: NumericalError, where: str, k: int) -> NumericalError:
-    return NumericalError(f"{exc} at {where} {k}", iteration=k)
+    return NumericalError(f"{exc} at {where} {k}")
 
 
 def _step(

@@ -3,11 +3,11 @@ import pytest
 
 from mograd.data import (
     Dataset,
+    _stratified_counts,
     accuracy_per_class,
     class_batches,
     load_csv,
     save_csv,
-    stratified_counts,
     stratified_split,
     synth_imbalanced,
     synth_two_task,
@@ -160,7 +160,7 @@ class TestStratifiedSplit:
 
     def test_rounding_rule_reproduces_production_scale_counts(self):
         # 284315 + 492 samples at the fraction implied by a 227845/56962 split
-        counts = stratified_counts([284315, 492], 56962 / 284807)
+        counts = _stratified_counts([284315, 492], 56962 / 284807)
         assert sum(counts) == 56962
         assert (284315 + 492) - sum(counts) == 227845
 

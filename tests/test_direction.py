@@ -354,6 +354,17 @@ class TestStationarityResidual:
         assert residual == 0.0
         assert np.array_equal(alpha, np.array([1.0]))
 
+    def test_one_zero_gradient_among_active_is_stationary(self):
+        # The zero vector is in the hull, as mgda_direction finds.
+        rows = [(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+        assert mgda_direction(rows).direction_norm == 0.0
+        residual, alpha = stationarity_residual(rows[:2])
+        assert residual == 0.0
+        assert np.array_equal(alpha, [0.0, 1.0])
+        residual, alpha = stationarity_residual(rows)
+        assert residual == 0.0
+        assert np.array_equal(alpha, [0.0, 1.0, 0.0])
+
     def test_alpha_is_simplex(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

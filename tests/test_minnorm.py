@@ -12,8 +12,8 @@ from mograd.direction import edm_direction, mgda_direction
 from mograd.exceptions import NumericalError
 from mograd.minnorm import (
     FwConfig,
-    _affine_minimizer,
     _bordered,
+    _lu_minimizer,
     _support_start,
     _minor_cycles,
     combination_norm_sq,
@@ -34,11 +34,17 @@ def relative_gap(M, w):
     return max(float(w @ Mw - Mw.min()), 0.0) / float(np.max(np.diag(M)))
 
 
+def prescaled(M):
+    """M times the power of two that puts its largest entry in [0.5, 1), and
+    that power's exponent, as ``frank_wolfe_min_norm`` scales it for T >= 3."""
+    shift = np.frexp(np.max(np.abs(M)))[1]
+    return np.ldexp(M, -shift), shift
+
+
 def support_chain(M):
     """The end of the top-down chain, ``(corral, beta)``, as ``frank_wolfe_min_norm``
     builds it, or None when the chain leaves no warm point."""
-    scale = float(np.max(np.diag(M)))
-    return _support_start(*_bordered(M, scale), scale)
+    return _support_start(*_bordered(prescaled(M)[0]))
 
 
 def support_start(M):
@@ -463,16 +469,18 @@ def unit_rows(G):
 
 
 @pytest.fixture
-def lstsq_calls(monkeypatch):
-    """Counts the least-squares fallbacks of the bordered solve."""
+def lu_rejections(monkeypatch):
+    """Counts the bordered solves whose LU solution ``_lu_minimizer`` did not certify."""
     calls = []
-    lstsq = np.linalg.lstsq
+    lu_minimizer = _lu_minimizer
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return lstsq(*args, **kwargs)
+    def spy(bordered, rhs):
+        y = lu_minimizer(bordered, rhs)
+        if y is None:
+            calls.append(bordered)
+        return y
 
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr("mograd.minnorm._lu_minimizer", spy)
     return calls
 
 
@@ -490,22 +498,16 @@ def lu_solves(monkeypatch):
     return calls
 
 
-def bordered_lstsq(M_SS, scale):
-    k = M_SS.shape[0]
-    A = np.full((k + 1, k + 1), scale)
-    A[:k, :k] = M_SS
-    A[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = scale
-    return np.linalg.lstsq(A, rhs, rcond=None)[0][:k]
-
-
 class TestFallback:
-    def test_stress_sets_certified_and_fallback_fires(self, lstsq_calls):
+    """When LU cannot certify a corral's system, the solver keeps the feasible
+    point it has: a swap step toward the entering vertex, or the end of the
+    minor cycles, and a swap in the next major cycle."""
+
+    def test_stress_sets_certified_and_fallback_fires(self, lu_rejections):
         # Above round-off, Wolfe's method keeps the corral affinely
         # independent, so LU suffices. A tolerance below round-off lets in
         # vertices whose gain is rounding noise, which is where
-        # near-dependent corrals form and the fallback is needed.
+        # near-dependent corrals form and LU fails its residual test.
         rng = np.random.default_rng(0)
         for _ in range(12):
             for make, d in ((near_duplicate_rows, 3), (near_stationary_rows, 1), (near_stationary_rows, 3)):
@@ -514,16 +516,15 @@ class TestFallback:
                 for M in (gram_matrix(G), gram_matrix(unit)):
                     for cfg in (FwConfig(), FwConfig(tolerance=1e-300)):
                         assert relative_gap(M, frank_wolfe_min_norm(M, cfg).weights) <= 1e-12, make.__name__
-        assert len(lstsq_calls) >= 1
+        assert len(lu_rejections) >= 1
 
-    def test_overflowed_residual_falls_back(self, lstsq_calls):
-        # Entries near the float max: LU's elimination overflows and its
-        # finite answer fails the residual test; least squares rescales.
+    def test_entries_near_the_float_max_solve_as_unscaled(self):
+        # Entries near the float max: the solver scales M by a power of two
+        # into [-1, 1) first, so LU's elimination cannot overflow.
         G = np.array([[1.0, 0.2, 0.0], [-0.9, 0.3, 0.1], [0.1, -1.0, 0.2], [0.0, 0.1, -1.0]]) * 1e154
         M = gram_matrix(G)
         assert np.all(np.isfinite(M))
         res = frank_wolfe_min_norm(M)
-        assert len(lstsq_calls) >= 1
         assert relative_gap(M, res.weights) <= 1e-12
         small = frank_wolfe_min_norm(gram_matrix(G * 1e-154))
         assert np.max(np.abs(res.weights - small.weights)) <= 1e-12
@@ -542,23 +543,24 @@ class TestFallback:
         assert res.iterations <= 3
         assert relative_gap(unit_gram, edm_direction(G).weights) <= 1e-12
 
-    def test_exactly_singular_corral_returns_lstsq_minimizer(self, lstsq_calls):
+    def test_exactly_singular_rows_solve_certified(self, lu_rejections):
         # Rows 0 and 1 of the bordered system are identical, so LU meets an
-        # exact zero pivot.
-        M_SS = gram_matrix([(3.0, 4.0), (3.0, 4.0), (0.0, 2.0)])
-        y = _affine_minimizer(*_bordered(M_SS, 25.0), np.arange(4), 25.0)
-        assert len(lstsq_calls) == 1
-        assert np.array_equal(y, bordered_lstsq(M_SS, 25.0))
-        assert abs(y.sum() - 1.0) <= 1e-12
-        best = min(combination_norm_sq(M_SS, w) for w in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])))
-        assert float(y @ M_SS @ y) <= best + 1e-12
+        # exact zero pivot; the solve answers from a vertex instead.
+        M = gram_matrix([(3.0, 4.0), (3.0, 4.0), (0.0, 2.0)])
+        res = frank_wolfe_min_norm(M)
+        assert len(lu_rejections) >= 1
+        assert np.all(res.weights >= 0.0) and abs(res.weights.sum() - 1.0) <= 1e-15
+        assert relative_gap(M, res.weights) <= 1e-12
+        assert res.last_eta <= 1e-12
+        assert abs(combination_norm_sq(M, res.weights) - kkt_oracle(M)) <= 1e-12 * 25.0
 
-    def test_well_conditioned_corral_takes_lu(self, lstsq_calls):
-        M_SS = gram_matrix(np.random.default_rng(9).standard_normal((4, 6)))
-        scale = float(M_SS.diagonal().max())
-        y = _affine_minimizer(*_bordered(M_SS, scale), np.arange(5), scale)
-        assert not lstsq_calls
-        assert np.max(np.abs(y - bordered_lstsq(M_SS, scale))) <= 1e-12
+    def test_well_conditioned_corral_takes_lu(self):
+        M_SS = prescaled(gram_matrix(np.random.default_rng(9).standard_normal((4, 6))))[0]
+        bordered, rhs = _bordered(M_SS)
+        y = _lu_minimizer(bordered, rhs)
+        assert y is not None
+        exact = fraction_solve([[Fraction(v) for v in row] for row in bordered.tolist()], [Fraction(v) for v in rhs])
+        assert max(abs(float(Fraction(w) - x)) for w, x in zip(y.tolist(), exact)) <= 1e-12
 
 
 class TestRoundOffFloor:
@@ -730,9 +732,10 @@ class TestSupportStart:
         vertex with the smallest ``M_ii``, as ``frank_wolfe_min_norm`` runs them."""
         cfg = FwConfig()
         T = M.shape[0]
+        M, shift = prescaled(M)
         diag = np.diag(M)
         scale = float(diag.max())
-        bordered, rhs = _bordered(M, scale)
+        bordered, rhs = _bordered(M)
         corral = [int(np.argmin(diag))]
         beta = np.zeros(T)
         beta[corral[0]] = 1.0
@@ -754,8 +757,8 @@ class TestSupportStart:
             corral.append(j)
             iterations += 1
             kept = (beta.copy(), objective, gap)
-            _minor_cycles(M, bordered, rhs, beta, corral, scale)
-        return beta / beta.sum(), iterations, np.asarray(objectives)
+            _minor_cycles(M, bordered, rhs, beta, corral)
+        return beta / beta.sum(), iterations, np.ldexp(objectives, shift)
 
     @staticmethod
     def interior_grams(rng):
@@ -811,7 +814,7 @@ class TestSupportStart:
             if support_chain(M) is not None and support_start(M) is None:
                 yield M
 
-    def test_interior_sets_take_the_start_certified(self, lstsq_calls, lu_solves):
+    def test_interior_sets_take_the_start_certified(self, lu_solves):
         rng = np.random.default_rng(30)
         for M in self.interior_grams(rng):
             before = len(lu_solves)
@@ -824,7 +827,6 @@ class TestSupportStart:
             assert res.last_eta <= 1e-12
             assert np.max(np.abs(res.weights - weights)) <= 1e-12
             assert abs(res.objectives[-1] - objectives[-1]) <= 1e-12 * float(np.max(np.diag(M)))
-        assert not lstsq_calls
 
     def test_face_optima_take_the_start_certified(self):
         # Dropping every non-positive weight at once can drop a vertex that
@@ -854,14 +856,13 @@ class TestSupportStart:
         assert answered["generic"] >= 0.75 * total["generic"]
         assert faces >= 0.75 * sum(answered.values())
 
-    def test_raw_generic_face_takes_at_most_two_solves(self, lu_solves, lstsq_calls):
+    def test_raw_generic_face_takes_at_most_two_solves(self, lu_solves):
         # Raw rows of unequal scale, as mgda sees them: the optimum drops
         # four rows, and one re-solve finds it. Some such sets need a third.
         rng = np.random.default_rng(30)
         M = gram_matrix(rng.standard_normal((32, 1000)) * np.exp(rng.uniform(-2.0, 2.0, (32, 1))))
         res = frank_wolfe_min_norm(M)
         assert len(lu_solves) <= 2
-        assert not lstsq_calls
         assert res.iterations == 0 and np.any(res.weights == 0.0)
         assert relative_gap(M, res.weights) <= 1e-12
 
@@ -895,7 +896,7 @@ class TestSupportStart:
                 assert np.array_equal(res.objectives, objectives)
         assert rejected >= 10, rejected
 
-    def test_warm_started_sets_certified(self, lu_solves, lstsq_calls):
+    def test_warm_started_sets_certified(self, lu_solves):
         # The major cycles run from the chain's corral and point, and end
         # certified without the vertex start. Over the sets that takes fewer
         # LU solves than the chain and the vertex start together; on some
@@ -920,14 +921,11 @@ class TestSupportStart:
                 assert abs(res.objectives[-1] - objectives[-1]) <= 1e-12 * float(np.max(np.diag(M)))
         assert warm >= 10
         assert solved < len(lu_solves) - start - solved
-        assert not lstsq_calls
 
     def test_solves_near_the_float_max_are_silent(self):
-        # Scaled by a power of two to a largest entry near the float max, an
-        # LU residual of the chain or of a minor cycle, or a gap, can
-        # overflow. That only fails the test it feeds, so no floating-point
-        # warning is raised (the suite turns them into errors), and every
-        # start answers as certified as on the unscaled set.
+        # Scaled by a power of two to a largest entry near the float max, the
+        # solve raises no floating-point warning (the suite turns them into
+        # errors), and every start answers as certified as on the unscaled set.
         rng = np.random.default_rng(0)
         grams = list(itertools.chain(
             (M for _, M in self.face_grams(rng)), self.degenerate_grams(rng), self.exact_duplicate_grams(rng)
@@ -938,7 +936,34 @@ class TestSupportStart:
                 assert relative_gap(M, res.weights) <= 1e-12
                 assert res.last_eta <= 1e-12
 
-    def test_start_makes_no_lstsq_call(self, lstsq_calls, lu_solves):
+    def test_power_of_two_scaling_leaves_weights_bitwise(self):
+        # The solver scales M by a power of two into [-1, 1) before anything
+        # else, so M * 2^k solves to the same bits wherever that product is
+        # exact: every entry finite and either zero or normal.
+        rng = np.random.default_rng(37)
+        grams = [
+            M
+            for _ in range(3)
+            for M in itertools.chain(
+                self.interior_grams(rng), (M for _, M in self.face_grams(rng)),
+                self.degenerate_grams(rng), self.exact_duplicate_grams(rng),
+            )
+        ]
+        tiny = np.finfo(float).tiny
+        ks = list(range(-1000, 1001, 50)) + [-1022, -1020, -1015, 1015, 1020, 1022]
+        checked = 0
+        for M in grams:
+            res = frank_wolfe_min_norm(M)
+            for k in ks:
+                with np.errstate(over="ignore"):
+                    scaled = np.ldexp(M, k)
+                if not np.all(np.isfinite(scaled) & ((scaled == 0.0) | (np.abs(scaled) >= tiny))):
+                    continue
+                checked += 1
+                assert np.array_equal(frank_wolfe_min_norm(scaled).weights, res.weights), k
+        assert checked >= 30 * len(grams)
+
+    def test_start_takes_at_most_T_lu_solves(self, lu_solves):
         rng = np.random.default_rng(32)
         grams = list(itertools.chain(
             self.interior_grams(rng), (M for _, M in self.face_grams(rng)), self.degenerate_grams(rng)
@@ -950,7 +975,6 @@ class TestSupportStart:
             before = len(lu_solves)
             support_chain(M)
             assert len(lu_solves) - before <= M.shape[0]
-        assert not lstsq_calls
 
     def test_objectives_trace_the_solve(self):
         rng = np.random.default_rng(33)

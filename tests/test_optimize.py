@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -115,9 +116,8 @@ class TestRunEdm:
                 losses = losses * np.nan
             return losses, grads
 
-        with pytest.raises(NumericalError) as excinfo:
+        with pytest.raises(NumericalError, match=r" at iteration \d+$"):
             run_edm(exploding, np.array([0.0, 1.0]), cfg())
-        assert excinfo.value.iteration is not None
 
     @pytest.mark.parametrize("run, extra", [
         (run_edm, {}),
@@ -135,9 +135,8 @@ class TestRunEdm:
 
         with pytest.raises(NumericalError) as excinfo:
             run(poisoned, np.array([0.0, 1.0]), cfg(**extra))
-        k = excinfo.value.iteration
-        assert k is not None and k >= 1
-        assert str(excinfo.value) == f"non-finite gradient entries at iteration {k}"
+        named = re.fullmatch(r"non-finite gradient entries at iteration (\d+)", str(excinfo.value))
+        assert named is not None and int(named[1]) >= 1
 
     def test_gamma_recorded_in_trace(self):
         result = run_edm(PAIR, np.array([0.0, 1.0]), cfg(max_iters=3, stop_tolerance=1e-14))
@@ -451,7 +450,6 @@ class TestRunMultitask:
                 cfg(learning_rate=0.01, max_iters=3, stop_tolerance=1e-14),
                 batch_size=30,
             )
-        assert excinfo.value.iteration == 1
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("kappa", [0.5, np.nan, np.inf])
