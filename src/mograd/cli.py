@@ -167,13 +167,8 @@ def cmd_direction(opts: dict) -> int:
 
     d = res.raw_direction
     norm_sq = float(d @ d)
-    residuals = []
-    for i in range(gs.n_objectives):
-        g = gs.gradients[i]
-        if opts["method"] == "edm":
-            residuals.append(float(d @ g - norm_sq * gs.norms[i]))
-        else:
-            residuals.append(float(d @ g - norm_sq))
+    scale = gs.norms if opts["method"] == "edm" else np.ones(gs.n_objectives)
+    residuals = [float(d @ g - norm_sq * s) for g, s in zip(gs.gradients, scale)]
     stepped = res.normalized_direction
     report = {
         "method": opts["method"],

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .minnorm import FwConfig, _gram, _min_norm
+from .minnorm import FwConfig, _gram, _min_norm, _solve_two
 
 __all__ = [
     "ZERO_GRADIENT_THRESHOLD",
@@ -127,8 +127,8 @@ def _stationary_result(T: int, d: int) -> DirectionResult:
     )
 
 
-def _combine(gs: GradientSet, weights, coef, gamma, support) -> DirectionResult:
-    raw = coef @ gs.gradients
+def _combine(G: np.ndarray, weights, coef, gamma, support) -> DirectionResult:
+    raw = coef @ G
     return DirectionResult(
         weights=weights,
         raw_direction=raw,
@@ -137,6 +137,17 @@ def _combine(gs: GradientSet, weights, coef, gamma, support) -> DirectionResult:
         direction_norm=math.sqrt(raw @ raw),
         support=support,
     )
+
+
+def _pair(grads) -> tuple[list[list[float]], float, float] | None:
+    """The Gram matrix (as lists) and norms of a raw (2, d) float array they certify, or None."""
+    if type(grads) is not np.ndarray or grads.ndim != 2 or len(grads) != 2 or grads.dtype != float:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _gram(grads).tolist()
+    n0, n1 = math.sqrt(M[0][0]), math.sqrt(M[1][1])
+    certified = math.isfinite(sum(M[0] + M[1])) and min(n0, n1) > ZERO_GRADIENT_THRESHOLD
+    return (M, n0, n1) if certified else None
 
 
 def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
@@ -152,6 +163,14 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     ``direction_norm`` 0, which signals a stationary point rather than
     raising.
     """
+    pair = _pair(grads)
+    if pair is not None:  # the generic route's operations below, in Python floats: bitwise equal
+        ((m00, m01), (m10, m11)), n0, n1 = pair
+        N = [[m00 / (n0 * n0), m01 / (n0 * n1)], [m10 / (n1 * n0), m11 / (n1 * n1)]]
+        w = _solve_two(N, cfg.tolerance).weights
+        w0, w1 = w.tolist()
+        q0, q1 = w0 / n0, w1 / n1  # a weight off the support is exactly 0
+        return _combine(grads, w, np.array([q0, q1]), 1.0 / (q0 + q1), w.nonzero()[0])
     gs = _as_gradient_set(grads)
     T, d = gs.gradients.shape
     act = gs.active
@@ -170,7 +189,7 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     # gamma = (sum_i beta_i / ||g_i||)^-1 over the positive weights.
     gamma = float(1.0 / np.sum(q[support]))
     if every:
-        return _combine(gs, sol.weights, q, gamma, support)
+        return _combine(gs.gradients, sol.weights, q, gamma, support)
     _log.warning(
         "edm_direction drops objectives %s: gradient norm at or below ZERO_GRADIENT_THRESHOLD=%g",
         (gs.norms <= ZERO_GRADIENT_THRESHOLD).nonzero()[0].tolist(), ZERO_GRADIENT_THRESHOLD,
@@ -179,7 +198,7 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     weights[act] = sol.weights
     coef = np.zeros(T)
     coef[act] = q
-    return _combine(gs, weights, coef, gamma, act[support])
+    return _combine(gs.gradients, weights, coef, gamma, act[support])
 
 
 def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
@@ -189,9 +208,13 @@ def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     zero vector in the hull makes the min-norm point zero, i.e. the point
     is already stationary for that objective alone).
     """
+    pair = _pair(grads)
+    if pair is not None:
+        w = _solve_two(pair[0], cfg.tolerance).weights
+        return _combine(grads, w, w, None, w.nonzero()[0])
     gs = _as_gradient_set(grads)
     sol = _min_norm(gs.gram, cfg)
-    return _combine(gs, sol.weights, sol.weights, None, (sol.weights > 0).nonzero()[0])
+    return _combine(gs.gradients, sol.weights, sol.weights, None, (sol.weights > 0).nonzero()[0])
 
 
 def bisector_two(g1, g2) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Descent loops over multi-loss problems, with per-iteration traces.
 
 A problem is any callable ``theta -> (losses, gradients)``. ``METHODS`` is
-the one registry of step methods: each entry maps a ``GradientSet`` and an
-``OptimizerConfig`` to a ``DirectionResult``, and every loop steps along
-its ``normalized_direction``. The flat loop (``run_edm``/``run_mgda``/
-``run_weighted_sum``) tests the stopping rule before each update and traces
-every step; ``run_multitask`` steps a two-head network per batch and traces
-each epoch's means. Both make each direction through one step core, which
-checks the caller's arrays, calls the registry, checks the direction and
+the one registry of step methods: each entry maps a ``(T, d)`` gradient
+array or a ``GradientSet``, and an ``OptimizerConfig``, to a certified
+``DirectionResult``; every loop steps along its ``normalized_direction``.
+The flat loop (``run_edm``/``run_mgda``/``run_weighted_sum``) tests the
+stopping rule before each update and traces every step; ``run_multitask``
+steps a two-head network per batch and traces each epoch's means. Both make
+each direction through one step core, which checks the caller's arrays and
 names the iteration or epoch in any ``NumericalError``. The two studies'
 trainers live here too: ``train_imbalanced`` runs the flat loop on
 per-class batch losses, and ``run_multitask`` is the two-task trainer.
@@ -30,6 +30,7 @@ from .data import Dataset, class_batches
 from .direction import (
     DirectionResult,
     GradientSet,
+    _as_gradient_set,
     _combine,
     edm_direction,
     mgda_direction,
@@ -64,21 +65,24 @@ __all__ = [
 ]
 
 
-def _weighted_sum(gs: GradientSet, cfg: OptimizerConfig) -> DirectionResult:
-    w = cfg.weights
+def _weighted_sum(grads, cfg: OptimizerConfig) -> DirectionResult:
+    gs, w = _as_gradient_set(grads), cfg.weights
     if w is None:
         raise ValueError("weighted_sum needs cfg.weights")
     if w.shape[0] != gs.n_objectives:
         raise ValueError(f"{w.shape[0]} weights do not match {gs.n_objectives} objectives")
     # OptimizerConfig rejects negative weights, so the nonzero ones are the support.
-    return _combine(gs, w / w.sum(), w, None, w.nonzero()[0])
+    res = _combine(gs.gradients, w / w.sum(), w, None, w.nonzero()[0])
+    if not np.isfinite(res.raw_direction).all():  # unlike edm's and mgda's, w @ G can overflow
+        raise NumericalError("non-finite direction")
+    return res
 
 
 # The entries look up the direction functions in this module's globals at
 # call time, so wrappers installed on the module (the benchmark's tracer) see them.
-METHODS: dict[str, Callable[[GradientSet, OptimizerConfig], DirectionResult]] = {
-    "edm": lambda gs, cfg: edm_direction(gs, cfg.fw),
-    "mgda": lambda gs, cfg: mgda_direction(gs, cfg.fw),
+METHODS: dict[str, Callable[[np.ndarray | GradientSet, OptimizerConfig], DirectionResult]] = {
+    "edm": lambda grads, cfg: edm_direction(grads, cfg.fw),
+    "mgda": lambda grads, cfg: mgda_direction(grads, cfg.fw),
     "weighted_sum": _weighted_sum,
 }
 
@@ -152,20 +156,18 @@ def _step(
 ) -> tuple[DirectionResult, float]:
     """The registry's direction for one step, and the norm of that step's direction.
 
-    ``arrays`` (named ``what`` in the error) must be finite; the
-    ``GradientSet`` certifies ``grads``. A ``NumericalError`` is re-raised
-    as ``"... at {where} {k}"``.
+    ``arrays`` (named ``what`` in the error) must be finite; the registry
+    entry takes ``grads`` as given and certifies it and its direction. A
+    ``NumericalError`` is re-raised as ``"... at {where} {k}"``.
     """
     try:
         if not all(np.isfinite(a).all() for a in arrays):
             raise NumericalError(f"non-finite {what}")
-        res = METHODS[method](GradientSet.from_gradients(grads), cfg)
-        d = res.normalized_direction
-        if not np.isfinite(d).all():
-            raise NumericalError("non-finite direction")
+        res = METHODS[method](grads, cfg)
     except NumericalError as exc:
         raise _at(exc, where, k) from exc
     # Without gamma the stepped direction is raw_direction, whose norm res holds.
+    d = res.normalized_direction
     return res, res.direction_norm if res.gamma is None else math.sqrt(d @ d)
 
 

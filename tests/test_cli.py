@@ -394,6 +394,19 @@ class TestLoopBindings:
         assert main(args) == 0
         assert loops == [loop]
 
+    @pytest.mark.parametrize("method", ["edm", "mgda"])
+    @pytest.mark.parametrize("command, steps", [
+        ("imbalanced", 4),  # 2 epochs of 2 batches
+        ("multitask", 3),  # 1 epoch of the 150 training rows in batches of 64
+    ])
+    def test_training_steps_call_the_module_directions(
+        self, tmp_path, monkeypatch, command, steps, method
+    ):
+        directions = self.spy(monkeypatch, f"{method}_direction")
+        args = subcommand_args(command, tmp_path) + ["--method", method, "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert len(directions) == steps
+
 
 class TestTrainImbalanced:
     @pytest.mark.parametrize("method", ["edm", "mgda", "sgd"])

@@ -3,8 +3,11 @@ import logging
 import tracemalloc
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mograd.direction import (
     ZERO_GRADIENT_THRESHOLD,
@@ -68,8 +71,12 @@ CERTIFIED_CALLS = (GradientSet.from_gradients, edm_direction, mgda_direction, st
 
 
 class TestCertifiedOnce:
-    """The Gram matrix is built and checked once, in ``GradientSet``; the
-    direction methods reuse it bitwise."""
+    """The Gram matrix is built and checked once: in ``GradientSet``, or,
+    for a raw (2, d) float array with a finite Gram matrix and both norms
+    above the zero threshold, in the scalar route of ``edm_direction`` and
+    ``mgda_direction``. That route builds no ``GradientSet`` and gives
+    bitwise the generic route's result; any other input takes the generic
+    route."""
 
     def shapes(self):
         rng = np.random.default_rng(11)
@@ -80,18 +87,67 @@ class TestCertifiedOnce:
             G[rng.integers(T)] = 0.0
             yield G
 
+    def pairs(self):
+        """T=2 sets: seeded random, parallel, antiparallel, equal norms, one
+        row scaled by 2^k for k in [-500, 500], and a norm just above and
+        just below the zero threshold."""
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            yield random_gradients(rng, T=2, d=int(rng.integers(1, 40)))
+        g = rng.standard_normal(7)
+        for c in (1.0, 2.5, 0.125, -1.0, -2.5, -0.125):
+            yield np.stack([g, c * g])
+        yield np.array([[3.0, 4.0], [4.0, 3.0]])
+        yield np.array([[1.0, 2.0], [1.0, 2.0]])
+        base = rng.standard_normal((2, 9))
+        for k in range(-500, 501):
+            yield base * np.array([[1.0], [2.0**k]])
+        t = ZERO_GRADIENT_THRESHOLD
+        for s in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0), 0.5 * t, 2.0 * t):
+            yield np.array([[0.0, s], [0.6, -0.8]])
+
     def test_gram_is_gram_matrix_bitwise(self):
         for G in self.shapes():
             assert np.array_equal(GradientSet.from_gradients(G).gram, gram_matrix(G))
 
     @pytest.mark.parametrize("direction", [edm_direction, mgda_direction])
-    def test_array_and_gradient_set_give_the_same_result_bitwise(self, direction):
-        for G in self.shapes():
+    def test_array_and_gradient_set_give_the_same_result_bitwise(self, direction, monkeypatch):
+        build = GradientSet.from_gradients
+        builds = []
+        monkeypatch.setattr(GradientSet, "from_gradients", lambda G: builds.append(G) or build(G))
+        scalar = 0
+        for G in itertools.chain(self.shapes(), self.pairs()):
+            gs = build(G)
+            builds.clear()
             a = direction(G)
-            b = direction(GradientSet.from_gradients(G))
-            assert a.gamma == b.gamma and a.direction_norm == b.direction_norm
+            # The scalar route takes every T=2 array whose two norms are active.
+            assert len(builds) == (0 if G.shape[0] == 2 and gs.active.size == 2 else 1)
+            scalar += not builds
+            b = direction(gs)
+            assert type(a.gamma) is type(b.gamma) and a.gamma == b.gamma
+            assert a.direction_norm == b.direction_norm
             for field in ("weights", "raw_direction", "normalized_direction", "support"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+                x, y = getattr(a, field), getattr(b, field)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+        assert scalar >= 600
+
+    @pytest.mark.parametrize("direction", [edm_direction, mgda_direction])
+    def test_equal_norm_tie_goes_to_vertex_0(self, direction):
+        for G in (np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([[2.0, 0.0], [2.0, 0.0]])):
+            res = direction(G)
+            assert res.weights.tolist() == [1.0, 0.0] and res.support.tolist() == [0]
+
+    def test_edm_pairs_match_the_bisector(self):
+        checked = 0
+        for G in self.pairs():
+            n1, n2 = np.linalg.norm(G, axis=1)
+            if min(n1, n2) <= ZERO_GRADIENT_THRESHOLD or abs(G[0] @ G[1]) > 0.99 * n1 * n2:
+                continue  # a zero or (nearly) parallel pair
+            expected = bisector_two(G[0], G[1])
+            got = edm_direction(G).normalized_direction
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+            checked += 1
+        assert checked >= 600
 
     @pytest.mark.parametrize("direction", [edm_direction, mgda_direction])
     def test_non_finite_rows_still_rejected(self, direction):
@@ -130,9 +186,36 @@ class TestDroppedObjectiveWarning:
         assert not caplog.records
 
 
+@st.composite
+def wide_range_sets(draw):
+    """Gradient sets of 2 to 6 rows, each row scaled by 2^k for k from -1070
+    up to 510, so that entries reach near 2^511, with exact zeros too."""
+    T = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 8))
+    G = draw(hnp.arrays(float, (T, d), elements=st.floats(-2.0, 2.0)))
+    ks = (-1070, -600, -300, -40, 0, 40, 300, 500, 508, 509, 510)
+    return G * draw(hnp.arrays(float, (T, 1), elements=st.sampled_from([2.0**k for k in ks])))
+
+
 class TestCertifiedFiniteness:
-    """A finite Gram matrix certifies every gradient entry; only a failed
-    check scans the gradients, to name the cause."""
+    """A finite Gram matrix certifies every gradient entry, and the
+    directions built on it; only a failed check scans the gradients, to
+    name the cause."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(wide_range_sets())
+    def test_directions_of_every_certified_set_are_finite(self, G):
+        # edm's raw direction is bounded by 1 entrywise and gamma by the
+        # largest norm; mgda's direction lies in the hull of the rows.
+        try:
+            gs = GradientSet.from_gradients(G)
+        except NumericalError:
+            return
+        for direction in (edm_direction, mgda_direction):
+            for grads in (G, gs):
+                res = direction(grads)
+                assert np.isfinite(res.raw_direction).all()
+                assert np.isfinite(res.normalized_direction).all()
 
     @staticmethod
     def assert_rejected(G, positions):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,20 @@ class TestRunEdm:
             run(poisoned, np.array([0.0, 1.0]), cfg(**extra))
         named = re.fullmatch(r"non-finite gradient entries at iteration (\d+)", str(excinfo.value))
         assert named is not None and int(named[1]) >= 1
+
+    def test_overflowing_weighted_sum_reports_iteration(self):
+        # A finite Gram matrix bounds the edm and mgda directions, but not the
+        # unnormalized w @ G: 1e300 * 1e10 overflows.
+        def large(theta):
+            losses, _ = PAIR(theta[:2])
+            return losses, np.full((2, 3), 1e10)
+
+        weights = np.array([1e300, 1e300])
+        with warnings.catch_warnings():
+            # numpy may warn of the overflow in the product before the loop raises.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match=r"^non-finite direction at iteration 0$"):
+                run_weighted_sum(large, np.zeros(3), cfg(method="weighted_sum", weights=weights))
 
     def test_gamma_recorded_in_trace(self):
         result = run_edm(PAIR, np.array([0.0, 1.0]), cfg(max_iters=3, stop_tolerance=1e-14))
