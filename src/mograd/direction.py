@@ -65,11 +65,7 @@ class GradientSet:
 
     @classmethod
     def from_gradients(cls, gradients) -> "GradientSet":
-        G = np.asarray(gradients, dtype=float)
-        if G.ndim == 1:
-            G = G[None, :]
-        if G.ndim != 2 or G.shape[0] < 1 or G.shape[1] < 1:
-            raise ValueError(f"expected (T, d) gradients with T, d >= 1, got shape {G.shape}")
+        G = _rows(gradients)
         with np.errstate(over="ignore", invalid="ignore"):
             gram = _gram(G)
         if not np.isfinite(gram).all():
@@ -107,6 +103,16 @@ class DirectionResult:
     normalized_direction: np.ndarray
     direction_norm: float
     support: np.ndarray
+
+
+def _rows(gradients) -> np.ndarray:
+    """``gradients`` as a (T, d) float array with T, d >= 1; a vector is one row."""
+    G = np.asarray(gradients, dtype=float)
+    if G.ndim == 1:
+        G = G[None, :]
+    if G.ndim != 2 or G.shape[0] < 1 or G.shape[1] < 1:
+        raise ValueError(f"expected (T, d) gradients with T, d >= 1, got shape {G.shape}")
+    return G
 
 
 def _as_gradient_set(grads) -> GradientSet:
@@ -167,8 +173,8 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     if pair is not None:  # the generic route's operations below, in Python floats: bitwise equal
         ((m00, m01), (m10, m11)), n0, n1 = pair
         N = [[m00 / (n0 * n0), m01 / (n0 * n1)], [m10 / (n1 * n0), m11 / (n1 * n1)]]
-        w = _solve_two(N, cfg.tolerance).weights
-        w0, w1 = w.tolist()
+        w0, w1, _, _ = _solve_two(N, cfg.tolerance)
+        w = np.array([w0, w1])
         q0, q1 = w0 / n0, w1 / n1  # a weight off the support is exactly 0
         return _combine(grads, w, np.array([q0, q1]), 1.0 / (q0 + q1), w.nonzero()[0])
     gs = _as_gradient_set(grads)
@@ -210,7 +216,7 @@ def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
     """
     pair = _pair(grads)
     if pair is not None:
-        w = _solve_two(pair[0], cfg.tolerance).weights
+        w = np.array(_solve_two(pair[0], cfg.tolerance)[:2])
         return _combine(grads, w, w, None, w.nonzero()[0])
     gs = _as_gradient_set(grads)
     sol = _min_norm(gs.gram, cfg)

@@ -219,6 +219,8 @@ def _lu_minimizer(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     1. None means LU found an exactly singular pivot, or the system is so
     close to singular (affinely dependent vertices, up to rounding) that LU
     lost the residual; the callers then keep the feasible point they have.
+    ``rhs`` is the last unit vector, as every system gathered from
+    ``_bordered`` has.
     """
     try:
         x = np.linalg.solve(bordered, rhs)
@@ -226,10 +228,14 @@ def _lu_minimizer(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         return None
     # With every entry of A at most 1, no sum in A x exceeds this bound, so
     # the residual cannot overflow once the bound is finite.
-    bound = len(rhs) * float(np.abs(x).max())
+    bound = len(rhs) * float(np.maximum.reduce(np.abs(x)))
     if not bound < math.inf:
         return None
-    if np.abs(bordered @ x - rhs).max() <= _RESIDUAL_ULPS * _EPS * (bound + 1.0):
+    # rhs is the last unit vector, so A x - rhs differs from A x in its last entry only.
+    r = bordered @ x
+    r[-1] -= 1.0
+    np.abs(r, out=r)
+    if np.maximum.reduce(r) <= _RESIDUAL_ULPS * _EPS * (bound + 1.0):
         return x[:-1]
     return None
 
@@ -308,13 +314,18 @@ def _minor_cycles(M: np.ndarray, bordered: np.ndarray, rhs: np.ndarray, beta: np
         corral[:] = [i for i in corral if beta[i] > 0.0]
 
 
-def _solve_two(M: list[list[float]], tolerance: float) -> FwResult:
-    """Wolfe's method at T=2, in scalar arithmetic.
+def _solve_two(
+    M: list[list[float]], tolerance: float
+) -> tuple[float, float, float, list[float]]:
+    """Wolfe's method at T=2, in scalar arithmetic: ``(w0, w1, gap, objectives)``.
 
     The same steps as the general loop: start at the vertex with the
     smaller ``M_ii`` (ties go to index 0), pick the smallest entry of
     ``M beta`` (column s of M), and unless the gap test stops the solve
     there, take one exact line search toward that vertex, which ends it.
+    The weights and the relative gap are floats; ``objectives`` lists the
+    quadratic form before and after each major cycle, as in ``FwResult``,
+    so the solve took ``len(objectives) - 1`` cycles.
     """
     (m00, m01), (m10, m11) = M
     scale = max(m00, m11)
@@ -338,12 +349,7 @@ def _solve_two(M: list[list[float]], tolerance: float) -> FwResult:
         gap = max(objective - min(Mb0, Mb1), 0.0) / scale
         objectives.append(max(objective, 0.0))
     total = beta[0] + beta[1]
-    return FwResult(
-        weights=np.array([beta[0] / total, beta[1] / total]),
-        last_eta=gap,
-        iterations=len(objectives) - 1,
-        objectives=np.array(objectives),
-    )
+    return beta[0] / total, beta[1] / total, gap, objectives
 
 
 def _support_start(bordered: np.ndarray, rhs: np.ndarray) -> tuple[list[int], np.ndarray] | None:
@@ -497,7 +503,8 @@ def _min_norm(M: np.ndarray, cfg: FwConfig) -> FwResult:
     """
     T = M.shape[0]
     if T == 2:
-        return _solve_two(M.tolist(), cfg.tolerance)
+        w0, w1, gap, objectives = _solve_two(M.tolist(), cfg.tolerance)
+        return FwResult(np.array([w0, w1]), gap, len(objectives) - 1, np.array(objectives))
 
     # Scaling by a power of two is exact, so the solve below sees the same
     # matrix (entries in [-1, 1)) at any magnitude of M and never overflows.

@@ -11,8 +11,9 @@ Per-sample losses are cross-entropies and per-class or per-task losses are
 batch produces a proportionally larger gradient.
 
 The per-class oracle takes one backward pass and splits its per-layer sums
-by row segment. The two-task oracle stacks two heads of equal shape over a
-leading task axis and backpropagates both tasks through them and the
+by row segment. A two-head model holds its trunk and both heads in one
+buffer, and views two heads of equal shape as layers stacked over a task
+axis; the two-task oracle backpropagates both tasks through them and the
 shared trunk in one pass. Each stacked slice runs the same matrix product
 as its own 2-D pass would, so the results are bitwise those of one pass
 per task.
@@ -103,15 +104,30 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams(self.layers)
 
+    @classmethod
+    def _over(cls, flat: np.ndarray, dims: list[int]) -> "MlpParams":
+        """The network of ``dims`` whose ``flat`` is the float vector ``flat`` itself."""
+        net = cls.__new__(cls)
+        net.flat = flat
+        net.layers, _ = _layer_views(flat, dims)
+        return net
+
 
 def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list, int]:
-    """``(W_j, b_j)`` views into ``flat`` and the number of entries they cover."""
+    """``(W_j, b_j)`` views into ``flat`` and the number of entries they cover.
+
+    A 2-D ``flat`` holds one network per row, and the views stack them as
+    :func:`_forward_cached` runs them: W_j of shape (rows, d_out, d_in) and
+    b_j of shape (rows, 1, d_out).
+    """
+    lead = flat.shape[:-1]
     layers = []
     offset = 0
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        W = flat[offset : offset + d_in * d_out].reshape(d_out, d_in)
+        W = flat[..., offset : offset + d_in * d_out].reshape(lead + (d_out, d_in))
         offset += d_in * d_out
-        layers.append((W, flat[offset : offset + d_out]))
+        b = flat[..., offset : offset + d_out]
+        layers.append((W, b[..., None, :] if lead else b))
         offset += d_out
     return layers, offset
 
@@ -233,7 +249,9 @@ def _ce_rows(logits: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     flat = logits.reshape(-1)
     picked = flat[picks]
-    m = logits.max(axis=1, keepdims=True)
+    # A max is exact in any order, so each row's max is taken down the few
+    # columns of a transposed copy: one vector op per class.
+    m = np.maximum.reduce(logits.T.copy(), axis=0)[:, None]
     np.subtract(logits, m, out=logits)
     np.exp(logits, out=logits)
     total = logits.sum(axis=1, keepdims=True)
@@ -335,30 +353,52 @@ def _grouped_losses(net: MlpParams, X: np.ndarray, plan: _ClassPlan) -> tuple[np
     return losses, grads
 
 
-@dataclass
 class TwoHeadMlp:
-    """A shared trunk feeding two task heads.
+    """A shared trunk feeding two task heads, all in one parameter buffer.
 
     The trunk output passes through the same rectifier used between layers
     before it reaches either head, so the junction behaves exactly like an
-    internal layer boundary. The flat-vector view is trunk parameters, then
-    head 1, then head 2; ``shared_slice`` marks the trunk block.
+    internal layer boundary. ``flat`` holds the trunk's parameters, then
+    head 0's, then head 1's (``shared_slice``, ``head_slices``). ``trunk``,
+    ``heads[k]`` and their layers are views into it, and so, for heads of
+    equal ``dims``, are the (2, n_head) head block and the head layers
+    stacked over a task axis that the two-task pass runs. Construction
+    copies the given networks into a new buffer, as does assigning
+    ``trunk`` or ``heads``; ``flatten`` and ``copy`` alias nothing.
     """
 
-    trunk: MlpParams
-    heads: tuple[MlpParams, MlpParams]
-
-    def __post_init__(self) -> None:
-        out = self.trunk.dims[-1]
-        for k, head in enumerate(self.heads):
+    def __init__(self, trunk: MlpParams, heads: tuple[MlpParams, MlpParams]) -> None:
+        out = trunk.dims[-1]
+        for k, head in enumerate(heads):
             if head.dims[0] != out:
                 raise ValueError(
                     f"head {k} input dim {head.dims[0]} does not match trunk output {out}"
                 )
+        nets = (trunk, *heads)
+        self.flat = np.concatenate([net.flat for net in nets])
+        ends = np.cumsum([net.n_params for net in nets]).tolist()
+        self._trunk, *views = [
+            MlpParams._over(self.flat[lo:hi], net.dims)
+            for net, lo, hi in zip(nets, [0] + ends, ends)
+        ]
+        self._heads = tuple(views)
+        # The (tasks, n_head) block of the heads that each stacked pass runs.
+        equal = heads[0].dims == heads[1].dims
+        self._head_block = self.flat[ends[0]:].reshape(2, -1) if equal else None
+        blocks = [(slice(0, 2), self._head_block)] if equal else [
+            (slice(k, k + 1), head.flat[None]) for k, head in enumerate(self._heads)
+        ]
+        self._head_groups = [
+            (tasks, _layer_views(block, heads[tasks.start].dims)[0]) for tasks, block in blocks
+        ]
+
+    # Assigning either part lays the whole model out again, in a new buffer.
+    trunk = property(lambda self: self._trunk, lambda self, net: self.__init__(net, self._heads))
+    heads = property(lambda self: self._heads, lambda self, nets: self.__init__(self._trunk, nets))
 
     @property
     def n_shared(self) -> int:
-        return self.trunk.n_params
+        return self._trunk.n_params
 
     @property
     def shared_slice(self) -> slice:
@@ -367,16 +407,14 @@ class TwoHeadMlp:
     @property
     def head_slices(self) -> tuple[slice, slice]:
         n0 = self.n_shared
-        n1 = n0 + self.heads[0].n_params
-        return slice(n0, n1), slice(n1, n1 + self.heads[1].n_params)
+        n1 = n0 + self._heads[0].n_params
+        return slice(n0, n1), slice(n1, self.flat.shape[0])
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [self.trunk.flatten(), self.heads[0].flatten(), self.heads[1].flatten()]
-        )
+        return self.flat.copy()
 
     def copy(self) -> "TwoHeadMlp":
-        return TwoHeadMlp(self.trunk.copy(), (self.heads[0].copy(), self.heads[1].copy()))
+        return TwoHeadMlp(self._trunk, self._heads)
 
 
 def init_two_head_mlp(
@@ -397,16 +435,17 @@ def two_task_gradients(
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Both task losses with their shared-block and head-block gradients.
 
-    The trunk runs forward once. When the heads have equal ``dims``, each
-    head layer is stacked over a leading task axis, so one matmul per
-    layer runs both heads, one cross-entropy call covers both tasks' rows,
-    and one backward pass through the stacked head layers and the trunk
-    (the junction is an internal layer boundary) gives both tasks'
-    gradients; heads of unequal ``dims`` take that pass as two groups of
-    one head. Every task's arithmetic is that of its own pass. The two
-    shared gradients are the rows of a C-contiguous (2, n_shared) array,
-    and each head gradient is a flat vector over the matching head slice.
-    Each call plans its own pass, so the returned arrays are fresh.
+    The trunk runs forward once. When the heads have equal ``dims``, the
+    model's stacked head layers run both heads with one matmul per layer,
+    one cross-entropy call covers both tasks' rows, and one backward pass
+    through the stacked head layers and the trunk (the junction is an
+    internal layer boundary) gives both tasks' gradients; heads of unequal
+    ``dims`` take that pass as two groups of one head. Every task's
+    arithmetic is that of its own pass. The two shared gradients are the
+    rows of a C-contiguous (2, n_shared) array. Each head gradient is a
+    flat vector over the matching head slice: the rows of one (2, n_head)
+    array when the heads have equal ``dims``, else a pair of vectors. Each
+    call plans its own pass, so the returned arrays are fresh.
     """
     X = np.asarray(X, dtype=float)
     y1, y2 = np.asarray(y1), np.asarray(y2)
@@ -438,14 +477,13 @@ class _TwoTaskPlan(NamedTuple):
 def _two_task_plan(model: TwoHeadMlp, y1: np.ndarray, y2: np.ndarray) -> _TwoTaskPlan:
     """The two-task plan for batches of ``model`` drawn from the rows labeled ``y1``, ``y2``."""
     labels = np.stack((y1, y2), dtype=np.intp, casting="same_kind")
-    equal = model.heads[0].dims == model.heads[1].dims
     groups = []
-    for tasks in [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]:
+    for tasks, head_layers in model._head_groups:
         c = model.heads[tasks.start].dims[-1]
         # A negative label wraps to a huge unsigned one, so one test checks both ends.
         if np.maximum.reduce(labels[tasks].view(np.uintp), axis=None) >= c:
             raise ValueError(f"task labels must lie in [0, {c})")
-        layers = model.trunk.layers + model.heads[tasks.start].layers
+        layers = model.trunk.layers + head_layers
         grads, views = _backward_plan(layers, (tasks.stop - tasks.start,), 1)
         groups.append((tasks, c, grads, views))
     return _TwoTaskPlan(labels, groups)
@@ -458,8 +496,9 @@ def _two_task_run(
 
     ``X`` is the float (N, m) batch of the rows ``idx`` (an index array) of
     the labels ``plan`` was built for. The losses and the shared
-    gradients are fresh arrays; the head gradients are views into the
-    plan's buffers, which the next call with the same plan overwrites.
+    gradients are fresh arrays; the head gradients, shaped as
+    :func:`two_task_gradients` gives them, are views into the plan's
+    buffers, which the next call with the same plan overwrites.
     """
     trunk_acts, h = _forward_cached(model.trunk.layers, X)
     np.maximum(h, 0.0, out=h)
@@ -467,13 +506,8 @@ def _two_task_run(
     n = model.n_shared
     losses = np.empty(2)
     shared = np.empty((2, n))
-    head_grads = [None, None]
-    for tasks, c, grads, views in plan.groups:
-        heads = model.heads[tasks]
-        head_layers = [
-            (np.array([W for W, _ in layer]), np.array([b for _, b in layer])[:, None, :])
-            for layer in zip(*(head.layers for head in heads))
-        ]
+    head_grads = []
+    for (tasks, c, grads, views), (_, head_layers) in zip(plan.groups, model._head_groups):
         head_acts, logits = _forward_cached(head_layers, h)
         if not np.isfinite(logits).all():
             first = np.isfinite(logits).all(axis=(1, 2)).argmin()
@@ -483,13 +517,14 @@ def _two_task_run(
         picks = _label_picks(plan.labels[tasks].take(idx, axis=1).reshape(-1), c)
         # The (tasks * N, c) view: _ce_rows turns the stacked logits into their gradient.
         per_row, _ = _ce_rows(logits.reshape(-1, c), picks)
-        losses[tasks] = np.add.reduce(per_row.reshape(len(heads), -1), axis=1)
+        losses[tasks] = np.add.reduce(per_row.reshape(len(logits), -1), axis=1)
         _backward_run(
             model.trunk.layers + head_layers, trunk_acts + head_acts, logits, [slice(None)], views
         )
         shared[tasks] = grads[:, 0, :n]
-        head_grads[tasks] = grads[:, 0, n:]
-    return losses, shared, tuple(head_grads)
+        head_grads.append(grads[:, 0, n:])
+    heads = head_grads[0] if len(head_grads) == 1 else (head_grads[0][0], head_grads[1][0])
+    return losses, shared, heads
 
 
 def predict_two_task(model: TwoHeadMlp, X) -> tuple[np.ndarray, np.ndarray]:

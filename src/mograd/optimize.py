@@ -30,8 +30,8 @@ from .data import Dataset, class_batches
 from .direction import (
     DirectionResult,
     GradientSet,
-    _as_gradient_set,
     _combine,
+    _rows,
     edm_direction,
     mgda_direction,
     stationarity_residual,
@@ -66,14 +66,24 @@ __all__ = [
 
 
 def _weighted_sum(grads, cfg: OptimizerConfig) -> DirectionResult:
-    gs, w = _as_gradient_set(grads), cfg.weights
+    """``w @ G`` for the configured weights, without a Gram matrix: rows whose own
+    norms overflow are accepted when ``w @ G`` and its norm are finite."""
+    w = cfg.weights
     if w is None:
         raise ValueError("weighted_sum needs cfg.weights")
-    if w.shape[0] != gs.n_objectives:
-        raise ValueError(f"{w.shape[0]} weights do not match {gs.n_objectives} objectives")
+    G = grads.gradients if isinstance(grads, GradientSet) else _rows(grads)
+    if w.shape[0] != G.shape[0]:
+        raise ValueError(f"{w.shape[0]} weights do not match {G.shape[0]} objectives")
     # OptimizerConfig rejects negative weights, so the nonzero ones are the support.
-    res = _combine(gs.gradients, w / w.sum(), w, None, w.nonzero()[0])
-    if not np.isfinite(res.raw_direction).all():  # unlike edm's and mgda's, w @ G can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _combine(G, w / w.sum(), w, None, w.nonzero()[0])
+    # Unlike edm's and mgda's, w @ G can overflow. A non-finite entry of G or
+    # an overflow leaves the norm non-finite, so G is scanned only then.
+    if not math.isfinite(res.direction_norm):
+        if not np.isfinite(G).all():
+            raise NumericalError("non-finite gradient entries")
+        if np.isfinite(res.raw_direction).all():
+            raise NumericalError("direction norm overflow")
         raise NumericalError("non-finite direction")
     return res
 
@@ -319,15 +329,16 @@ def train_imbalanced(
 
 
 def _apply_kappa(losses, shared, head_grads, kappa: float):
+    """Task 2's loss and gradients times ``kappa``, in fresh arrays (``1.0 * x`` is
+    exact); ``head_grads`` is None, a (2, n_head) array or a pair of vectors."""
     if kappa == 1.0:
         return losses, shared, head_grads
-    losses = losses.copy()
-    shared = shared.copy()
-    losses[1] *= kappa
-    shared[1] *= kappa
-    if head_grads is None:
-        return losses, shared, None
-    return losses, shared, (head_grads[0], head_grads[1] * kappa)
+    col = np.array([[1.0], [kappa]])
+    if isinstance(head_grads, tuple):
+        head_grads = (head_grads[0], head_grads[1] * kappa)
+    elif head_grads is not None:
+        head_grads = head_grads * col
+    return losses * col[:, 0], shared * col, head_grads
 
 
 def run_multitask(
@@ -346,8 +357,9 @@ def run_multitask(
     the same learning rate. The labels of both tasks are checked, and the
     batches' backward pass planned, once per run; a bad label raises before
     any step. All gradients of a batch are computed before any
-    parameter moves, and the steps update the parameter buffers of a copy
-    of ``model`` in place; the caller's model is never changed. ``kappa``
+    parameter moves, and the steps update the parameter buffer of a copy
+    of ``model`` in place, both heads with one update when their ``dims``
+    are equal; the caller's model is never changed. ``kappa``
     rescales the second task's loss (and hence every gradient of it). It
     runs ``cfg.max_iters`` epochs. The trace holds one record per epoch with
     batch-averaged losses, direction norms, and weights; a zero-epoch run
@@ -369,6 +381,7 @@ def run_multitask(
         raise ValueError("multitask training needs a dataset with two labels per sample")
 
     model = model.copy()
+    head_block = model._head_block  # both heads' (2, n_head) view, or None
     X, y1, y2 = data.features, data.labels, data.labels2
     plan = _two_task_plan(model, y1, y2)
     rng = np.random.default_rng(cfg.seed)
@@ -395,8 +408,11 @@ def run_multitask(
                 "epoch", epoch,
             )
             model.trunk.flat -= s * res.normalized_direction
-            for head, g in zip(model.heads, head_grads):
-                head.flat -= s * g
+            if head_block is None:
+                for head, g in zip(model.heads, head_grads):
+                    head.flat -= s * g
+            else:
+                head_block -= s * head_grads
 
             sum_losses += losses
             sum_dnorm += direction_norm
@@ -415,7 +431,7 @@ def run_multitask(
                 direction_norm=mean_dnorm,
                 gamma=sum_gamma / gamma_count if gamma_count else None,
                 weights=mean_weights,
-                step_norm=float(np.linalg.norm(model.flatten() - start_flat)),
+                step_norm=float(np.linalg.norm(model.flat - start_flat)),
             )
         )
         used = epoch + 1

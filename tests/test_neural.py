@@ -418,6 +418,151 @@ class TestTwoHead:
         assert l2.shape == (9, 2)
 
 
+class TestOneBuffer:
+    """A two-head model keeps its trunk and both heads in one buffer, and
+    every network, layer and stacked head view is a view into it."""
+
+    @staticmethod
+    def views(model):
+        nets = [model.trunk, *model.heads]
+        yield from (net.flat for net in nets)
+        yield from (a for net in nets for layer in net.layers for a in layer)
+        for _, layers in model._head_groups:
+            yield from (a for layer in layers for a in layer)
+        if model._head_block is not None:
+            yield model._head_block
+
+    @staticmethod
+    def check_layout(model):
+        assert model.flat.flags.c_contiguous and model.flat.dtype == float
+        for view in TestOneBuffer.views(model):
+            assert np.shares_memory(view, model.flat)
+        assert_same_bits(model.flat[model.shared_slice], model.trunk.flat)
+        for k, head in enumerate(model.heads):
+            assert_same_bits(model.flat[model.head_slices[k]], head.flat)
+        groups = model._head_groups
+        equal = model.heads[0].dims == model.heads[1].dims
+        assert [tasks for tasks, _ in groups] == (
+            [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]
+        )
+        for tasks, layers in groups:
+            for k, head in enumerate(model.heads[tasks]):
+                for (W, b), (W_k, b_k) in zip(layers, head.layers):
+                    assert_same_bits(W[k], W_k)
+                    assert_same_bits(b[k, 0], b_k)
+        if equal:
+            assert_same_bits(model._head_block, model.flat[model.n_shared:].reshape(2, -1))
+        else:
+            assert model._head_block is None
+
+    @pytest.mark.parametrize("head_dims", [
+        ([4, 2], [4, 2]), ([4, 3, 2], [4, 3, 2]), ([4, 3], [4, 2]), ([4, 5, 2], [4, 2]),
+    ])
+    def test_every_view_shares_the_model_buffer(self, head_dims):
+        rng = np.random.default_rng(0)
+        model = TwoHeadMlp(init_mlp([3, 6, 4], rng), tuple(init_mlp(d, rng) for d in head_dims))
+        self.check_layout(model)
+        assert model.flat.shape[0] == sum(net.n_params for net in (model.trunk, *model.heads))
+
+    def test_assigned_networks_are_laid_out_again(self):
+        model = init_two_head_mlp(4, trunk_hidden=(6, 4), head_classes=(2, 2), seed=1)
+        old_flat = model.flat
+        model.heads = (model.heads[0].copy(), model.heads[0].copy())
+        assert not np.shares_memory(model.flat, old_flat)
+        self.check_layout(model)
+        assert_same_bits(model.heads[1].flat, old_flat[model.head_slices[0]])
+        model.heads = (init_mlp([4, 3], 2), init_mlp([4, 2], 3))
+        self.check_layout(model)
+        model.trunk = init_mlp([4, 5, 4], 4)
+        self.check_layout(model)
+        assert model.trunk.dims == [4, 5, 4]
+
+    @pytest.mark.parametrize("head_classes", [(2, 2), (3, 2)])
+    def test_flatten_and_copy_alias_nothing_and_round_trip(self, head_classes):
+        model = init_two_head_mlp(4, trunk_hidden=(6, 4), head_classes=head_classes, seed=5)
+        flat = model.flatten()
+        clone = model.copy()
+        assert_same_bits(flat, model.flat)
+        assert_same_bits(clone.flat, model.flat)
+        self.check_layout(clone)
+        for view in self.views(clone):
+            assert not np.shares_memory(view, model.flat)
+        assert not np.shares_memory(flat, model.flat)
+        before = model.flat.copy()
+        model.flat[:] = -1.0
+        assert_same_bits(flat, before)
+        assert_same_bits(clone.flat, before)
+        clone.flat[:] = 2.0
+        assert np.all(model.flat == -1.0) and np.all(flat == before)
+
+    @pytest.mark.parametrize("head_classes", [(2, 2), (3, 2)])
+    def test_a_write_through_a_head_view_reaches_the_stacked_pass(self, head_classes):
+        model = init_two_head_mlp(4, trunk_hidden=(6, 4), head_classes=head_classes, seed=6)
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((9, 4))
+        y = rng.integers(0, 2, size=9)
+        before = two_task_gradients(model, X, y, y)
+        W, b = model.heads[1].layers[-1]
+        W[0] += 0.5
+        b[-1] -= 0.25
+        after = two_task_gradients(model, X, y, y)
+        # a model built afresh from the written networks
+        fresh = TwoHeadMlp(model.trunk.copy(), (model.heads[0].copy(), model.heads[1].copy()))
+        ref = two_task_gradients(fresh, X, y, y)
+        assert after[0][1] != before[0][1]
+        assert_same_bits(after[0], ref[0])
+        assert_same_bits(after[1], ref[1])
+        for h, r in zip(after[2], ref[2]):
+            assert_same_bits(h, r)
+
+    @staticmethod
+    def reference_train(model, data, cfg, kappa, batch_size):
+        """``run_multitask``'s loop over three separate networks, each head
+        stepped on its own, with the out-of-place passes of ``TestInPlaceBuffers``."""
+        from types import SimpleNamespace
+
+        from mograd.optimize import METHODS
+
+        nets = SimpleNamespace(
+            trunk=model.trunk.copy(), heads=(model.heads[0].copy(), model.heads[1].copy()),
+            n_shared=model.n_shared,
+        )
+        X, y1, y2 = data.features, data.labels, data.labels2
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.max_iters):
+            order = rng.permutation(X.shape[0])
+            for lo in range(0, order.size, batch_size):
+                idx = order[lo : lo + batch_size]
+                _, shared, heads = TestInPlaceBuffers.two_task_reference(
+                    nets, X[idx], y1[idx], y2[idx]
+                )
+                shared[1] *= kappa
+                heads = (heads[0], heads[1] * kappa)
+                res = METHODS[cfg.method](shared, cfg)
+                nets.trunk.flat -= cfg.learning_rate * res.normalized_direction
+                for head, g in zip(nets.heads, heads):
+                    head.flat -= cfg.learning_rate * g
+        return np.concatenate([nets.trunk.flat, nets.heads[0].flat, nets.heads[1].flat])
+
+    @pytest.mark.parametrize("method, kappa", [("edm", 1.0), ("mgda", 50.0), ("weighted_sum", 1.0)])
+    @pytest.mark.parametrize("head_dims", [([8, 2], [8, 2]), ([8, 3, 2], [8, 2])],
+                             ids=["equal", "unequal"])
+    def test_training_matches_separate_networks_bitwise(self, method, kappa, head_dims):
+        from mograd.data import synth_two_task
+        from mograd.optimize import OptimizerConfig, run_multitask
+
+        data = synth_two_task(150, 6, seed=2)
+        init = np.random.default_rng(3)
+        model = TwoHeadMlp(init_mlp([6, 12, 8], init), tuple(init_mlp(d, init) for d in head_dims))
+        cfg = OptimizerConfig(method=method, learning_rate=0.05, max_iters=2,
+                              stop_tolerance=1e-14, weights=np.ones(2), seed=4)
+        trained, result = run_multitask(model, data, cfg, kappa=kappa, batch_size=32)
+        want = self.reference_train(model, data, cfg, kappa, batch_size=32)
+        assert_same_bits(result.final_point, want)
+        assert_same_bits(trained.flat, want)
+        self.check_layout(trained)
+
+
 class TestBackpropOracle:
     def test_many_random_nets_match_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -525,14 +670,36 @@ class TestInPlaceBuffers:
         assert np.any(labels == top) and np.any(labels != top)
         return labels
 
-    @pytest.mark.parametrize("c", [2, 3, 5])
+    @staticmethod
+    def tied_rows(rng, c):
+        """Rows whose max is tied, or is a zero of either sign, with random labels."""
+        rows = [np.zeros(c), np.full(c, -0.0), np.full(c, -1.5), np.full(c, 7.0)]
+        for top in (0.0, -0.0, 2.0):
+            for _ in range(3):
+                row = -rng.uniform(0.5, 3.0, size=c)
+                row[rng.choice(c, size=2, replace=False)] = top
+                rows.append(row)
+        row = np.full(c, -1.0)
+        row[::2] = -0.0
+        row[1::2] = 0.0
+        rows.append(row)
+        logits = np.array(rows)
+        return logits, rng.integers(0, c, size=len(rows))
+
+    @pytest.mark.parametrize("c", [2, 3, 5, 10])
     def test_ce_rows_bitwise(self, c):
         from mograd.neural import _ce_rows, _label_picks
 
         rng = np.random.default_rng(c)
+        cases = [self.tied_rows(rng, c)]
         for scale in (1.0, 1e3, 1e150, 1e300):
             logits = np.clip(rng.standard_normal((17, c)) * scale, -1e300, 1e300)
-            labels = self.mixed_labels(rng, logits)
+            cases.append((logits, self.mixed_labels(rng, logits)))
+            # the (2N, c) block of a stacked two-task pass: both tasks' rows
+            stacked = np.clip(rng.standard_normal((2, 17, c)) * scale, -1e300, 1e300)
+            stacked = stacked.reshape(-1, c)
+            cases.append((stacked, self.mixed_labels(rng, stacked)))
+        for logits, labels in cases:
             ref_rows, ref_d = self.ce_rows_reference(logits, labels)
             per_row, dlogits = _ce_rows(logits.copy(), _label_picks(labels, c))
             assert_same_bits(per_row, ref_rows)

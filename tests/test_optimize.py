@@ -1,6 +1,5 @@
 import itertools
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -147,11 +146,8 @@ class TestRunEdm:
             return losses, np.full((2, 3), 1e10)
 
         weights = np.array([1e300, 1e300])
-        with warnings.catch_warnings():
-            # numpy may warn of the overflow in the product before the loop raises.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(NumericalError, match=r"^non-finite direction at iteration 0$"):
-                run_weighted_sum(large, np.zeros(3), cfg(method="weighted_sum", weights=weights))
+        with pytest.raises(NumericalError, match=r"^non-finite direction at iteration 0$"):
+            run_weighted_sum(large, np.zeros(3), cfg(method="weighted_sum", weights=weights))
 
     def test_gamma_recorded_in_trace(self):
         result = run_edm(PAIR, np.array([0.0, 1.0]), cfg(max_iters=3, stop_tolerance=1e-14))
@@ -381,6 +377,49 @@ class TestMethodRegistry:
         assert res.gamma is None
         assert np.array_equal(res.support, [0, 2, 3])
         assert res.direction_norm == float(np.sqrt((w @ G) @ (w @ G)))
+
+    def test_weighted_sum_builds_no_gram_matrix(self, monkeypatch):
+        import mograd.direction
+
+        def no_gram(G):
+            raise AssertionError("the weighted sum formed a Gram matrix")
+
+        rng = np.random.default_rng(6)
+        sets = [GradientSet.from_gradients(rng.normal(size=(T, 7))) for T in (1, 2, 4)]
+        monkeypatch.setattr(mograd.direction, "_gram", no_gram)
+        for gs in sets:
+            w = rng.uniform(0.0, 2.0, size=gs.n_objectives)
+            config = OptimizerConfig(method="weighted_sum", weights=w)
+            got = METHODS["weighted_sum"](gs.gradients, config)
+            want = METHODS["weighted_sum"](gs, config)
+            for field in ("weights", "raw_direction", "normalized_direction", "support"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert got.direction_norm == want.direction_norm and got.gamma is None
+        one = METHODS["weighted_sum"](np.arange(3.0), OptimizerConfig(
+            method="weighted_sum", weights=np.array([2.0])))
+        assert np.array_equal(one.raw_direction, [0.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match=r"expected \(T, d\) gradients"):
+            METHODS["weighted_sum"](np.ones((2, 0)), OptimizerConfig(
+                method="weighted_sum", weights=np.ones(2)))
+
+    def test_weighted_sum_needs_only_a_finite_sum(self):
+        # Row 0's squared norm overflows, so no GradientSet can be built, but
+        # the weighted sum and its norm are finite: the step is taken.
+        G = np.array([[1e200, -1e200, 0.0], [1.0, 2.0, 3.0]])
+        with pytest.raises(NumericalError, match="gradient norm overflow"):
+            GradientSet.from_gradients(G)
+        w = np.array([1e-250, 1.0])
+        res = METHODS["weighted_sum"](G, OptimizerConfig(method="weighted_sum", weights=w))
+        assert np.array_equal(res.raw_direction, w @ G)
+        assert res.direction_norm == float(np.sqrt((w @ G) @ (w @ G)))
+
+    def test_weighted_sum_norm_overflow_raises(self):
+        G = np.full((2, 3), 1e200)  # w @ G is finite, its squared norm is not
+        config = OptimizerConfig(method="weighted_sum", weights=np.ones(2))
+        with pytest.raises(NumericalError, match=r"^direction norm overflow$"):
+            METHODS["weighted_sum"](G, config)
+        with pytest.raises(NumericalError, match=r"^direction norm overflow at iteration 0$"):
+            run_weighted_sum(lambda theta: (np.ones(2), G), np.zeros(3), config)
 
     def test_weighted_sum_length_mismatch_rejected(self):
         gs = GradientSet.from_gradients(np.eye(2))

@@ -74,3 +74,10 @@ def _modules_with_all():
 def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_two_head_init_takes_the_workload_keywords():
+    # bench/workloads.py builds the multitask model with exactly these arguments
+    from mograd.neural import init_two_head_mlp
+
+    inspect.signature(init_two_head_mlp).bind(8, trunk_hidden=(32, 16), head_classes=(2, 2), seed=0)
