@@ -150,7 +150,12 @@ def _pair(grads) -> tuple[list[list[float]], float, float] | None:
     if type(grads) is not np.ndarray or grads.ndim != 2 or len(grads) != 2 or grads.dtype != float:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _gram(grads).tolist()
+        A = grads @ grads.T
+        M = A.tolist()
+        # OpenBLAS's syrk makes A exactly symmetric; a BLAS that rounds the two
+        # products apart gets _gram's larger one (a NaN fails both ways).
+        if M[0][1] != M[1][0]:
+            M = np.maximum(A, A.T).tolist()
     n0, n1 = math.sqrt(M[0][0]), math.sqrt(M[1][1])
     certified = math.isfinite(sum(M[0] + M[1])) and min(n0, n1) > ZERO_GRADIENT_THRESHOLD
     return (M, n0, n1) if certified else None

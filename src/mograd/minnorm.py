@@ -289,7 +289,7 @@ def _minor_cycles(M: np.ndarray, bordered: np.ndarray, rhs: np.ndarray, beta: np
     while True:
         ix = np.array(corral + [T])
         idx = ix[:-1]
-        y = _lu_minimizer(bordered[ix[:, None], ix], rhs[-ix.size:])
+        y = _lu_minimizer(bordered.take(ix, 0).take(ix, 1), rhs[-ix.size:])
         if y is None and not entering:
             return
         if entering and (y is None or y[-1] <= 0.0):
@@ -377,7 +377,7 @@ def _support_start(bordered: np.ndarray, rhs: np.ndarray) -> tuple[list[int], np
         if support.size == 0:
             return None
         ix = np.concatenate((support, [T]))
-        y = _lu_minimizer(bordered[ix[:, None], ix], rhs[-ix.size:])
+        y = _lu_minimizer(bordered.take(ix, 0).take(ix, 1), rhs[-ix.size:])
         if y is None:
             return None
     if support is None:
@@ -470,10 +470,10 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     The solve stops once the relative duality gap is at or below the
     configured tolerance. Failing that, it stops when a major cycle did not
     lower the objective (that cycle is undone), when the chosen vertex is
-    the corral's only one, or when the budget of major cycles is spent; the
-    last case, with the returned gap still above tolerance, logs a warning
-    on the ``mograd.minnorm`` logger. Weights off the corral are exact
-    zeros.
+    the corral's only one, or when the budget of major cycles is spent. For
+    T >= 3, a solve that returns a gap above the tolerance, whichever way it
+    stopped, logs one warning on the ``mograd.minnorm`` logger. Weights off
+    the corral are exact zeros.
 
     Parameters
     ----------
@@ -523,10 +523,10 @@ def _min_norm(M: np.ndarray, cfg: FwConfig) -> FwResult:
         beta[vertex] = 1.0
         start = [vertex], beta
     beta, gap, iterations, objectives = _major_cycles(M, bordered, rhs, scale, cfg, *start)
-    if iterations == cfg.max_iters and gap > cfg.tolerance:
+    if gap > cfg.tolerance:
         _log.warning(
-            "min-norm solve stopped at max_iters=%d with relative gap %.3g above tolerance %.3g",
-            cfg.max_iters, gap, cfg.tolerance,
+            "min-norm solve stopped after %d of max_iters=%d major cycles with relative gap"
+            " %.3g above tolerance %.3g", iterations, cfg.max_iters, gap, cfg.tolerance,
         )
     return FwResult(
         weights=beta / beta.sum(),

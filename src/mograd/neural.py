@@ -24,14 +24,19 @@ per-class plan adds the label picks of the cross-entropy and the class
 segments. A training loop whose batches share one layout builds that plan
 once and runs every step into the same buffer; one-off calls build a plan
 per call and return fresh arrays. A two-task plan holds a whole run's
-labels of both tasks, stacked and range-checked once, and the buffer of
-each stacked pass. Neither depends on the number of rows in a batch, so a
-two-task loop runs every batch into one plan, the short last batch of an
-epoch included, and picks each batch's labels by its row indices.
+labels of both tasks, stacked and range-checked once, the flat offsets of
+their picks, and the buffer of each stacked pass, laid out as a
+(tasks, n_shared) block of trunk gradients and then a (tasks, n_head)
+block of head gradients. Neither depends on the number of rows in a
+batch, so a two-task loop runs every batch into one plan, the short last
+batch of an epoch included, and picks each batch's labels by its row
+indices. For heads of equal shape, a batch's shared and head gradients
+are those two blocks themselves, which the next batch overwrites.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -177,29 +182,41 @@ def forward(net: MlpParams, x) -> np.ndarray:
     return logits[0] if x.ndim == 1 else logits
 
 
-def _backward_plan(layers, lead: tuple[int, ...], n_segments: int) -> tuple[np.ndarray, list]:
+def _backward_plan(layers, lead: tuple[int, ...], n_segments: int,
+                   split: int | None = None) -> tuple[np.ndarray, list]:
     """A gradient buffer for :func:`_backward_run` and its write views.
 
     The buffer has shape ``lead + (n_segments, n_params)``, ``lead`` being
     the leading stack axes of the pass's ``delta`` (empty for a 2-D pass).
-    ``views[j][k]`` is the ``(weight, bias)`` pair of views into row k of
-    the buffer that layer ``j``'s gradient goes to, the weight view shaped
-    ``lead + W_j.shape[-2:]``. One plan serves any number of passes over
-    the same layer shapes; each pass overwrites the buffer.
+    With ``split``, the buffer is flat: the gradients of ``layers[:split]``
+    fill a C-contiguous block of shape ``lead + (n_segments, their
+    n_params)``, and those of ``layers[split:]`` the block after it.
+    ``views[j][k]`` is the ``(weight, bias)`` pair of views into segment k
+    of the buffer that layer ``j``'s gradient goes to, the weight view
+    shaped ``lead + W_j.shape[-2:]``. One plan serves any number of passes
+    over the same layer shapes; each pass overwrites the buffer.
     """
-    n_params = sum(W.shape[-2] * (W.shape[-1] + 1) for W, _ in layers)
-    grads = np.empty(lead + (n_segments, n_params))
+    sizes = [W.shape[-2] * (W.shape[-1] + 1) for W, _ in layers]
+    rows = math.prod(lead) * n_segments
+    flat = np.empty(rows * sum(sizes))
+    parts = [range(len(layers))] if split is None else [range(split), range(split, len(layers))]
     views = []
-    start = 0
-    for W, _ in layers:
-        mid = start + W.shape[-2] * W.shape[-1]
-        end = mid + W.shape[-2]
-        views.append([
-            (grads[..., k, start:mid].reshape(lead + W.shape[-2:]), grads[..., k, mid:end])
-            for k in range(n_segments)
-        ])
-        start = end
-    return grads, views
+    offset = 0
+    for part in parts:
+        width = sum(sizes[j] for j in part)
+        block = flat[offset : offset + rows * width].reshape(lead + (n_segments, width))
+        offset += block.size
+        start = 0
+        for j in part:
+            W = layers[j][0]
+            mid = start + W.shape[-2] * W.shape[-1]
+            end = mid + W.shape[-2]
+            views.append([
+                (block[..., k, start:mid].reshape(lead + W.shape[-2:]), block[..., k, mid:end])
+                for k in range(n_segments)
+            ])
+            start = end
+    return (block if split is None else flat), views
 
 
 def _backward_run(layers, activations: list[np.ndarray], delta: np.ndarray, segments,
@@ -462,31 +479,40 @@ class _TwoTaskPlan(NamedTuple):
 
     ``labels`` are both tasks' labels, a (2, n) ``intp`` array checked
     against each head's class count. Each of ``groups`` is a ``(tasks,
-    n_classes, grads, views)`` tuple: the task slice that one stacked pass
-    covers (both tasks when the heads have equal ``dims``, else one task
-    each), its heads' class count, and its (len(tasks), 1, n_params)
-    gradient buffer over trunk and heads with the ``views`` (from
-    :func:`_backward_plan`) that write into it. No part depends on the
-    number of rows in a batch.
+    n_classes, offsets, views)`` tuple: the task slice that one stacked
+    pass covers (both tasks when the heads have equal ``dims``, else one
+    task each), its heads' class count c, the flat offsets ``c * r`` of
+    the rows r of its stacked (len(tasks) * n, c) logits, and the
+    ``views`` (from :func:`_backward_plan`, split at the trunk) that write
+    its gradient buffer. That buffer is the group's (len(tasks), n_shared)
+    block in ``shared``, followed by its (len(tasks), n_head) block in
+    ``heads``, both C-contiguous. No part depends on the number of rows in
+    a batch.
     """
 
     labels: np.ndarray
     groups: list[tuple[slice, int, np.ndarray, list]]
+    shared: list[np.ndarray]
+    heads: list[np.ndarray]
 
 
 def _two_task_plan(model: TwoHeadMlp, y1: np.ndarray, y2: np.ndarray) -> _TwoTaskPlan:
     """The two-task plan for batches of ``model`` drawn from the rows labeled ``y1``, ``y2``."""
     labels = np.stack((y1, y2), dtype=np.intp, casting="same_kind")
-    groups = []
+    groups, shared, heads = [], [], []
+    n = model.n_shared
     for tasks, head_layers in model._head_groups:
         c = model.heads[tasks.start].dims[-1]
         # A negative label wraps to a huge unsigned one, so one test checks both ends.
         if np.maximum.reduce(labels[tasks].view(np.uintp), axis=None) >= c:
             raise ValueError(f"task labels must lie in [0, {c})")
-        layers = model.trunk.layers + head_layers
-        grads, views = _backward_plan(layers, (tasks.stop - tasks.start,), 1)
-        groups.append((tasks, c, grads, views))
-    return _TwoTaskPlan(labels, groups)
+        t = tasks.stop - tasks.start
+        trunk = model.trunk.layers
+        grads, views = _backward_plan(trunk + head_layers, (t,), 1, len(trunk))
+        groups.append((tasks, c, np.arange(0, t * labels.shape[1] * c, c), views))
+        shared.append(grads[: t * n].reshape(t, n))
+        heads.append(grads[t * n :].reshape(t, -1))
+    return _TwoTaskPlan(labels, groups, shared, heads)
 
 
 def _two_task_run(
@@ -495,36 +521,36 @@ def _two_task_run(
     """:func:`two_task_gradients` without its checks, into ``plan``'s buffers.
 
     ``X`` is the float (N, m) batch of the rows ``idx`` (an index array) of
-    the labels ``plan`` was built for. The losses and the shared
-    gradients are fresh arrays; the head gradients, shaped as
-    :func:`two_task_gradients` gives them, are views into the plan's
-    buffers, which the next call with the same plan overwrites.
+    the labels ``plan`` was built for. The losses are a fresh array. When
+    the heads have equal ``dims``, the shared gradients and the head
+    gradients are the plan's (2, n_shared) and (2, n_head) blocks
+    themselves, which the next call with the same plan overwrites. Heads
+    of unequal ``dims`` give a fresh (2, n_shared) array and a pair of
+    views into the plan's buffers.
     """
     trunk_acts, h = _forward_cached(model.trunk.layers, X)
     np.maximum(h, 0.0, out=h)
 
-    n = model.n_shared
     losses = np.empty(2)
-    shared = np.empty((2, n))
-    head_grads = []
-    for (tasks, c, grads, views), (_, head_layers) in zip(plan.groups, model._head_groups):
+    for (tasks, c, offsets, views), (_, head_layers) in zip(plan.groups, model._head_groups):
         head_acts, logits = _forward_cached(head_layers, h)
         if not np.isfinite(logits).all():
             first = np.isfinite(logits).all(axis=(1, 2)).argmin()
             raise NumericalError(
                 f"non-finite activations in task {tasks.start + first + 1} forward pass"
             )
-        picks = _label_picks(plan.labels[tasks].take(idx, axis=1).reshape(-1), c)
-        # The (tasks * N, c) view: _ce_rows turns the stacked logits into their gradient.
+        # Each row's labeled entry in the (tasks * N, c) view of the stacked logits.
+        picks = plan.labels[tasks].take(idx, axis=1).reshape(-1)
+        picks += offsets[: picks.size]
+        # _ce_rows turns the stacked logits into their gradient.
         per_row, _ = _ce_rows(logits.reshape(-1, c), picks)
         losses[tasks] = np.add.reduce(per_row.reshape(len(logits), -1), axis=1)
         _backward_run(
             model.trunk.layers + head_layers, trunk_acts + head_acts, logits, [slice(None)], views
         )
-        shared[tasks] = grads[:, 0, :n]
-        head_grads.append(grads[:, 0, n:])
-    heads = head_grads[0] if len(head_grads) == 1 else (head_grads[0][0], head_grads[1][0])
-    return losses, shared, heads
+    if len(plan.groups) == 1:
+        return losses, plan.shared[0], plan.heads[0]
+    return losses, np.concatenate(plan.shared), (plan.heads[0][0], plan.heads[1][0])
 
 
 def predict_two_task(model: TwoHeadMlp, X) -> tuple[np.ndarray, np.ndarray]:

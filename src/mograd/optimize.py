@@ -171,8 +171,9 @@ def _step(
     ``NumericalError`` is re-raised as ``"... at {where} {k}"``.
     """
     try:
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise NumericalError(f"non-finite {what}")
+        for a in arrays:
+            if not np.isfinite(a).all():
+                raise NumericalError(f"non-finite {what}")
         res = METHODS[method](grads, cfg)
     except NumericalError as exc:
         raise _at(exc, where, k) from exc
@@ -330,7 +331,8 @@ def train_imbalanced(
 
 def _apply_kappa(losses, shared, head_grads, kappa: float):
     """Task 2's loss and gradients times ``kappa``, in fresh arrays (``1.0 * x`` is
-    exact); ``head_grads`` is None, a (2, n_head) array or a pair of vectors."""
+    exact); ``head_grads`` is None, a (2, n_head) array or a pair of vectors.
+    ``run_multitask`` takes the same products in place."""
     if kappa == 1.0:
         return losses, shared, head_grads
     col = np.array([[1.0], [kappa]])
@@ -368,10 +370,12 @@ def run_multitask(
     Returns the trained model and the run record; ``final_point`` is the
     full flat parameter vector.
 
-    The oracle contract: each batch's oracle call returns fresh losses and
-    shared gradients, but its head gradients are views into the plan's
-    buffer, which the next batch's call overwrites. The loop steps the
-    heads with them before that call and keeps none of them.
+    The oracle contract: each batch's oracle call returns fresh losses, but
+    its head gradients, and for heads of equal ``dims`` its shared
+    gradients too, are views into the plan's buffer, which the next
+    batch's call overwrites. The loop scales task 2's loss and rows by
+    ``kappa`` in place, makes the trunk direction and steps the heads
+    before that call, and keeps none of them.
     """
     if not (1 <= kappa < math.inf):
         raise ValueError(f"kappa must be >= 1 and finite, got {kappa}")
@@ -402,10 +406,13 @@ def run_multitask(
         for lo in range(0, order.size, batch_size):
             idx = order[lo : lo + batch_size]
             losses, shared, head_grads = _two_task_run(model, X.take(idx, axis=0), idx, plan)
-            losses, shared, head_grads = _apply_kappa(losses, shared, head_grads, kappa)
+            if kappa != 1.0:  # _apply_kappa's products, in the plan's buffer
+                losses[1] *= kappa
+                for row in (shared[1], head_grads[1]):
+                    row *= kappa
+            checked = (losses, head_grads) if head_block is not None else (losses, *head_grads)
             res, direction_norm = _step(
-                cfg.method, cfg, shared, "loss or head gradient", (losses, *head_grads),
-                "epoch", epoch,
+                cfg.method, cfg, shared, "loss or head gradient", checked, "epoch", epoch
             )
             model.trunk.flat -= s * res.normalized_direction
             if head_block is None:

@@ -372,6 +372,46 @@ class TestEdmDirection:
             assert np.max(np.abs(d_edm - d_mgda)) <= 1e-6
 
 
+def imtl_g_weights(G):
+    """IMTL-G's weights (Liu et al., ICLR 2021): alpha summing to 1 whose
+    combination ``alpha @ G`` has equal projections onto every unit gradient,
+    ``alpha[1:] = g_1 U~^T (D U~^T)^-1`` with rows ``g_1 - g_i`` in D and
+    ``u_1 - u_i`` in U~. The signs of alpha are not constrained."""
+    U = G / np.linalg.norm(G, axis=1)[:, None]
+    D, U_diff = G[0] - G[1:], U[0] - U[1:]
+    rest = np.linalg.solve((D @ U_diff.T).T, U_diff @ G[0])
+    return np.concatenate(([1.0 - rest.sum()], rest))
+
+
+class TestImtlgOracle:
+    """EDM's interior optimum is IMTL-G's equal-projection direction: on the
+    simplex's interior both are the one combination summing to 1 whose
+    projections onto the unit gradients are equal."""
+
+    def test_interior_solves_match_and_face_solves_need_a_negative_weight(self):
+        rng = np.random.default_rng(0)
+        interior = faces = 0
+        worst = 0.0
+        for _ in range(400):
+            T = int(rng.integers(3, 33))
+            # d >= T keeps the rows independent, so IMTL-G's system is regular.
+            G = rng.standard_normal((T, int(rng.integers(T, 8 * T + 1))))
+            G += rng.uniform(0.0, 0.3) * rng.standard_normal(G.shape[1])
+            G *= np.exp(rng.uniform(-3.0, 3.0, size=(T, 1)))
+            res = edm_direction(G)
+            alpha = res.gamma * res.weights / np.linalg.norm(G, axis=1)
+            ref = imtl_g_weights(G)
+            if res.support.size == T:
+                interior += 1
+                worst = max(worst, np.linalg.norm(alpha - ref) / np.linalg.norm(ref))
+            else:
+                faces += 1
+                assert ref.min() < 0.0
+        # The worst measured here is 3.5e-13, from these sets' conditioning.
+        assert worst <= 1e-12
+        assert interior >= 150 and faces >= 150
+
+
 class TestMgdaDirection:
     def test_orthogonal_pair(self):
         res = mgda_direction([(2, 0), (0, 1)])

@@ -901,3 +901,97 @@ class TestTwoTaskPlan:
                        data=SimpleNamespace(features=X, labels=y1, labels2=y2))
         assert str(planned.value) == str(one_off.value)
         assert str(trained.value) == str(one_off.value)
+
+    @pytest.mark.parametrize("head_classes", [(2, 2), (3, 2)], ids=["equal", "unequal"])
+    def test_kappa_in_place_matches_apply_kappa_bitwise(self, monkeypatch, head_classes):
+        import copy
+
+        import mograd.optimize
+        from mograd.optimize import _apply_kappa
+
+        self.model = init_two_head_mlp(6, trunk_hidden=(12, 8), head_classes=head_classes, seed=1)
+        raw, stepped = [], []
+
+        def run(real, *args):
+            out = real(*args)
+            raw.append(copy.deepcopy(out))
+            return out
+
+        real_step = mograd.optimize._step
+
+        def step(method, cfg, grads, what, arrays, where, k):
+            stepped.append((grads.copy(), [a.copy() for a in arrays]))
+            return real_step(method, cfg, grads, what, arrays, where, k)
+
+        monkeypatch.setattr(mograd.optimize, "_step", step)
+        self.train(monkeypatch, run, kappa=50.0)
+        assert len(raw) == len(stepped) == 10
+        for (losses, shared, heads), (grads, arrays) in zip(raw, stepped):
+            want = _apply_kappa(losses, shared, heads, 50.0)
+            assert_same_bits(grads, want[1])
+            assert_same_bits(arrays[0], want[0])
+            # equal heads are checked as one (2, n_head) block, unequal ones one by one
+            assert len(arrays) == (2 if head_classes[0] == head_classes[1] else 3)
+            for got, h in zip(arrays[1:], [want[2]] if len(arrays) == 2 else want[2]):
+                assert_same_bits(got, h)
+
+    def test_trace_shares_no_memory_with_the_plan_buffer(self, monkeypatch):
+        import mograd.neural
+
+        buffers = []
+        real_plan = mograd.neural._backward_plan
+
+        def recorded_plan(*args):
+            grads, views = real_plan(*args)
+            buffers.append(grads)
+            return grads, views
+
+        monkeypatch.setattr(mograd.neural, "_backward_plan", recorded_plan)
+        _, result = self.train(monkeypatch, lambda real, *args: real(*args), kappa=50.0)
+        assert len(result.trace) == 2 and buffers
+        for entry in result.trace:
+            for a in (entry.losses, entry.weights):
+                assert not any(np.shares_memory(a, b) for b in buffers)
+        assert not any(np.shares_memory(result.final_point, b) for b in buffers)
+
+    @pytest.mark.parametrize("head_classes", [(2, 2), (3, 2)], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("task", [0, 1])
+    @pytest.mark.parametrize("kappa", [1.0, 50.0])
+    def test_non_finite_head_gradient_names_its_epoch(self, monkeypatch, head_classes, task,
+                                                      kappa):
+        self.model = init_two_head_mlp(6, trunk_hidden=(12, 8), head_classes=head_classes, seed=1)
+        calls = []
+
+        def run(real, *args):
+            out = real(*args)
+            calls.append(None)
+            if len(calls) == 7:  # the second batch of epoch 1
+                out[2][task][-1] = np.inf
+            return out
+
+        with pytest.raises(NumericalError) as excinfo:
+            self.train(monkeypatch, run, kappa=kappa)
+        assert str(excinfo.value) == "non-finite loss or head gradient at epoch 1"
+
+    def test_run_leaves_the_shared_rows_where_the_pass_wrote_them(self):
+        """A copy of the shared rows per batch would set the peak: the trunk
+        is wide and the batch is four rows."""
+        import tracemalloc
+
+        from mograd.neural import _two_task_plan, _two_task_run
+
+        model = init_two_head_mlp(300, trunk_hidden=(300,), head_classes=(2, 2), seed=0)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((4, 300))
+        y1, y2 = rng.integers(0, 2, size=4), rng.integers(0, 2, size=4)
+        plan = _two_task_plan(model, y1, y2)
+        idx = np.arange(4)
+        _two_task_run(model, X, idx, plan)
+        tracemalloc.start()
+        try:
+            _, shared, _ = _two_task_run(model, X, idx, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shared.shape == (2, model.n_shared) and shared.flags.c_contiguous
+        assert peak < shared[0].nbytes
