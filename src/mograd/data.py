@@ -257,15 +257,18 @@ def class_batches(
     )
 
 
+def _check_outputs(net: MlpParams, labels: np.ndarray) -> None:
+    n_classes = int(labels.max()) + 1 if labels.size else 0
+    if net.dims[-1] < n_classes:
+        raise ValueError(f"net has {net.dims[-1]} outputs but the dataset has {n_classes} classes")
+
+
 def accuracy_per_class(net: MlpParams, ds: Dataset) -> list[float | None]:
     """Fraction of correct argmax predictions per class; None for an empty class.
 
     Argmax ties resolve toward the smaller class index.
     """
-    if net.dims[-1] < ds.n_classes:
-        raise ValueError(
-            f"net has {net.dims[-1]} outputs but the dataset has {ds.n_classes} classes"
-        )
+    _check_outputs(net, ds.labels)
     predictions = np.argmax(forward(net, ds.features), axis=1)
     result: list[float | None] = []
     for idx in ds.class_index_sets:
@@ -280,6 +283,8 @@ def two_task_accuracy(model: TwoHeadMlp, ds: Dataset) -> list[float]:
     """Test accuracy of each head on its own task."""
     if ds.labels2 is None:
         raise ValueError("two-task accuracy needs a dataset with two labels per sample")
+    for head, labels in zip(model.heads, (ds.labels, ds.labels2)):
+        _check_outputs(head, labels)
     logits1, logits2 = predict_two_task(model, ds.features)
     return [
         float(np.mean(np.argmax(logits1, axis=1) == ds.labels)),

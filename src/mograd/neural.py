@@ -18,25 +18,24 @@ shared trunk in one pass. Each stacked slice runs the same matrix product
 as its own 2-D pass would, so the results are bitwise those of one pass
 per task.
 
-A backward pass is planned, then run: the plan is the gradient buffer and
+A backward pass is planned, then run: the plan is a gradient buffer and
 its per-layer, per-segment write views, and a run fills that buffer. A
 per-class plan adds the label picks of the cross-entropy and the class
 segments. A training loop whose batches share one layout builds that plan
 once and runs every step into the same buffer; one-off calls build a plan
 per call and return fresh arrays. A two-task plan holds a whole run's
 labels of both tasks, stacked and range-checked once, the flat offsets of
-their picks, and the buffer of each stacked pass, laid out as a
-(tasks, n_shared) block of trunk gradients and then a (tasks, n_head)
-block of head gradients. Neither depends on the number of rows in a
-batch, so a two-task loop runs every batch into one plan, the short last
-batch of an epoch included, and picks each batch's labels by its row
-indices. For heads of equal shape, a batch's shared and head gradients
-are those two blocks themselves, which the next batch overwrites.
+their picks, and one buffer laid out like the model's ``flat`` with the
+trunk part twice: a (2, n_shared) block of trunk gradients, then both
+heads' gradients in the order of ``flat``'s head part. Neither depends on
+the number of rows in a batch, so a two-task loop runs every batch into
+one plan, the short last batch of an epoch included, picks each batch's
+labels by its row indices, and reads its gradients where the pass wrote
+them, whatever the heads' shapes; the next batch overwrites them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -182,41 +181,39 @@ def forward(net: MlpParams, x) -> np.ndarray:
     return logits[0] if x.ndim == 1 else logits
 
 
-def _backward_plan(layers, lead: tuple[int, ...], n_segments: int,
-                   split: int | None = None) -> tuple[np.ndarray, list]:
-    """A gradient buffer for :func:`_backward_run` and its write views.
+def _batch(X, n_in: int) -> np.ndarray:
+    """``X`` as a nonempty float (N, n_in) batch."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ValueError("expected a nonempty (N, m) batch")
+    if X.shape[1] != n_in:
+        raise ValueError(f"input of shape {X.shape} does not match input dim {n_in}")
+    return X
 
-    The buffer has shape ``lead + (n_segments, n_params)``, ``lead`` being
-    the leading stack axes of the pass's ``delta`` (empty for a 2-D pass).
-    With ``split``, the buffer is flat: the gradients of ``layers[:split]``
-    fill a C-contiguous block of shape ``lead + (n_segments, their
-    n_params)``, and those of ``layers[split:]`` the block after it.
-    ``views[j][k]`` is the ``(weight, bias)`` pair of views into segment k
-    of the buffer that layer ``j``'s gradient goes to, the weight view
-    shaped ``lead + W_j.shape[-2:]``. One plan serves any number of passes
-    over the same layer shapes; each pass overwrites the buffer.
+
+def _backward_plan(layers, block: np.ndarray) -> list:
+    """The write views of :func:`_backward_run` into the caller's ``block``.
+
+    ``block`` is a C-contiguous float array of shape ``lead + (n_segments,
+    n_params)`` for these ``layers``, ``lead`` being the leading stack axes
+    of the pass's ``delta`` (empty for a 2-D pass). ``views[j][k]`` is the
+    ``(weight, bias)`` pair of views into segment k of ``block`` that layer
+    ``j``'s gradient goes to, the weight view shaped ``lead +
+    W_j.shape[-2:]``. One plan serves any number of passes over the same
+    layer shapes; each pass overwrites the block.
     """
-    sizes = [W.shape[-2] * (W.shape[-1] + 1) for W, _ in layers]
-    rows = math.prod(lead) * n_segments
-    flat = np.empty(rows * sum(sizes))
-    parts = [range(len(layers))] if split is None else [range(split), range(split, len(layers))]
+    lead = block.shape[:-2]
     views = []
-    offset = 0
-    for part in parts:
-        width = sum(sizes[j] for j in part)
-        block = flat[offset : offset + rows * width].reshape(lead + (n_segments, width))
-        offset += block.size
-        start = 0
-        for j in part:
-            W = layers[j][0]
-            mid = start + W.shape[-2] * W.shape[-1]
-            end = mid + W.shape[-2]
-            views.append([
-                (block[..., k, start:mid].reshape(lead + W.shape[-2:]), block[..., k, mid:end])
-                for k in range(n_segments)
-            ])
-            start = end
-    return (block if split is None else flat), views
+    start = 0
+    for W, _ in layers:
+        mid = start + W.shape[-2] * W.shape[-1]
+        end = mid + W.shape[-2]
+        views.append([
+            (block[..., k, start:mid].reshape(lead + W.shape[-2:]), block[..., k, mid:end])
+            for k in range(block.shape[-2])
+        ])
+        start = end
+    return views
 
 
 def _backward_run(layers, activations: list[np.ndarray], delta: np.ndarray, segments,
@@ -234,8 +231,8 @@ def _backward_run(layers, activations: list[np.ndarray], delta: np.ndarray, segm
     axis into the buffer, shape (k, len(segments), n_params); 2-D layers
     and activations broadcast over it, so networks that share them share
     their pass through those layers. ``views`` comes from
-    :func:`_backward_plan` for these layers, the leading axes of ``delta``
-    and ``len(segments)`` segments.
+    :func:`_backward_plan` for these layers and a block with the leading
+    axes of ``delta`` and ``len(segments)`` segments.
     """
     for j in range(len(layers) - 1, -1, -1):
         W, _ = layers[j]
@@ -314,10 +311,7 @@ def per_class_losses(
     whole-batch loss exactly, since the classes partition the batch. Each
     call plans its own pass, so the returned arrays are fresh.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("expected a nonempty (N, m) batch")
+    X, y = _batch(X, net.dims[0]), np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ValueError("labels must match the batch rows")
     c = spec.n_classes
@@ -349,7 +343,8 @@ def _class_plan(net: MlpParams, y: np.ndarray, n_classes: int) -> _ClassPlan:
     """The per-class plan for batches of ``net`` labeled ``y``, sorted in increasing order."""
     bounds = np.searchsorted(y, np.arange(n_classes + 1))
     segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    grads, views = _backward_plan(net.layers, (), n_classes)
+    grads = np.empty((n_classes, net.n_params))
+    views = _backward_plan(net.layers, grads)
     return _ClassPlan(_label_picks(y, net.dims[-1]), segments, grads, views)
 
 
@@ -377,11 +372,11 @@ class TwoHeadMlp:
     before it reaches either head, so the junction behaves exactly like an
     internal layer boundary. ``flat`` holds the trunk's parameters, then
     head 0's, then head 1's (``shared_slice``, ``head_slices``). ``trunk``,
-    ``heads[k]`` and their layers are views into it, and so, for heads of
-    equal ``dims``, are the (2, n_head) head block and the head layers
-    stacked over a task axis that the two-task pass runs. Construction
-    copies the given networks into a new buffer, as does assigning
-    ``trunk`` or ``heads``; ``flatten`` and ``copy`` alias nothing.
+    ``heads[k]`` and their layers are views into it, and so are the head
+    layers of each group that one two-task pass runs: both heads stacked
+    over a task axis when their ``dims`` are equal, else each on its own.
+    Construction copies the given networks into a new buffer, as does
+    assigning ``trunk`` or ``heads``; ``flatten`` and ``copy`` alias nothing.
     """
 
     def __init__(self, trunk: MlpParams, heads: tuple[MlpParams, MlpParams]) -> None:
@@ -399,15 +394,14 @@ class TwoHeadMlp:
             for net, lo, hi in zip(nets, [0] + ends, ends)
         ]
         self._heads = tuple(views)
-        # The (tasks, n_head) block of the heads that each stacked pass runs.
+        # Each head group's tasks, slice of flat, and head layers stacked over those tasks.
         equal = heads[0].dims == heads[1].dims
-        self._head_block = self.flat[ends[0]:].reshape(2, -1) if equal else None
-        blocks = [(slice(0, 2), self._head_block)] if equal else [
-            (slice(k, k + 1), head.flat[None]) for k, head in enumerate(self._heads)
-        ]
-        self._head_groups = [
-            (tasks, _layer_views(block, heads[tasks.start].dims)[0]) for tasks, block in blocks
-        ]
+        self._head_groups = []
+        for tasks in [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]:
+            part = slice(ends[tasks.start], ends[tasks.stop])
+            block = self.flat[part].reshape(tasks.stop - tasks.start, -1)
+            layers, _ = _layer_views(block, heads[tasks.start].dims)
+            self._head_groups.append((tasks, part, layers))
 
     # Assigning either part lays the whole model out again, in a new buffer.
     trunk = property(lambda self: self._trunk, lambda self, net: self.__init__(net, self._heads))
@@ -459,15 +453,13 @@ def two_task_gradients(
     internal layer boundary) gives both tasks' gradients; heads of unequal
     ``dims`` take that pass as two groups of one head. Every task's
     arithmetic is that of its own pass. The two shared gradients are the
-    rows of a C-contiguous (2, n_shared) array. Each head gradient is a
-    flat vector over the matching head slice: the rows of one (2, n_head)
-    array when the heads have equal ``dims``, else a pair of vectors. Each
-    call plans its own pass, so the returned arrays are fresh.
+    rows of a C-contiguous (2, n_shared) array, and the head gradients a
+    pair of flat vectors over the matching head slices, whatever the
+    heads' shapes. Each call plans its own pass, so the returned arrays
+    are fresh (views into one new buffer).
     """
-    X = np.asarray(X, dtype=float)
+    X = _batch(X, model.trunk.dims[0])
     y1, y2 = np.asarray(y1), np.asarray(y2)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("expected a nonempty (N, m) batch")
     for y in (y1, y2):
         if y.shape != (X.shape[0],):
             raise ValueError("each task needs one label per sample")
@@ -482,57 +474,57 @@ class _TwoTaskPlan(NamedTuple):
     n_classes, offsets, views)`` tuple: the task slice that one stacked
     pass covers (both tasks when the heads have equal ``dims``, else one
     task each), its heads' class count c, the flat offsets ``c * r`` of
-    the rows r of its stacked (len(tasks) * n, c) logits, and the
-    ``views`` (from :func:`_backward_plan`, split at the trunk) that write
-    its gradient buffer. That buffer is the group's (len(tasks), n_shared)
-    block in ``shared``, followed by its (len(tasks), n_head) block in
-    ``heads``, both C-contiguous. No part depends on the number of rows in
-    a batch.
+    the rows r of its stacked (len(tasks) * n, c) logits, and the views
+    (from :func:`_backward_plan`) that write its rows of ``shared`` and its
+    part of ``heads``. The buffer is ``shared``, a C-contiguous (2,
+    n_shared) block, then ``heads``, laid out like ``flat[n_shared:]``, whose
+    halves ``rows`` are. No part depends on the number of rows in a batch.
     """
 
     labels: np.ndarray
     groups: list[tuple[slice, int, np.ndarray, list]]
-    shared: list[np.ndarray]
-    heads: list[np.ndarray]
+    shared: np.ndarray
+    heads: np.ndarray
+    rows: tuple[np.ndarray, np.ndarray]
 
 
 def _two_task_plan(model: TwoHeadMlp, y1: np.ndarray, y2: np.ndarray) -> _TwoTaskPlan:
     """The two-task plan for batches of ``model`` drawn from the rows labeled ``y1``, ``y2``."""
     labels = np.stack((y1, y2), dtype=np.intp, casting="same_kind")
-    groups, shared, heads = [], [], []
     n = model.n_shared
-    for tasks, head_layers in model._head_groups:
+    grads = np.empty(n + model.flat.shape[0])
+    shared = grads[: 2 * n].reshape(2, n)
+    # grads[n:] is as long as flat, and each head's gradient sits at that head's slice of it.
+    tail = grads[n:]
+    groups = []
+    for tasks, part, head_layers in model._head_groups:
         c = model.heads[tasks.start].dims[-1]
         # A negative label wraps to a huge unsigned one, so one test checks both ends.
         if np.maximum.reduce(labels[tasks].view(np.uintp), axis=None) >= c:
             raise ValueError(f"task labels must lie in [0, {c})")
         t = tasks.stop - tasks.start
-        trunk = model.trunk.layers
-        grads, views = _backward_plan(trunk + head_layers, (t,), 1, len(trunk))
+        views = _backward_plan(model.trunk.layers, shared[tasks, None])
+        views += _backward_plan(head_layers, tail[part].reshape(t, 1, -1))
         groups.append((tasks, c, np.arange(0, t * labels.shape[1] * c, c), views))
-        shared.append(grads[: t * n].reshape(t, n))
-        heads.append(grads[t * n :].reshape(t, -1))
-    return _TwoTaskPlan(labels, groups, shared, heads)
+    rows = tuple(tail[part] for part in model.head_slices)
+    return _TwoTaskPlan(labels, groups, shared, tail[n:], rows)
 
 
 def _two_task_run(
     model: TwoHeadMlp, X: np.ndarray, idx, plan: _TwoTaskPlan
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """:func:`two_task_gradients` without its checks, into ``plan``'s buffers.
+    """:func:`two_task_gradients` without its checks, into ``plan``'s buffer.
 
     ``X`` is the float (N, m) batch of the rows ``idx`` (an index array) of
-    the labels ``plan`` was built for. The losses are a fresh array. When
-    the heads have equal ``dims``, the shared gradients and the head
-    gradients are the plan's (2, n_shared) and (2, n_head) blocks
-    themselves, which the next call with the same plan overwrites. Heads
-    of unequal ``dims`` give a fresh (2, n_shared) array and a pair of
-    views into the plan's buffers.
+    the labels ``plan`` was built for. The losses are a fresh array; the
+    shared and head gradients are ``plan.shared`` and ``plan.rows``
+    themselves, which the next call with the same plan overwrites.
     """
     trunk_acts, h = _forward_cached(model.trunk.layers, X)
     np.maximum(h, 0.0, out=h)
 
     losses = np.empty(2)
-    for (tasks, c, offsets, views), (_, head_layers) in zip(plan.groups, model._head_groups):
+    for (tasks, c, offsets, views), (_, _, head_layers) in zip(plan.groups, model._head_groups):
         head_acts, logits = _forward_cached(head_layers, h)
         if not np.isfinite(logits).all():
             first = np.isfinite(logits).all(axis=(1, 2)).argmin()
@@ -548,14 +540,10 @@ def _two_task_run(
         _backward_run(
             model.trunk.layers + head_layers, trunk_acts + head_acts, logits, [slice(None)], views
         )
-    if len(plan.groups) == 1:
-        return losses, plan.shared[0], plan.heads[0]
-    return losses, np.concatenate(plan.shared), (plan.heads[0][0], plan.heads[1][0])
+    return losses, plan.shared, plan.rows
 
 
 def predict_two_task(model: TwoHeadMlp, X) -> tuple[np.ndarray, np.ndarray]:
     """Logit matrices of both heads for a batch of rows."""
-    X = np.asarray(X, dtype=float)
-    _, trunk_out = _forward_cached(model.trunk.layers, X)
-    h = np.maximum(trunk_out, 0.0)
+    h = np.maximum(forward(model.trunk, X), 0.0)
     return forward(model.heads[0], h), forward(model.heads[1], h)

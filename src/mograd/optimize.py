@@ -331,15 +331,13 @@ def train_imbalanced(
 
 def _apply_kappa(losses, shared, head_grads, kappa: float):
     """Task 2's loss and gradients times ``kappa``, in fresh arrays (``1.0 * x`` is
-    exact); ``head_grads`` is None, a (2, n_head) array or a pair of vectors.
-    ``run_multitask`` takes the same products in place."""
+    exact); ``head_grads`` is None or a pair of vectors. ``run_multitask``
+    takes the same products in place."""
     if kappa == 1.0:
         return losses, shared, head_grads
     col = np.array([[1.0], [kappa]])
-    if isinstance(head_grads, tuple):
+    if head_grads is not None:
         head_grads = (head_grads[0], head_grads[1] * kappa)
-    elif head_grads is not None:
-        head_grads = head_grads * col
     return losses * col[:, 0], shared * col, head_grads
 
 
@@ -358,12 +356,12 @@ def run_multitask(
     direction, and each head takes a plain gradient step on its own loss at
     the same learning rate. The labels of both tasks are checked, and the
     batches' backward pass planned, once per run; a bad label raises before
-    any step. All gradients of a batch are computed before any
-    parameter moves, and the steps update the parameter buffer of a copy
-    of ``model`` in place, both heads with one update when their ``dims``
-    are equal; the caller's model is never changed. ``kappa``
-    rescales the second task's loss (and hence every gradient of it). It
-    runs ``cfg.max_iters`` epochs. The trace holds one record per epoch with
+    any step. All gradients of a batch are computed before any parameter
+    moves, and the steps update the parameter buffer of a copy of
+    ``model`` in place, both heads with one update whatever their shapes;
+    the caller's model is never changed. ``kappa`` rescales the second
+    task's loss (and hence every gradient of it). It runs
+    ``cfg.max_iters`` epochs. The trace holds one record per epoch with
     batch-averaged losses, direction norms, and weights; a zero-epoch run
     returns the model unchanged.
 
@@ -371,10 +369,10 @@ def run_multitask(
     full flat parameter vector.
 
     The oracle contract: each batch's oracle call returns fresh losses, but
-    its head gradients, and for heads of equal ``dims`` its shared
-    gradients too, are views into the plan's buffer, which the next
-    batch's call overwrites. The loop scales task 2's loss and rows by
-    ``kappa`` in place, makes the trunk direction and steps the heads
+    its shared and head gradients are views into the plan's buffer, which
+    the next batch's call overwrites. The loop scales task 2's loss and
+    rows by ``kappa`` in place, makes the trunk direction and steps the
+    heads (``plan.heads``, laid out like the model's head parameters)
     before that call, and keeps none of them.
     """
     if not (1 <= kappa < math.inf):
@@ -385,7 +383,7 @@ def run_multitask(
         raise ValueError("multitask training needs a dataset with two labels per sample")
 
     model = model.copy()
-    head_block = model._head_block  # both heads' (2, n_head) view, or None
+    head_params = model.flat[model.n_shared :]
     X, y1, y2 = data.features, data.labels, data.labels2
     plan = _two_task_plan(model, y1, y2)
     rng = np.random.default_rng(cfg.seed)
@@ -410,16 +408,10 @@ def run_multitask(
                 losses[1] *= kappa
                 for row in (shared[1], head_grads[1]):
                     row *= kappa
-            checked = (losses, head_grads) if head_block is not None else (losses, *head_grads)
-            res, direction_norm = _step(
-                cfg.method, cfg, shared, "loss or head gradient", checked, "epoch", epoch
-            )
+            res, direction_norm = _step(cfg.method, cfg, shared, "loss or head gradient",
+                                        (losses, plan.heads), "epoch", epoch)
             model.trunk.flat -= s * res.normalized_direction
-            if head_block is None:
-                for head, g in zip(model.heads, head_grads):
-                    head.flat -= s * g
-            else:
-                head_block -= s * head_grads
+            head_params -= s * plan.heads
 
             sum_losses += losses
             sum_dnorm += direction_norm

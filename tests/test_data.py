@@ -299,3 +299,12 @@ class TestTwoTaskAccuracy:
         ds = synth_imbalanced(20, 10, 4, 3.0, seed=0)
         with pytest.raises(ValueError, match="needs a dataset with two labels per sample"):
             two_task_accuracy(init_two_head_mlp(4, seed=0), ds)
+
+    @pytest.mark.parametrize("task", [0, 1])
+    def test_output_dim_checked_for_each_head(self, task):
+        labels = [np.array([0, 1, 0, 1, 0]), np.array([1, 0, 1, 0, 1])]
+        labels[task] = np.array([0, 1, 2, 1, 0])
+        ds = Dataset(features=np.zeros((5, 4)), labels=labels[0], labels2=labels[1])
+        model = init_two_head_mlp(4, head_classes=(2, 2), seed=0)
+        with pytest.raises(ValueError, match="^net has 2 outputs but the dataset has 3 classes$"):
+            two_task_accuracy(model, ds)

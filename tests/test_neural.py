@@ -410,6 +410,20 @@ class TestTwoHead:
         with pytest.raises(ValueError):
             TwoHeadMlp(trunk, (bad_head, bad_head))
 
+    @pytest.mark.parametrize("call", [
+        lambda model, X, y: per_class_losses(model.trunk, X, y, ClassLossSpec(np.ones(4))),
+        lambda model, X, y: two_task_gradients(model, X, y, y),
+        lambda model, X, y: predict_two_task(model, X),
+    ], ids=["per_class_losses", "two_task_gradients", "predict_two_task"])
+    def test_batch_of_the_wrong_width_is_named_as_forward_names_it(self, call):
+        model = self.make_model(9)
+        X, y = np.zeros((5, 3)), np.zeros(5, dtype=int)
+        message = r"^input of shape \(5, 3\) does not match input dim 4$"
+        with pytest.raises(ValueError, match=message):
+            forward(model.trunk, X)
+        with pytest.raises(ValueError, match=message):
+            call(model, X, y)
+
     def test_predict_shapes(self):
         model = self.make_model(7)
         X = np.random.default_rng(8).standard_normal((9, 4))
@@ -427,10 +441,9 @@ class TestOneBuffer:
         nets = [model.trunk, *model.heads]
         yield from (net.flat for net in nets)
         yield from (a for net in nets for layer in net.layers for a in layer)
-        for _, layers in model._head_groups:
+        for _, part, layers in model._head_groups:
             yield from (a for layer in layers for a in layer)
-        if model._head_block is not None:
-            yield model._head_block
+            yield model.flat[part]
 
     @staticmethod
     def check_layout(model):
@@ -442,18 +455,19 @@ class TestOneBuffer:
             assert_same_bits(model.flat[model.head_slices[k]], head.flat)
         groups = model._head_groups
         equal = model.heads[0].dims == model.heads[1].dims
-        assert [tasks for tasks, _ in groups] == (
+        assert [tasks for tasks, _, _ in groups] == (
             [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]
         )
-        for tasks, layers in groups:
+        for tasks, part, layers in groups:
             for k, head in enumerate(model.heads[tasks]):
                 for (W, b), (W_k, b_k) in zip(layers, head.layers):
                     assert_same_bits(W[k], W_k)
                     assert_same_bits(b[k, 0], b_k)
-        if equal:
-            assert_same_bits(model._head_block, model.flat[model.n_shared:].reshape(2, -1))
-        else:
-            assert model._head_block is None
+        # each group's slice of flat: both heads when their dims are equal, else one each
+        n, (head0, head1) = model.n_shared, model.head_slices
+        assert [part for _, part, _ in groups] == (
+            [slice(n, model.flat.shape[0])] if equal else [head0, head1]
+        )
 
     @pytest.mark.parametrize("head_dims", [
         ([4, 2], [4, 2]), ([4, 3, 2], [4, 3, 2]), ([4, 3], [4, 2]), ([4, 5, 2], [4, 2]),
@@ -514,6 +528,31 @@ class TestOneBuffer:
         assert_same_bits(after[1], ref[1])
         for h, r in zip(after[2], ref[2]):
             assert_same_bits(h, r)
+
+    @pytest.mark.parametrize("head_dims", [([4, 2], [4, 2]), ([4, 3, 2], [4, 2])],
+                             ids=["equal", "unequal"])
+    def test_plan_buffer_is_laid_out_like_flat(self, head_dims):
+        from mograd.neural import _two_task_plan, _two_task_run
+
+        rng = np.random.default_rng(9)
+        model = TwoHeadMlp(init_mlp([3, 6, 4], rng), tuple(init_mlp(d, rng) for d in head_dims))
+        X = rng.standard_normal((7, 3))
+        y1, y2 = rng.integers(0, 2, size=7), rng.integers(0, 2, size=7)
+        plan = _two_task_plan(model, y1, y2)
+        _, shared, heads = _two_task_run(model, X, np.arange(7), plan)
+        _, want_shared, want_heads = two_task_gradients(model, X, y1, y2)
+        n = model.n_shared
+        buffer = plan.shared.base
+        assert buffer.shape == (n + model.flat.shape[0],)
+        assert shared is plan.shared and heads is plan.rows
+        assert_same_bits(np.concatenate([plan.shared.ravel(), plan.heads]), buffer)
+        for k, part in enumerate(model.head_slices):
+            # task k's [trunk | head k], as in flat: shared[k], then head k at its flat offset
+            assert_same_bits(plan.rows[k], plan.heads[part.start - n : part.stop - n])
+            assert_same_bits(np.concatenate([plan.shared[k], plan.rows[k]]),
+                             np.concatenate([want_shared[k], want_heads[k]]))
+            for g in (plan.shared[k], plan.rows[k]):
+                assert g.base is buffer
 
     @staticmethod
     def reference_train(model, data, cfg, kappa, batch_size):
@@ -590,8 +629,9 @@ def planned_backward(layers, activations, delta, segments):
     """One backward pass into the buffer of a fresh plan."""
     from mograd.neural import _backward_plan, _backward_run
 
-    grads, views = _backward_plan(layers, delta.shape[:-2], len(segments))
-    _backward_run(layers, activations, delta, segments, views)
+    n_params = sum(W.shape[-2] * (W.shape[-1] + 1) for W, _ in layers)
+    grads = np.empty(delta.shape[:-2] + (len(segments), n_params))
+    _backward_run(layers, activations, delta, segments, _backward_plan(layers, grads))
     return grads
 
 
@@ -850,19 +890,19 @@ class TestTwoTaskPlan:
         buffers = []
         real_plan = mograd.neural._backward_plan
 
-        def recorded_plan(*args):
-            grads, views = real_plan(*args)
-            buffers.append(grads)
-            return grads, views
+        def recorded_plan(layers, block):
+            buffers.append(block.base)
+            return real_plan(layers, block)
 
         monkeypatch.setattr(mograd.neural, "_backward_plan", recorded_plan)
         plans = []
 
         def run(real, model, X_batch, idx, plan):
             out = real(model, X_batch, idx, plan)
-            assert len(buffers) == 1
-            for h in out[2]:
-                assert h.base is buffers[0]
+            # the trunk's and the stacked heads' blocks, both in one buffer
+            assert len(buffers) == 2 and buffers[1] is buffers[0]
+            for g in (out[1], *out[2]):
+                assert g.base is buffers[0]
             plans.append(plan)
             return out
 
@@ -930,10 +970,9 @@ class TestTwoTaskPlan:
             want = _apply_kappa(losses, shared, heads, 50.0)
             assert_same_bits(grads, want[1])
             assert_same_bits(arrays[0], want[0])
-            # equal heads are checked as one (2, n_head) block, unequal ones one by one
-            assert len(arrays) == (2 if head_classes[0] == head_classes[1] else 3)
-            for got, h in zip(arrays[1:], [want[2]] if len(arrays) == 2 else want[2]):
-                assert_same_bits(got, h)
+            # both heads' gradients are checked as one vector, whatever their shapes
+            assert len(arrays) == 2
+            assert_same_bits(arrays[1], np.concatenate(want[2]))
 
     def test_trace_shares_no_memory_with_the_plan_buffer(self, monkeypatch):
         import mograd.neural
@@ -941,10 +980,9 @@ class TestTwoTaskPlan:
         buffers = []
         real_plan = mograd.neural._backward_plan
 
-        def recorded_plan(*args):
-            grads, views = real_plan(*args)
-            buffers.append(grads)
-            return grads, views
+        def recorded_plan(layers, block):
+            buffers.append(block)
+            return real_plan(layers, block)
 
         monkeypatch.setattr(mograd.neural, "_backward_plan", recorded_plan)
         _, result = self.train(monkeypatch, lambda real, *args: real(*args), kappa=50.0)
@@ -973,14 +1011,15 @@ class TestTwoTaskPlan:
             self.train(monkeypatch, run, kappa=kappa)
         assert str(excinfo.value) == "non-finite loss or head gradient at epoch 1"
 
-    def test_run_leaves_the_shared_rows_where_the_pass_wrote_them(self):
+    @pytest.mark.parametrize("head_classes", [(2, 2), (3, 2)], ids=["equal", "unequal"])
+    def test_run_leaves_the_shared_rows_where_the_pass_wrote_them(self, head_classes):
         """A copy of the shared rows per batch would set the peak: the trunk
         is wide and the batch is four rows."""
         import tracemalloc
 
         from mograd.neural import _two_task_plan, _two_task_run
 
-        model = init_two_head_mlp(300, trunk_hidden=(300,), head_classes=(2, 2), seed=0)
+        model = init_two_head_mlp(300, trunk_hidden=(300,), head_classes=head_classes, seed=0)
         rng = np.random.default_rng(0)
         X = rng.standard_normal((4, 300))
         y1, y2 = rng.integers(0, 2, size=4), rng.integers(0, 2, size=4)

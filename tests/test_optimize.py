@@ -275,6 +275,75 @@ class TestRunMgda:
         assert all(t.gamma is None for t in result.trace)
 
 
+class TestUnitBowls:
+    """T unit bowls ``L_i = ½‖θ − c_i‖²``. The gradients are ``θ − c_i``, so the
+    optimal set is the hull of the centers, and ``mgda``'s direction norm at θ
+    is the distance from θ to that hull."""
+
+    @staticmethod
+    def bowls(centers, seen=None):
+        """The bowls' problem; each point it is called at is appended to ``seen``."""
+        def problem(theta):
+            if seen is not None:
+                seen.append(theta.copy())
+            G = theta - centers
+            return 0.5 * np.einsum("ij,ij->i", G, G), G
+        return problem
+
+    @staticmethod
+    def hull_distance(theta, centers):
+        """The distance from θ to the hull of ``centers``. The nearest point of
+        the hull is the nearest point of the affine hull of some set of
+        centers, with nonnegative weights, so every set is tried."""
+        best = np.inf
+        for r in range(1, len(centers) + 1):
+            for face in itertools.combinations(centers, r):
+                base, D = face[0], np.array(face[1:]).reshape(r - 1, theta.size) - face[0]
+                z = np.linalg.lstsq(D.T, theta - base, rcond=None)[0]
+                if z.min(initial=0.0) >= -1e-12 and z.sum() <= 1.0 + 1e-12:
+                    best = min(best, np.linalg.norm(theta - base - z @ D))
+        return best
+
+    @staticmethod
+    def triangle_distance(theta, a, b, c):
+        """The distance from θ to the triangle abc in the plane, in closed form."""
+        def to_edge(p, q):
+            t = np.clip((theta - p) @ (q - p) / ((q - p) @ (q - p)), 0.0, 1.0)
+            return np.linalg.norm(theta - p - t * (q - p))
+
+        edges = ((a, b), (b, c), (c, a))
+        sides = [(q - p)[0] * (theta - p)[1] - (q - p)[1] * (theta - p)[0] for p, q in edges]
+        if min(sides) >= 0.0 or max(sides) <= 0.0:
+            return 0.0
+        return min(to_edge(p, q) for p, q in edges)
+
+    @pytest.mark.parametrize("T", [3, 4, 5])
+    @pytest.mark.parametrize("run", [run_edm, run_mgda], ids=["edm", "mgda"])
+    def test_end_points_lie_on_the_hull_of_the_centers(self, run, T):
+        rng = np.random.default_rng(T)
+        for d in (2, 5):
+            for _ in range(3):
+                centers = rng.uniform(-2.0, 2.0, size=(T, d))
+                theta0 = rng.uniform(-3.0, 3.0, size=d)
+                result = run(self.bowls(centers), theta0,
+                             cfg(learning_rate=0.2, max_iters=10_000, stop_tolerance=1e-7))
+                assert result.converged
+                assert self.hull_distance(result.final_point, centers) <= 1e-3
+
+    def test_mgda_direction_norm_is_the_distance_to_the_triangle(self):
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            centers = rng.uniform(-2.0, 2.0, size=(3, 2))
+            seen = []
+            result = run_mgda(self.bowls(centers, seen), rng.uniform(-3.0, 3.0, size=2),
+                              cfg(learning_rate=0.2, max_iters=10_000, stop_tolerance=1e-7))
+            assert result.converged and len(result.trace) > 10
+            for entry, theta in zip(result.trace, seen):
+                dist = self.triangle_distance(theta, *centers)
+                assert abs(entry.direction_norm - dist) <= 1e-12 * (1.0 + dist)
+                assert abs(self.hull_distance(theta, centers) - dist) <= 1e-12 * (1.0 + dist)
+
+
 class TestRunWeightedSum:
     def test_unit_weights_find_midpoint(self):
         result = run_weighted_sum(
