@@ -58,6 +58,8 @@ class Dataset:
             self.labels2 = np.asarray(self.labels2, dtype=np.int64)
             if self.labels2.shape != self.labels.shape:
                 raise ValueError("second labels must match the first")
+            if self.labels2.size and self.labels2.min() < 0:
+                raise ValueError("second labels must be nonnegative")
         self.class_index_sets = tuple(
             np.flatnonzero(self.labels == i) for i in range(self.n_classes)
         )

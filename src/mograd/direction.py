@@ -183,33 +183,38 @@ def edm_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
         q0, q1 = w0 / n0, w1 / n1  # a weight off the support is exactly 0
         return _combine(grads, w, np.array([q0, q1]), 1.0 / (q0 + q1), w.nonzero()[0])
     gs = _as_gradient_set(grads)
-    T, d = gs.gradients.shape
-    act = gs.active
-    if act.size == 0:
-        return _stationary_result(T, d)
+    if gs.active.size == 0:
+        return _stationary_result(*gs.gradients.shape)
+    return _combine(gs.gradients, *_edm_solve(gs, cfg))
 
+
+def _edm_solve(gs: GradientSet, cfg: FwConfig) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """``edm_direction``'s solve on a set with an active objective: its weights and
+    coefficients ``beta_i / ||g_i||`` over all T objectives, gamma and the support."""
+    T = gs.n_objectives
+    act = gs.active
     # Scaling row i by 2^k scales M_ij, ||g_i|| and g_i exactly, so the
     # solve, beta and every term (beta_i / ||g_i||) g_i are bitwise unchanged.
     every = act.size == T
     n = gs.norms if every else gs.norms[act]
     M = gs.gram if every else gs.gram[act[:, None], act]
     # |M_ij| <= n_i n_j, so the normalized Gram matrix is finite too.
-    sol = _min_norm(M / (n[:, None] * n), cfg)
-    q = sol.weights / n
-    support = (sol.weights > 0).nonzero()[0]
+    w = _min_norm(M / (n[:, None] * n), cfg)[0]
+    q = w / n
+    support = (w > 0).nonzero()[0]
     # gamma = (sum_i beta_i / ||g_i||)^-1 over the positive weights.
-    gamma = float(1.0 / np.sum(q[support]))
+    gamma = 1.0 / float(np.add.reduce(q[support]))
     if every:
-        return _combine(gs.gradients, sol.weights, q, gamma, support)
+        return w, q, gamma, support
     _log.warning(
         "edm_direction drops objectives %s: gradient norm at or below ZERO_GRADIENT_THRESHOLD=%g",
         (gs.norms <= ZERO_GRADIENT_THRESHOLD).nonzero()[0].tolist(), ZERO_GRADIENT_THRESHOLD,
     )
     weights = np.zeros(T)
-    weights[act] = sol.weights
+    weights[act] = w
     coef = np.zeros(T)
     coef[act] = q
-    return _combine(gs.gradients, weights, coef, gamma, act[support])
+    return weights, coef, gamma, act[support]
 
 
 def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
@@ -224,8 +229,8 @@ def mgda_direction(grads, cfg: FwConfig = FwConfig()) -> DirectionResult:
         w = np.array(_solve_two(pair[0], cfg.tolerance)[:2])
         return _combine(grads, w, w, None, w.nonzero()[0])
     gs = _as_gradient_set(grads)
-    sol = _min_norm(gs.gram, cfg)
-    return _combine(gs.gradients, sol.weights, sol.weights, None, (sol.weights > 0).nonzero()[0])
+    w = _min_norm(gs.gram, cfg)[0]
+    return _combine(gs.gradients, w, w, None, (w > 0).nonzero()[0])
 
 
 def bisector_two(g1, g2) -> np.ndarray:
@@ -252,7 +257,7 @@ def stationarity_residual(grads, cfg: FwConfig = FwConfig()) -> tuple[float, np.
     Recovers simplex weights ``alpha_i = gamma * beta_i / ||g_i||`` from the
     equiangular solution (zero for inactive objectives, renormalized onto
     the simplex) and returns ``(||sum_i alpha_i g_i||, alpha)``. The weights
-    come from ``edm_direction`` whatever method made the steps. A gradient
+    come from ``edm_direction``'s solve whatever method made the steps. A gradient
     of norm exactly zero puts the origin in the hull: the residual is then
     0.0, with all weight on the first such gradient. Otherwise the residual
     is zero exactly when the min-norm point ``d_h`` of the active gradients'
@@ -269,10 +274,10 @@ def stationarity_residual(grads, cfg: FwConfig = FwConfig()) -> tuple[float, np.
         alpha[zero[0]] = 1.0
         return 0.0, alpha
 
-    res = edm_direction(gs, cfg)
+    weights, _, gamma, _ = _edm_solve(gs, cfg)
     alpha = np.zeros(T)
     act = gs.active
-    alpha[act] = res.gamma * res.weights[act] / gs.norms[act]
+    alpha[act] = gamma * weights[act] / gs.norms[act]
     alpha = alpha / alpha.sum()
     combo = alpha @ gs.gradients
     return float(np.sqrt(combo @ combo)), alpha

@@ -16,26 +16,24 @@ power of two into [-1, 1): that scaling is exact, so the solve takes the
 same steps at any magnitude and nothing in it overflows. For three or more
 vectors the solver first works top down (by LU alone): it solves that
 system once for all of them, and while some weights are not positive,
-drops those vertices and solves again on the rest. When the chain ends on
-positive weights that the gap test certifies, that point is the optimum
-and no major cycle runs. This is
-the common case both for many nearly orthogonal objectives (an interior
-optimum, one solve) and for raw gradients of unequal scale (an optimum on
-a proper face, usually two or three solves). When only the gap test
-rejects the chain's point, usually because dropping every non-positive
-weight at once dropped a vertex the optimum keeps, the major cycles start
-from that point and its support (a warm start), which is a valid state of
-Wolfe's method, and their answer is returned, certified or not. Only when
-the chain fails do the major cycles start from a vertex. For two vectors
-the method is a single exact line search from the shorter vertex toward
-the other (the closed form of Sener & Koltun, NeurIPS 2018, Alg. 1), which
-the solver runs at T=2 in Python floats. It stops on the relative duality
-gap of the simplex problem.
+drops those vertices and solves again on the rest. A chain end that the
+gap test certifies is the answer, with no major cycle: one solve for many
+nearly orthogonal objectives (an interior optimum), usually two or three
+for raw gradients of unequal scale (an optimum on a proper face).
+Otherwise the major cycles start from the chain's point and support (a
+warm start, a valid state of Wolfe's method), or from a vertex when the
+chain fails. For two vectors the method is a single exact line search from
+the shorter vertex toward the other (the closed form of Sener & Koltun,
+NeurIPS 2018, Alg. 1), run in Python floats. It stops on the relative
+duality gap of the simplex problem.
 
-The solver's public names (``FwConfig``, ``FwResult``,
-``frank_wolfe_min_norm``) keep their spelling from the Frank-Wolfe solver
-this module used to run, so existing callers and configurations still
-work. ``fw_line_search``, the exact Frank-Wolfe step, is the T=2 step.
+The solve core ``_min_norm`` returns the weights, their gap and the major
+cycles as plain values, and the directions in ``mograd.direction`` call
+it. ``frank_wolfe_min_norm`` checks its input, calls the core and is the
+one place that builds an ``FwResult``. The public names keep their
+spelling from the Frank-Wolfe solver this module used to run, so existing
+callers and configurations still work. ``fw_line_search``, the exact
+Frank-Wolfe step, is the T=2 step.
 """
 
 from __future__ import annotations
@@ -88,6 +86,8 @@ class FwConfig:
 class FwResult:
     """Solver output: simplex weights plus convergence diagnostics.
 
+    Only ``frank_wolfe_min_norm`` builds one; the directions take the same
+    weights, gap and cycle count from the solve core as plain values.
     ``last_eta`` is the relative duality gap of ``weights``. Above the
     configured tolerance it means the gap test never fired: the budget of
     major cycles ran out, or round-off stalled the solve, as happens when
@@ -96,16 +96,12 @@ class FwResult:
     quadratic form after k major cycles (index 0 is the starting point); its
     last entry is that of ``weights``, and it never increases by more than
     round-off. For T >= 3 the starting point is the end of the top-down
-    chain whenever the chain ends on a point: ``iterations`` 0 then means
-    the chain's point was certified as it stood, and ``objectives`` holds
-    only its quadratic form; otherwise ``objectives[0]`` is still the chain's
-    point and ``iterations`` counts the major cycles after it. When the
-    chain fails, the starting point is the vertex with the smallest
-    ``M_ii``, and ``iterations`` 0 means that vertex was already certified.
-    At T=2, ``iterations`` is at most 1 and ``objectives`` has at most 2
-    entries; the gap and objective after the line step are computed in
-    scalar arithmetic there, so ``last_eta`` may differ by round-off from
-    one taken with a numpy matrix-vector product.
+    chain, or the vertex with the smallest ``M_ii`` when the chain fails;
+    ``iterations`` 0 means it was certified as it stood. At T=2,
+    ``iterations`` is at most 1 and ``objectives`` has at most 2 entries;
+    the gap and objective after the line step are computed in scalar
+    arithmetic there, so ``last_eta`` may differ by round-off from one taken
+    with a numpy matrix-vector product.
     """
 
     weights: np.ndarray
@@ -192,6 +188,11 @@ def _line_step(w_M_w: float, w_M_e: float, e_M_e: float) -> float:
     return toward / (toward + away)
 
 
+def _exponent(M: np.ndarray) -> int:
+    """The e with the largest ``|M_ij|`` in ``[2^(e-1), 2^e)``: the solve runs on ``M 2^-e``."""
+    return math.frexp(float(np.maximum.reduce(np.abs(M), axis=None)))[1]
+
+
 def _bordered(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The optimality system ``A [y; mu] = [0; 1]``, ``A = [M 1; 1^T 0]``, of all T vertices.
 
@@ -226,16 +227,16 @@ def _lu_minimizer(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         x = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         return None
-    # With every entry of A at most 1, no sum in A x exceeds this bound, so
-    # the residual cannot overflow once the bound is finite.
-    bound = len(rhs) * float(np.maximum.reduce(np.abs(x)))
+    # Max norms of Python floats: an infinite x makes the bound infinite, and a
+    # NaN anywhere in x makes all of A x NaN, which fails the residual test.
+    bound = len(rhs) * max(map(abs, x.tolist()))
     if not bound < math.inf:
         return None
+    # With every entry of A at most 1, no sum in A x exceeds the finite bound.
     # rhs is the last unit vector, so A x - rhs differs from A x in its last entry only.
-    r = bordered @ x
+    r = (bordered @ x).tolist()
     r[-1] -= 1.0
-    np.abs(r, out=r)
-    if np.maximum.reduce(r) <= _RESIDUAL_ULPS * _EPS * (bound + 1.0):
+    if max(map(abs, r)) <= _RESIDUAL_ULPS * _EPS * (bound + 1.0):
         return x[:-1]
     return None
 
@@ -357,60 +358,53 @@ def _support_start(bordered: np.ndarray, rhs: np.ndarray) -> tuple[list[int], np
 
     Takes the minimizer over the affine hull of all T vertices. While some
     of its weights are not positive, drops those vertices and takes the
-    minimizer over the affine hull of the rest, so every solve shrinks the
-    support and there are at most T of them. Each is one LU solve of a
-    system gathered from ``bordered``, with its round-off residual test.
-    When every solve passes, the chain ends on positive weights over its
-    support: that pair ``(corral, beta)``, with beta zero off the corral, is
-    returned. It is a valid state for Wolfe's major cycles, the affine
-    minimizer of its corral with positive weights, and when the gap test
-    certifies it, the optimum. None means an LU solve failed or the support
-    emptied.
+    minimizer over the affine hull of the rest: at most T LU solves of
+    systems gathered from ``bordered``, each with its residual test. When
+    every solve passes, the chain ends on positive weights over its support:
+    ``(corral, beta)``, beta zero off the corral, a valid state for Wolfe's
+    major cycles and, when the gap test certifies it, the optimum. None
+    means an LU solve failed or the support emptied.
     """
     T = rhs.size - 1
     y = _lu_minimizer(bordered, rhs)
-    if y is None:
-        return None
     support = None
-    while not (y > 0.0).all():
-        support = (y > 0.0).nonzero()[0] if support is None else support[y > 0.0]
-        if support.size == 0:
+    while y is not None:
+        keep = (y > 0.0).nonzero()[0]
+        if keep.size == y.size:
+            if support is None:
+                return list(range(T)), y
+            beta = np.zeros(T)
+            beta[support] = y
+            return support.tolist(), beta
+        if keep.size == 0:
             return None
+        support = keep if support is None else support[keep]
         ix = np.concatenate((support, [T]))
         y = _lu_minimizer(bordered.take(ix, 0).take(ix, 1), rhs[-ix.size:])
-        if y is None:
-            return None
-    if support is None:
-        return list(range(T)), y
-    beta = np.zeros(T)
-    beta[support] = y
-    return support.tolist(), beta
+    return None
 
 
-def _major_cycles(
-    M: np.ndarray,
-    bordered: np.ndarray | None,
-    rhs: np.ndarray | None,
-    scale: float,
-    cfg: FwConfig,
-    corral: list[int],
-    beta: np.ndarray,
-) -> tuple[np.ndarray, float, int, list[float]]:
+def _gap(M: np.ndarray, beta: np.ndarray, scale: float) -> tuple[int, float, float]:
+    """``(j, objective, gap)`` of beta: the smallest entry of ``M beta``, ``beta^T M beta``
+    and the relative duality gap."""
+    Mb = M @ beta
+    j = int(Mb.argmin())
+    objective = float(beta @ Mb)
+    return j, objective, max(objective - float(Mb[j]), 0.0) / scale if scale > 0.0 else 0.0
+
+
+def _major_cycles(M: np.ndarray, bordered: np.ndarray, rhs: np.ndarray, scale: float, cfg: FwConfig,
+                  corral: list[int], beta: np.ndarray, objectives: list[float]) -> tuple[np.ndarray, float, int]:
     """Wolfe's major cycles from ``corral`` and its affine minimizer ``beta``.
 
-    Returns the final beta (not normalized), its relative gap, the major
-    cycles kept and the objective before each of them and at the end. The
-    first entry is the starting point's. ``bordered`` may be None only when
-    no minor cycle can run: one vertex, or a zero scale.
+    Returns the final beta (not normalized), its relative gap and the major
+    cycles kept, and appends to ``objectives`` the objective before each of
+    them and at the end. The first entry is the starting point's.
     """
-    objectives = []
     iterations = 0
     kept = None
     while True:
-        Mb = M @ beta
-        j = int(np.argmin(Mb))
-        objective = float(beta @ Mb)
-        gap = max(objective - float(Mb[j]), 0.0) / scale if scale > 0.0 else 0.0
+        j, objective, gap = _gap(M, beta, scale)
         if kept is not None and gap > cfg.tolerance and objective >= kept[1]:
             # The last major cycle moved only by round-off, and later ones
             # would circle at the same level: undo it and stop.
@@ -433,7 +427,7 @@ def _major_cycles(
         else:
             corral.append(j)
         _minor_cycles(M, bordered, rhs, beta, corral)
-    return beta, gap, iterations, objectives
+    return beta, gap, iterations
 
 
 def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
@@ -444,28 +438,19 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     smallest (ties go to the smallest index), then minor cycles move to
     the minimizer over the corral's affine hull, stepping back to the
     simplex boundary and dropping the vertex that hits zero while that
-    minimizer has a negative weight. Every corral system is gathered from
-    one bordered system of the whole M, built once per solve, after M is
-    multiplied by the power of two that puts its largest entry in [0.5, 1)
-    (T != 2). That is exact: M times any power of two that keeps every
-    entry finite and normal gives bitwise the same weights. An LU solve
-    that fails its residual test gives the entering vertex a swap step
-    (``_swap_step``) and stops a later minor cycle, so a chosen vertex can
-    already be in the corral; that major cycle first takes a swap step
-    toward it, then runs the minor cycles.
-
-    For T >= 3 the cycles first start where the top-down chain ends
-    (``_support_start``): LU solves over the full support, then over the
-    positive weights of the last solve, until the weights are all
-    positive. When the gap test certifies that point, no major cycle runs.
-    When only the gap test rejects it, the major cycles run from the
-    chain's support and point (a warm start), and their answer is returned.
-    Only when the chain has no end point (an LU solve failed or the support
-    emptied) do the cycles run from the vertex with the smallest ``M_ii``,
-    exactly as if the chain had not been tried. For two vectors the method
-    is one exact line search (``fw_line_search``) from the starting vertex
-    toward the other, so it runs as one, in scalar arithmetic on
-    ``M.tolist()``.
+    minimizer has a negative weight. For T != 2, M is first multiplied by
+    the power of two that puts its largest entry in [0.5, 1). That is exact:
+    M times any power of two that keeps every entry finite and normal gives
+    bitwise the same weights. An LU solve that fails its residual test
+    gives the entering vertex a swap step (``_swap_step``) and stops a later
+    minor cycle, so a chosen vertex can already be in the corral; that
+    major cycle first takes a swap step toward it, then runs the minor
+    cycles. For T >= 3 the cycles start where the top-down chain ends
+    (``_support_start``), and do not run when the gap test certifies that
+    point; when the chain has no end point (an LU solve failed or the
+    support emptied), they start from the vertex with the smallest ``M_ii``.
+    For two vectors the method is one exact line search
+    (``fw_line_search``), run in scalar arithmetic on ``M.tolist()``.
 
     The solve stops once the relative duality gap is at or below the
     configured tolerance. Failing that, it stops when a major cycle did not
@@ -474,6 +459,9 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     T >= 3, a solve that returns a gap above the tolerance, whichever way it
     stopped, logs one warning on the ``mograd.minnorm`` logger. Weights off
     the corral are exact zeros.
+
+    This function checks M, runs the solve core ``_min_norm`` and wraps its
+    plain result in an ``FwResult``, scaling the objectives back to M.
 
     Parameters
     ----------
@@ -492,45 +480,48 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
         raise ValueError("need at least one vector")
     if not np.isfinite(M).all():
         raise NumericalError("non-finite Gram matrix entries")
-    return _min_norm(M, cfg)
+    objectives: list[float] = []
+    weights, gap, iterations = _min_norm(M, cfg, objectives)
+    return FwResult(weights, gap, iterations, np.ldexp(objectives, 0 if M.shape[0] == 2 else _exponent(M)))
 
 
-def _min_norm(M: np.ndarray, cfg: FwConfig) -> FwResult:
-    """``frank_wolfe_min_norm`` without its input checks.
+def _min_norm(M: np.ndarray, cfg: FwConfig, objectives: list[float] | None = None) -> tuple[np.ndarray, float, int]:
+    """The solve core: ``(weights, gap, iterations)``, the fields of ``FwResult`` by those names.
 
     M must be a finite, square float array with at least one row, as a
-    ``GradientSet``'s Gram matrix is.
+    ``GradientSet``'s Gram matrix is; it is not checked here. A list passed
+    as ``objectives`` receives ``FwResult.objectives`` as the solve sees
+    them: of ``M 2^-_exponent(M)`` (of M itself at T=2).
     """
     T = M.shape[0]
+    if objectives is None:
+        objectives = []
     if T == 2:
-        w0, w1, gap, objectives = _solve_two(M.tolist(), cfg.tolerance)
-        return FwResult(np.array([w0, w1]), gap, len(objectives) - 1, np.array(objectives))
+        w0, w1, gap, trail = _solve_two(M.tolist(), cfg.tolerance)
+        objectives += trail
+        return np.array([w0, w1]), gap, len(trail) - 1
 
     # Scaling by a power of two is exact, so the solve below sees the same
     # matrix (entries in [-1, 1)) at any magnitude of M and never overflows.
-    shift = math.frexp(float(np.abs(M).max()))[1]
-    M = np.ldexp(M, -shift)
+    M = np.ldexp(M, -_exponent(M))
+    bordered, rhs = _bordered(M)
     diag = M.diagonal()
-    scale = float(diag.max())
-    bordered = rhs = None
-    start = None
-    if T > 2 and scale > 0.0:
-        bordered, rhs = _bordered(M)
-        start = _support_start(bordered, rhs)
-    if start is None:
-        vertex = int(np.argmin(diag))
+    scale = float(np.maximum.reduce(diag))
+    start = _support_start(bordered, rhs) if T > 2 and scale > 0.0 else None
+    if start is not None:
+        _, objective, gap = _gap(M, start[1], scale)
+        if gap <= cfg.tolerance:
+            objectives.append(max(objective, 0.0))
+            return start[1] / np.add.reduce(start[1]), gap, 0
+    else:
+        vertex = int(diag.argmin())
         beta = np.zeros(T)
         beta[vertex] = 1.0
         start = [vertex], beta
-    beta, gap, iterations, objectives = _major_cycles(M, bordered, rhs, scale, cfg, *start)
+    beta, gap, iterations = _major_cycles(M, bordered, rhs, scale, cfg, *start, objectives)
     if gap > cfg.tolerance:
         _log.warning(
             "min-norm solve stopped after %d of max_iters=%d major cycles with relative gap"
             " %.3g above tolerance %.3g", iterations, cfg.max_iters, gap, cfg.tolerance,
         )
-    return FwResult(
-        weights=beta / beta.sum(),
-        last_eta=gap,
-        iterations=iterations,
-        objectives=np.ldexp(objectives, shift),
-    )
+    return beta / np.add.reduce(beta), gap, iterations

@@ -295,6 +295,14 @@ class TestAccuracyPerClass:
 
 
 class TestTwoTaskAccuracy:
+    def test_negative_labels_rejected_for_either_task(self):
+        # A negative label would otherwise reach two_task_accuracy and be
+        # scored as a miss there.
+        with pytest.raises(ValueError, match="^labels must be nonnegative$"):
+            Dataset(np.zeros((5, 4)), [0, -1, 1, -1, 0], [0, 1, 0, 1, 0])
+        with pytest.raises(ValueError, match="^second labels must be nonnegative$"):
+            Dataset(np.zeros((5, 4)), [0, 1, 0, 1, 0], [0, -1, 1, -1, 0])
+
     def test_one_label_dataset_rejected(self):
         ds = synth_imbalanced(20, 10, 4, 3.0, seed=0)
         with pytest.raises(ValueError, match="needs a dataset with two labels per sample"):

@@ -18,7 +18,8 @@ from mograd.direction import (
     stationarity_residual,
 )
 from mograd.exceptions import NumericalError
-from mograd.minnorm import FwConfig, frank_wolfe_min_norm, gram_matrix
+from mograd import minnorm
+from mograd.minnorm import FwConfig, _min_norm, frank_wolfe_min_norm, gram_matrix
 
 
 def random_gradients(rng, T=None, d=None, spread=2.0):
@@ -155,6 +156,72 @@ class TestCertifiedOnce:
             direction([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NumericalError, match="gradient norm overflow"):
             direction([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+class TestOneSolveCore:
+    """Both directions take their T >= 3 weights from the solve core that
+    ``frank_wolfe_min_norm`` wraps, and pay for nothing around it: no
+    ``FwResult`` and no LU solve beyond the solve's own."""
+
+    @staticmethod
+    def sets():
+        """For T 3 to 32, one seeded set of each family of the benchmark's
+        direction workloads, and each again with one row set to zero."""
+        rng = np.random.default_rng(34)
+        for T in range(3, 33):
+            for G in degenerate_gradient_sets(rng, T, d=60):
+                yield G
+                G = G.copy()
+                G[rng.integers(T)] = 0.0
+                yield G
+
+    def test_direction_weights_are_frank_wolfe_min_norm_weights_bitwise(self):
+        cfg = FwConfig()
+        for G in self.sets():
+            gs = GradientSet.from_gradients(G)
+            act = gs.active
+            n = gs.norms[act]
+            normalized = gs.gram[act[:, None], act] / (n[:, None] * n)
+            for M, direction in ((gs.gram, mgda_direction(G)), (normalized, edm_direction(G))):
+                res = frank_wolfe_min_norm(M, cfg)
+                weights, gap, iterations = _min_norm(M, cfg)
+                assert weights.tobytes() == res.weights.tobytes()
+                assert (gap, iterations) == (res.last_eta, res.iterations)
+                if M is normalized:
+                    assert direction.weights[act].tobytes() == res.weights.tobytes()
+                    assert not direction.weights[gs.norms <= ZERO_GRADIENT_THRESHOLD].any()
+                else:
+                    assert direction.weights.tobytes() == res.weights.tobytes()
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Counts of LU solves (``np.linalg.solve``) and of ``FwResult`` builds."""
+        counts = {"lu_solves": 0, "fw_results": 0}
+        solve, build = np.linalg.solve, minnorm.FwResult
+
+        def counted_solve(*args):
+            counts["lu_solves"] += 1
+            return solve(*args)
+
+        def counted_build(*args, **kwargs):
+            counts["fw_results"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(minnorm, "FwResult", counted_build)
+        return counts
+
+    def test_generic_edm_direction_makes_one_lu_solve_and_no_fw_result(self, counts):
+        G = random_gradients(np.random.default_rng(8), T=8, d=1000)
+        edm_direction(G)
+        assert counts == {"lu_solves": 1, "fw_results": 0}
+
+    def test_frank_wolfe_min_norm_builds_one_fw_result(self, counts):
+        G = random_gradients(np.random.default_rng(8), T=8, d=1000)
+        M = GradientSet.from_gradients(G).gram
+        n = np.sqrt(np.diag(M))
+        frank_wolfe_min_norm(M / (n[:, None] * n))
+        assert counts == {"lu_solves": 1, "fw_results": 1}
 
 
 class TestDroppedObjectiveWarning:

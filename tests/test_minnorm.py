@@ -414,16 +414,32 @@ class TestCertificate:
                 frank_wolfe_min_norm(gram_matrix(G))
         assert not caplog.records
 
-    def test_uncertified_solve_short_of_the_cap_logs_one_warning(self, caplog):
-        # The README's known solver limitation: the round-off undo rule stops
-        # the solve at its starting point, far short of max_iters.
+    @staticmethod
+    def short_of_the_cap_rows():
+        """The README's known solver limitation: the round-off undo rule stops
+        the solve at its starting point, far short of max_iters."""
         a, e = 2.0**-30, 9.3132257461547857e-19
-        G = np.array([[-a, 0, -a], [0, 0, 3 * a], [0, a, 0], [0, 0, a], [0, -3 * a, e],
-                      [0, 0, a], [a, 0, 0]])
+        return np.array([[-a, 0, -a], [0, 0, 3 * a], [0, a, 0], [0, 0, a], [0, -3 * a, e],
+                         [0, 0, a], [a, 0, 0]])
+
+    def test_uncertified_solve_short_of_the_cap_logs_one_warning(self, caplog):
+        G = self.short_of_the_cap_rows()
         cfg = FwConfig()
         with caplog.at_level(logging.DEBUG, logger="mograd"):
             res = frank_wolfe_min_norm(gram_matrix(G), cfg)
         assert res.iterations < cfg.max_iters and res.last_eta > cfg.tolerance
+        assert [(r.name, r.levelno) for r in caplog.records] == [("mograd.minnorm", logging.WARNING)]
+        assert f"gap {res.last_eta:.3g} above tolerance" in caplog.records[0].getMessage()
+
+    def test_uncertified_mgda_direction_logs_the_same_one_warning(self, caplog):
+        # The warning belongs to the solve, so a direction that solves on the
+        # same Gram matrix logs it too, once.
+        G = self.short_of_the_cap_rows()
+        res = frank_wolfe_min_norm(gram_matrix(G))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="mograd"):
+            direction = mgda_direction(G)
+        assert np.array_equal(direction.weights, res.weights)
         assert [(r.name, r.levelno) for r in caplog.records] == [("mograd.minnorm", logging.WARNING)]
         assert f"gap {res.last_eta:.3g} above tolerance" in caplog.records[0].getMessage()
 

@@ -914,9 +914,10 @@ class TestTwoTaskPlan:
     def test_out_of_range_label_raises_before_any_step(self, monkeypatch, task, bad):
         from mograd.data import Dataset
 
-        labels = [self.data.labels.copy(), self.data.labels2.copy()]
-        labels[task][-1] = bad  # the last row: in a late batch of any epoch
-        data = Dataset(self.data.features, labels[0], labels[1])
+        data = Dataset(self.data.features, self.data.labels.copy(), self.data.labels2.copy())
+        # Written after construction, as Dataset rejects a negative label
+        # itself: the trainer checks whatever labels it is handed.
+        (data.labels, data.labels2)[task][-1] = bad  # the last row: in a late batch of any epoch
         before = self.model.flatten()
         calls = []
         with pytest.raises(ValueError, match=r"^task labels must lie in \[0, 2\)$"):
