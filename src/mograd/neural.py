@@ -46,7 +46,6 @@ from .exceptions import NumericalError
 __all__ = [
     "MlpParams",
     "TwoHeadMlp",
-    "ClassLossSpec",
     "init_mlp",
     "init_two_head_mlp",
     "forward",
@@ -277,31 +276,12 @@ def _ce_rows(logits: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndar
     return per_row, logits
 
 
-@dataclass(frozen=True)
-class ClassLossSpec:
-    """Per-class loss weights."""
-
-    class_weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.class_weights, dtype=float)
-        if w.ndim != 1 or w.shape[0] < 1:
-            raise ValueError("class_weights must be a nonempty vector")
-        if not np.isfinite(w).all() or np.any(w < 0):
-            raise ValueError("class weights must be finite and nonnegative")
-        object.__setattr__(self, "class_weights", w)
-
-    @property
-    def n_classes(self) -> int:
-        return self.class_weights.shape[0]
-
-
-def per_class_losses(
-    net: MlpParams, X, y, spec: ClassLossSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def per_class_losses(net: MlpParams, X, y) -> tuple[np.ndarray, np.ndarray]:
     """Summed cross-entropy and flat gradient for each class separately.
 
-    Loss i sums over the batch rows labeled i (an absent class contributes
+    The classes are the network's outputs: labels lie in ``[0, c)`` for
+    ``c = net.dims[-1]``, and row i of each result is class i's. Loss i
+    sums over the batch rows labeled i (an absent class contributes
     zero loss and a zero gradient); gradient i is the backpropagation of
     loss i alone. A stable sort of the rows by label makes each class one
     contiguous segment in its original row order; rows already grouped by
@@ -314,14 +294,14 @@ def per_class_losses(
     X, y = _batch(X, net.dims[0]), np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ValueError("labels must match the batch rows")
-    c = spec.n_classes
+    c = net.dims[-1]
     if y.min() < 0 or y.max() >= c:
         raise ValueError(f"labels must lie in [0, {c})")
 
     if not (y[:-1] <= y[1:]).all():
         order = np.argsort(y, kind="stable")
         X, y = X[order], y[order]
-    return _grouped_losses(net, X, _class_plan(net, y, c))
+    return _grouped_losses(net, X, _class_plan(net, y))
 
 
 class _ClassPlan(NamedTuple):
@@ -339,13 +319,14 @@ class _ClassPlan(NamedTuple):
     views: list
 
 
-def _class_plan(net: MlpParams, y: np.ndarray, n_classes: int) -> _ClassPlan:
+def _class_plan(net: MlpParams, y: np.ndarray) -> _ClassPlan:
     """The per-class plan for batches of ``net`` labeled ``y``, sorted in increasing order."""
+    n_classes = net.dims[-1]
     bounds = np.searchsorted(y, np.arange(n_classes + 1))
     segments = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     grads = np.empty((n_classes, net.n_params))
     views = _backward_plan(net.layers, grads)
-    return _ClassPlan(_label_picks(y, net.dims[-1]), segments, grads, views)
+    return _ClassPlan(_label_picks(y, n_classes), segments, grads, views)
 
 
 def _grouped_losses(net: MlpParams, X: np.ndarray, plan: _ClassPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -375,8 +356,9 @@ class TwoHeadMlp:
     ``heads[k]`` and their layers are views into it, and so are the head
     layers of each group that one two-task pass runs: both heads stacked
     over a task axis when their ``dims`` are equal, else each on its own.
-    Construction copies the given networks into a new buffer, as does
-    assigning ``trunk`` or ``heads``; ``flatten`` and ``copy`` alias nothing.
+    Construction copies the given networks into a new buffer; ``trunk`` and
+    ``heads`` are read-only, so a model with other networks is a new
+    ``TwoHeadMlp``. ``flatten`` and ``copy`` alias nothing.
     """
 
     def __init__(self, trunk: MlpParams, heads: tuple[MlpParams, MlpParams]) -> None:
@@ -403,9 +385,8 @@ class TwoHeadMlp:
             layers, _ = _layer_views(block, heads[tasks.start].dims)
             self._head_groups.append((tasks, part, layers))
 
-    # Assigning either part lays the whole model out again, in a new buffer.
-    trunk = property(lambda self: self._trunk, lambda self, net: self.__init__(net, self._heads))
-    heads = property(lambda self: self._heads, lambda self, nets: self.__init__(self._trunk, nets))
+    trunk = property(lambda self: self._trunk)
+    heads = property(lambda self: self._heads)
 
     @property
     def n_shared(self) -> int:

@@ -39,7 +39,6 @@ from .direction import (
 from .exceptions import NumericalError
 from .minnorm import FwConfig
 from .neural import (
-    ClassLossSpec,
     MlpParams,
     TwoHeadMlp,
     _class_plan,
@@ -237,10 +236,12 @@ def _run_flat(problem: MultiLossProblem, theta0, cfg: OptimizerConfig) -> RunRes
     return globals()[f"run_{cfg.method}"](problem, theta0, cfg)
 
 
-def _epoch_batch_oracle(net, spec, ds: Dataset, batches_per_epoch: int, seed: int, epochs: int):
+def _epoch_batch_oracle(net, ds: Dataset, batches_per_epoch: int, seed: int, epochs: int):
     """Stateful problem oracle: each call evaluates the next per-class batch.
 
-    Writes ``theta`` into ``net``'s buffer in place. Single-consumer (the
+    The classes are ``net``'s outputs, as in ``per_class_losses``: ``ds``
+    may have at most ``net.dims[-1]`` classes, checked once here. Writes
+    ``theta`` into ``net``'s buffer in place. Single-consumer (the
     descent loop). The batches are the rows of ``class_batches``'s
     ``epochs`` epochs, in order. Once they are spent, every later call
     evaluates the whole of ``ds`` with ``per_class_losses``, which returns
@@ -261,10 +262,10 @@ def _epoch_batch_oracle(net, spec, ds: Dataset, batches_per_epoch: int, seed: in
     X = ds.features
     epochs_iter = class_batches(ds, batches_per_epoch, seed, epochs)
     sizes = [idx.size // batches_per_epoch for idx in ds.class_index_sets]
-    if len(sizes) > spec.n_classes:
-        raise ValueError(f"labels must lie in [0, {spec.n_classes})")
+    if ds.n_classes > net.dims[-1]:
+        raise ValueError(f"labels must lie in [0, {net.dims[-1]})")
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    class_plan = _class_plan(net, labels, spec.n_classes)
+    class_plan = _class_plan(net, labels)
     schedule, step = None, batches_per_epoch
 
     def problem(theta):
@@ -273,7 +274,7 @@ def _epoch_batch_oracle(net, spec, ds: Dataset, batches_per_epoch: int, seed: in
         if step == batches_per_epoch:
             schedule = next(epochs_iter, None)
             if schedule is None:
-                return per_class_losses(net, X, ds.labels, spec)
+                return per_class_losses(net, X, ds.labels)
             if not (ds.labels[schedule] == labels).all():
                 raise ValueError("a batch's rows are not grouped by class")
             step = 0
@@ -314,14 +315,13 @@ def train_imbalanced(
     run_method = _imbalanced_method(method)
     n_classes = train_ds.n_classes
     net = init_mlp([train_ds.n_features, hidden, n_classes], seed)
-    spec = ClassLossSpec(np.array([1.0] + [float(mu)] * (n_classes - 1)))
-    problem = _epoch_batch_oracle(net, spec, train_ds, batches_per_epoch, seed + 1, epochs)
+    problem = _epoch_batch_oracle(net, train_ds, batches_per_epoch, seed + 1, epochs)
     cfg = OptimizerConfig(
         method=run_method,
         learning_rate=lr,
         max_iters=epochs * batches_per_epoch,
         stop_tolerance=1e-300,
-        weights=spec.class_weights,
+        weights=[1.0] + [float(mu)] * (n_classes - 1),
         fw=fw,
     )
     # The loop's last oracle call writes final_point into net.flat.

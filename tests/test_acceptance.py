@@ -22,7 +22,6 @@ from mograd.data import stratified_split, synth_imbalanced, synth_two_task, accu
 from mograd.direction import edm_direction, mgda_direction
 from mograd.minnorm import combination_norm_sq, frank_wolfe_min_norm, fw_line_search, gram_matrix
 from mograd.neural import (
-    ClassLossSpec,
     MlpParams,
     TwoHeadMlp,
     init_mlp,
@@ -243,11 +242,10 @@ def test_criterion_07_backprop_matches_finite_differences():
         if _kink_distance(net, X) < 1e-3:
             continue
         done += 1
-        spec = ClassLossSpec(np.ones(c))
-        _, grads = per_class_losses(net, X, y, spec)
+        _, grads = per_class_losses(net, X, y)
         for i in range(c):
             fd = finite_diff_gradient(
-                lambda t, i=i: per_class_losses(MlpParams.from_flat(t, net.dims), X, y, spec)[0][i],
+                lambda t, i=i: per_class_losses(MlpParams.from_flat(t, net.dims), X, y)[0][i],
                 net.flatten(),
             )
             if np.linalg.norm(fd) < 1e-9:

@@ -10,7 +10,7 @@ from mograd.cli import _write_trace, main, train_imbalanced
 from mograd.data import Dataset, class_batches, save_csv, synth_imbalanced
 from mograd.direction import stationarity_residual
 from mograd.minnorm import FwConfig
-from mograd.neural import ClassLossSpec, MlpParams, init_mlp, per_class_losses
+from mograd.neural import MlpParams, init_mlp, per_class_losses
 from mograd.optimize import IterationTrace, _epoch_batch_oracle
 
 
@@ -416,6 +416,15 @@ class TestTrainImbalanced:
         assert np.array_equal(net.flat, result.final_point)
         assert result.iterations_used == 6
 
+    @pytest.mark.parametrize("mu", [-1.0, np.nan])
+    def test_bad_minor_class_weight_is_rejected_before_any_step(self, mu, monkeypatch):
+        steps = []
+        monkeypatch.setattr(mograd.optimize, "_grouped_losses", lambda *args: steps.append(args))
+        ds = synth_imbalanced(60, 12, 3, 3.0, seed=2)
+        with pytest.raises(ValueError, match="weights must be a vector of finite"):
+            train_imbalanced(ds, "sgd", mu, 1e-3, 2, 3, seed=2, hidden=5)
+        assert steps == []
+
 
 def multiclass_dataset(c, seed):
     """A c-class dataset with unequal class sizes and rows in shuffled order."""
@@ -425,7 +434,7 @@ def multiclass_dataset(c, seed):
     return Dataset(rng.standard_normal((labels.size, 3)), labels)
 
 
-def old_epoch_batch_oracle(net, spec, ds, batches_per_epoch, seed, epochs):
+def old_epoch_batch_oracle(net, ds, batches_per_epoch, seed, epochs):
     """The oracle as it was: every batch of ``epochs + 1`` epochs in turn,
     each through the public, checked ``per_class_losses``; the loop's final
     call reads the first batch of the spare last epoch."""
@@ -437,7 +446,7 @@ def old_epoch_batch_oracle(net, spec, ds, batches_per_epoch, seed, epochs):
     def problem(theta):
         net.flat[:] = theta
         idx = next(batch_iter)
-        return per_class_losses(net, X[idx], y[idx], spec)
+        return per_class_losses(net, X[idx], y[idx])
 
     return problem
 
@@ -454,11 +463,10 @@ class TestEpochBatchOracle:
     def test_batches_and_results_match_the_old_oracle(self, c, monkeypatch):
         ds = multiclass_dataset(c, seed=c)
         batches_per_epoch, seed, epochs = 3, 40 + c, 2
-        spec = ClassLossSpec(np.linspace(1.0, 2.0, c))
         net = init_mlp([3, 6, c], c)
         old_net = init_mlp([3, 6, c], c)
-        problem = _epoch_batch_oracle(net, spec, ds, batches_per_epoch, seed, epochs)
-        old_problem = old_epoch_batch_oracle(old_net, spec, ds, batches_per_epoch, seed, epochs)
+        problem = _epoch_batch_oracle(net, ds, batches_per_epoch, seed, epochs)
+        old_problem = old_epoch_batch_oracle(old_net, ds, batches_per_epoch, seed, epochs)
         batches = [idx for epoch in class_batches(ds, batches_per_epoch, seed, epochs)
                    for idx in epoch]
 
@@ -484,7 +492,7 @@ class TestEpochBatchOracle:
         theta = rng.standard_normal(net.n_params)
         losses, grads = problem(theta)
         assert_same_bits(net.flat, theta)
-        for got, want in zip((losses, grads), per_class_losses(net, ds.features, ds.labels, spec)):
+        for got, want in zip((losses, grads), per_class_losses(net, ds.features, ds.labels)):
             assert_same_bits(got, want)
         assert len(seen) == epochs * batches_per_epoch
 
@@ -521,15 +529,14 @@ class TestEpochBatchOracle:
         net, result = train_imbalanced(ds, method, 2.0, 1e-2, 3, 2, seed=c, hidden=5, fw=fw)
         assert len(drawn) == 3
         final = MlpParams.from_flat(result.final_point, net.dims)
-        spec = ClassLossSpec(np.array([1.0] + [2.0] * (c - 1)))
-        _, grads = per_class_losses(final, ds.features, ds.labels, spec)
+        _, grads = per_class_losses(final, ds.features, ds.labels)
         assert result.stationarity == stationarity_residual(grads, fw)[0]
 
     def test_class_missing_from_the_spec_is_rejected(self):
         ds = multiclass_dataset(3, seed=0)
-        net = init_mlp([3, 4, 3], 0)
+        net = init_mlp([3, 4, 2], 0)
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
-            _epoch_batch_oracle(net, ClassLossSpec(np.ones(2)), ds, 2, 0, 1)
+            _epoch_batch_oracle(net, ds, 2, 0, 1)
 
 
 class TestWriteTrace:

@@ -3,7 +3,6 @@ import pytest
 
 from mograd.exceptions import NumericalError
 from mograd.neural import (
-    ClassLossSpec,
     MlpParams,
     TwoHeadMlp,
     forward,
@@ -128,8 +127,7 @@ def one_row_loss(logits, label):
     a one-layer net with zero weights and the logits as its bias."""
     logits = np.asarray(logits, dtype=float)
     net = MlpParams([(np.zeros((logits.size, 1)), logits)])
-    losses, _ = per_class_losses(net, np.zeros((1, 1)), np.array([label]),
-                                 ClassLossSpec(np.ones(logits.size)))
+    losses, _ = per_class_losses(net, np.zeros((1, 1)), np.array([label]))
     return losses.sum()
 
 
@@ -158,19 +156,12 @@ class TestCrossEntropy:
             one_row_loss([0.0, 0.0], 2)
 
 
-class TestClassLossSpec:
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
-    def test_rejects_bad_weights(self, value):
-        with pytest.raises(ValueError, match="class weights must be finite and nonnegative"):
-            ClassLossSpec(np.array([1.0, value]))
-
-
 class TestPerClassLosses:
     def test_single_class_batch(self):
         net = init_mlp([2, 4, 2], 4)
         X = np.random.default_rng(5).standard_normal((6, 2))
         y = np.zeros(6, dtype=int)
-        losses, grads = per_class_losses(net, X, y, ClassLossSpec(np.ones(2)))
+        losses, grads = per_class_losses(net, X, y)
         assert losses[1] == 0.0
         assert np.array_equal(grads[1], np.zeros(net.n_params))
         assert losses[0] > 0
@@ -180,10 +171,9 @@ class TestPerClassLosses:
         rng = np.random.default_rng(8)
         X = rng.standard_normal((12, 3))
         y = np.sort(rng.integers(0, 3, size=12))
-        spec = ClassLossSpec(np.ones(3))
-        first = per_class_losses(net, X, y, spec)
+        first = per_class_losses(net, X, y)
         kept = [a.copy() for a in first]
-        second = per_class_losses(net, 2.0 * X, y, spec)
+        second = per_class_losses(net, 2.0 * X, y)
         for a, b, k in zip(first, second, kept):
             assert not np.shares_memory(a, b)
             assert a.tobytes() == k.tobytes()
@@ -193,7 +183,7 @@ class TestPerClassLosses:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((12, 3))
         y = rng.integers(0, 3, size=12)
-        losses, _ = per_class_losses(net, X, y, ClassLossSpec(np.ones(3)))
+        losses, _ = per_class_losses(net, X, y)
         total = sum(cross_entropy(forward(net, X[i]), int(y[i])) for i in range(12))
         assert abs(losses.sum() - total) <= 1e-10
 
@@ -202,13 +192,12 @@ class TestPerClassLosses:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((8, 2))
         y = rng.integers(0, 2, size=8)
-        spec = ClassLossSpec(np.ones(2))
-        _, grads = per_class_losses(net, X, y, spec)
+        _, grads = per_class_losses(net, X, y)
         theta0 = net.flatten()
         for i in range(2):
             def loss_i(theta, i=i):
                 candidate = MlpParams.from_flat(theta, net.dims)
-                return per_class_losses(candidate, X, y, spec)[0][i]
+                return per_class_losses(candidate, X, y)[0][i]
 
             fd = finite_diff_gradient(loss_i, theta0)
             assert rel_err(grads[i], fd) <= 1e-4
@@ -260,7 +249,7 @@ class TestPerClassLosses:
                 y[: present.size] = rng.permutation(present)
                 rng.shuffle(y)
                 assert present.size == 1 or not np.all(np.diff(y) >= 0)
-                losses, grads = per_class_losses(net, X, y, ClassLossSpec(np.ones(c)))
+                losses, grads = per_class_losses(net, X, y)
                 ref_losses, ref_grads = self.masked_backprop_reference(net, X, y, c)
                 for i in absent:
                     assert np.array_equal(grads[i], np.zeros(net.n_params))
@@ -275,10 +264,9 @@ class TestPerClassLosses:
             net = init_mlp([3, 8, 5, c], int(rng.integers(0, 10_000)))
             X = rng.standard_normal((25, 3))
             y = rng.integers(0, c, size=25)
-            spec = ClassLossSpec(np.ones(c))
-            losses, grads = per_class_losses(net, X, y, spec)
+            losses, grads = per_class_losses(net, X, y)
             perm = rng.permutation(25)
-            s_losses, s_grads = per_class_losses(net, X[perm], y[perm], spec)
+            s_losses, s_grads = per_class_losses(net, X[perm], y[perm])
             assert rel_err(s_losses, losses) <= 1e-12
             for i in range(c):
                 assert rel_err(s_grads[i], grads[i]) <= 1e-12
@@ -292,10 +280,9 @@ class TestPerClassLosses:
             X = rng.standard_normal((25, 3))
             y = rng.integers(0, c, size=25)
             assert not np.all(np.diff(y) >= 0)
-            spec = ClassLossSpec(np.ones(c))
             order = np.argsort(y, kind="stable")
-            losses, grads = per_class_losses(net, X, y, spec)
-            s_losses, s_grads = per_class_losses(net, X[order], y[order], spec)
+            losses, grads = per_class_losses(net, X, y)
+            s_losses, s_grads = per_class_losses(net, X[order], y[order])
             assert np.array_equal(s_losses, losses)
             assert np.array_equal(s_grads, grads)
 
@@ -305,16 +292,22 @@ class TestPerClassLosses:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((10, 3))
         y = rng.integers(0, 3, size=10)
-        spec = ClassLossSpec(np.ones(3))
-        losses, grads = per_class_losses(net, X, y, spec)
-        d_losses, d_grads = per_class_losses(net, X, y.astype(dtype), spec)
+        losses, grads = per_class_losses(net, X, y)
+        d_losses, d_grads = per_class_losses(net, X, y.astype(dtype))
         assert np.array_equal(d_losses, losses)
         assert np.array_equal(d_grads, grads)
 
     def test_label_out_of_range(self):
         net = init_mlp([2, 3, 2], 0)
         with pytest.raises(ValueError):
-            per_class_losses(net, np.zeros((1, 2)), np.array([5]), ClassLossSpec(np.ones(2)))
+            per_class_losses(net, np.zeros((1, 2)), np.array([5]))
+
+    def test_label_at_the_output_width_is_rejected(self):
+        # The classes are the network's outputs: label 2 of a 2-output net
+        # is out of range, not a third class.
+        net = init_mlp([3, 4, 2], 0)
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, 2\)$"):
+            per_class_losses(net, np.zeros((2, 3)), np.array([2, 0]))
 
 
 class TestTwoHead:
@@ -323,7 +316,8 @@ class TestTwoHead:
 
     def test_identical_heads_and_labels_give_equal_shared_gradients(self):
         model = self.make_model(1)
-        model.heads = (model.heads[0].copy(), model.heads[0].copy())
+        h = model.heads[0]
+        model = TwoHeadMlp(model.trunk, (h, h))
         rng = np.random.default_rng(2)
         X = rng.standard_normal((6, 4))
         y = rng.integers(0, 2, size=6)
@@ -411,7 +405,7 @@ class TestTwoHead:
             TwoHeadMlp(trunk, (bad_head, bad_head))
 
     @pytest.mark.parametrize("call", [
-        lambda model, X, y: per_class_losses(model.trunk, X, y, ClassLossSpec(np.ones(4))),
+        lambda model, X, y: per_class_losses(model.trunk, X, y),
         lambda model, X, y: two_task_gradients(model, X, y, y),
         lambda model, X, y: predict_two_task(model, X),
     ], ids=["per_class_losses", "two_task_gradients", "predict_two_task"])
@@ -478,18 +472,12 @@ class TestOneBuffer:
         self.check_layout(model)
         assert model.flat.shape[0] == sum(net.n_params for net in (model.trunk, *model.heads))
 
-    def test_assigned_networks_are_laid_out_again(self):
+    def test_networks_are_read_only(self):
         model = init_two_head_mlp(4, trunk_hidden=(6, 4), head_classes=(2, 2), seed=1)
-        old_flat = model.flat
-        model.heads = (model.heads[0].copy(), model.heads[0].copy())
-        assert not np.shares_memory(model.flat, old_flat)
-        self.check_layout(model)
-        assert_same_bits(model.heads[1].flat, old_flat[model.head_slices[0]])
-        model.heads = (init_mlp([4, 3], 2), init_mlp([4, 2], 3))
-        self.check_layout(model)
-        model.trunk = init_mlp([4, 5, 4], 4)
-        self.check_layout(model)
-        assert model.trunk.dims == [4, 5, 4]
+        with pytest.raises(AttributeError):
+            model.heads = (model.heads[0], model.heads[0])
+        with pytest.raises(AttributeError):
+            model.trunk = init_mlp([4, 5, 4], 4)
 
     @pytest.mark.parametrize("head_classes", [(2, 2), (3, 2)])
     def test_flatten_and_copy_alias_nothing_and_round_trip(self, head_classes):
@@ -613,13 +601,12 @@ class TestBackpropOracle:
             n = int(rng.integers(2, 7))
             X = rng.standard_normal((n, d_in))
             y = rng.integers(0, c, size=n)
-            spec = ClassLossSpec(np.ones(c))
-            _, grads = per_class_losses(net, X, y, spec)
+            _, grads = per_class_losses(net, X, y)
             total = grads.sum(axis=0)
 
             def batch_loss(theta):
                 candidate = MlpParams.from_flat(theta, net.dims)
-                return per_class_losses(candidate, X, y, spec)[0].sum()
+                return per_class_losses(candidate, X, y)[0].sum()
 
             fd = finite_diff_gradient(batch_loss, net.flatten())
             assert rel_err(total, fd) <= 1e-4
@@ -800,7 +787,7 @@ class TestInPlaceBuffers:
         net = init_mlp([3, 8, c], int(rng.integers(0, 10_000)))
         X = rng.standard_normal((21, 3))
         y = np.sort(rng.integers(0, c, size=21))
-        losses, grads = per_class_losses(net, X, y, ClassLossSpec(np.ones(c)))
+        losses, grads = per_class_losses(net, X, y)
         acts, logits = self.forward_reference(net, X)
         per_row, dlogits = self.ce_rows_reference(logits, y)
         bounds = np.searchsorted(y, np.arange(c + 1))

@@ -8,7 +8,6 @@ from mograd.data import synth_two_task
 from mograd.direction import GradientSet, edm_direction, mgda_direction
 from mograd.exceptions import NumericalError
 from mograd.neural import (
-    ClassLossSpec,
     MlpParams,
     _two_task_run,
     init_mlp,
@@ -164,13 +163,12 @@ class PerClassOracle:
         means = 2.0 * rng.standard_normal((4, 3))
         self.X = np.concatenate([rng.standard_normal((n, 3)) + means[c] for c, n in enumerate(counts)])
         self.y = np.repeat(np.arange(4), counts)
-        self.spec = ClassLossSpec(np.ones(4))
         self.dims = [3, 8, 4]
         self.theta0 = init_mlp(self.dims, seed).flatten()
         self.grads = []
 
     def __call__(self, theta):
-        losses, grads = per_class_losses(MlpParams.from_flat(theta, self.dims), self.X, self.y, self.spec)
+        losses, grads = per_class_losses(MlpParams.from_flat(theta, self.dims), self.X, self.y)
         self.grads.append(grads)
         return losses, grads
 
