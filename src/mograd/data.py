@@ -171,11 +171,14 @@ def load_csv(
         for j, name in enumerate(feature_names):
             cell = row[col_index[name]]
             try:
-                features[r - 1, j] = float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise DataError(
                     f"non-numeric value {cell!r} at data row {r}, column {name!r}"
                 ) from exc
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {cell!r} at data row {r}, column {name!r}")
+            features[r - 1, j] = value
         labels[r - 1] = _parse_label(row[col_index[label_column]], r, label_column)
         if labels2 is not None:
             labels2[r - 1] = _parse_label(

@@ -13,16 +13,16 @@ feasible point it has and moves weight by an exact pairwise line search
 instead. Every corral's system is gathered from one bordered system of the
 whole Gram matrix, built once per solve, after the matrix is scaled by a
 power of two into [-1, 1): that scaling is exact, so the solve takes the
-same steps at any magnitude and nothing in it overflows. For three or more
-vectors the solver first works top down (by LU alone): it solves that
+same steps at any magnitude and nothing in it overflows. Unless there are
+two vectors, the solver first works top down (by LU alone): it solves that
 system once for all of them, and while some weights are not positive,
-drops those vertices and solves again on the rest. A chain end that the
-gap test certifies is the answer, with no major cycle: one solve for many
-nearly orthogonal objectives (an interior optimum), usually two or three
-for raw gradients of unequal scale (an optimum on a proper face).
-Otherwise the major cycles start from the chain's point and support (a
-warm start, a valid state of Wolfe's method), or from a vertex when the
-chain fails. For two vectors the method is a single exact line search from
+drops those vertices and solves again on the rest. The major cycles start
+from the chain's end point and support (a warm start, a valid state of
+Wolfe's method), or from a vertex when the chain fails. A start that the
+gap test certifies ends the solve before the first major cycle: one LU
+solve for many nearly orthogonal objectives (an interior optimum), usually
+two or three for raw gradients of unequal scale (an optimum on a proper
+face). For two vectors the method is a single exact line search from
 the shorter vertex toward the other (the closed form of Sener & Koltun,
 NeurIPS 2018, Alg. 1), run in Python floats. It stops on the relative
 duality gap of the simplex problem.
@@ -78,6 +78,8 @@ class FwConfig:
     def __post_init__(self) -> None:
         if not (0 < self.tolerance < math.inf):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -95,9 +97,9 @@ class FwResult:
     ``iterations`` counts the major cycles kept. ``objectives[k]`` is the
     quadratic form after k major cycles (index 0 is the starting point); its
     last entry is that of ``weights``, and it never increases by more than
-    round-off. For T >= 3 the starting point is the end of the top-down
+    round-off. For T != 2 the starting point is the end of the top-down
     chain, or the vertex with the smallest ``M_ii`` when the chain fails;
-    ``iterations`` 0 means it was certified as it stood. At T=2,
+    ``iterations`` 0 means the solve stopped at it. At T=2,
     ``iterations`` is at most 1 and ``objectives`` has at most 2 entries;
     the gap and objective after the line step are computed in scalar
     arithmetic there, so ``last_eta`` may differ by round-off from one taken
@@ -300,19 +302,18 @@ def _minor_cycles(M: np.ndarray, bordered: np.ndarray, rhs: np.ndarray, beta: np
             continue
         entering = False
         out = (y < 0.0).nonzero()[0]
-        if out.size == 0:
-            beta[idx] = y
-            # A weight the minimizer leaves at exactly zero leaves the corral
-            # too: a zero-weight member would end the next cycle's first step
-            # at once and drop the vertex entering there with it.
-            corral[:] = [i for i in corral if beta[i] > 0.0]
-            return
-        x = beta[idx]
-        ratio = x[out] / (x[out] - y[out])
-        x = np.maximum(x + ratio.min() * (y - x), 0.0)
-        x[out[np.argmin(ratio)]] = 0.0
-        beta[idx] = x
+        if out.size:
+            x = beta[idx]
+            ratio = x[out] / (x[out] - y[out])
+            y = np.maximum(x + ratio.min() * (y - x), 0.0)
+            y[out[np.argmin(ratio)]] = 0.0
+        beta[idx] = y
+        # Every weight at zero leaves the corral, also one that the minimizer
+        # leaves at exactly zero: a zero-weight member would end the next
+        # cycle's first step at once and drop the vertex entering there with it.
         corral[:] = [i for i in corral if beta[i] > 0.0]
+        if not out.size:
+            return
 
 
 def _solve_two(
@@ -363,7 +364,9 @@ def _support_start(bordered: np.ndarray, rhs: np.ndarray) -> tuple[list[int], np
     every solve passes, the chain ends on positive weights over its support:
     ``(corral, beta)``, beta zero off the corral, a valid state for Wolfe's
     major cycles and, when the gap test certifies it, the optimum. None
-    means an LU solve failed or the support emptied.
+    means an LU solve failed. An emptied support gathers the 1x1 system
+    ``[[0]]``, which LU rejects, and an all-zero M with T >= 2 fails at
+    once; at T=1 the chain ends on ``([0], [1.0])``, the vertex itself.
     """
     T = rhs.size - 1
     y = _lu_minimizer(bordered, rhs)
@@ -376,8 +379,6 @@ def _support_start(bordered: np.ndarray, rhs: np.ndarray) -> tuple[list[int], np
             beta = np.zeros(T)
             beta[support] = y
             return support.tolist(), beta
-        if keep.size == 0:
-            return None
         support = keep if support is None else support[keep]
         ix = np.concatenate((support, [T]))
         y = _lu_minimizer(bordered.take(ix, 0).take(ix, 1), rhs[-ix.size:])
@@ -445,10 +446,10 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     gives the entering vertex a swap step (``_swap_step``) and stops a later
     minor cycle, so a chosen vertex can already be in the corral; that
     major cycle first takes a swap step toward it, then runs the minor
-    cycles. For T >= 3 the cycles start where the top-down chain ends
-    (``_support_start``), and do not run when the gap test certifies that
-    point; when the chain has no end point (an LU solve failed or the
-    support emptied), they start from the vertex with the smallest ``M_ii``.
+    cycles. For T != 2 the cycles start where the top-down chain ends
+    (``_support_start``), and the first gap test may stop the solve there;
+    when the chain has no end point (an LU solve failed, also on the empty
+    support), they start from the vertex with the smallest ``M_ii``.
     For two vectors the method is one exact line search
     (``fw_line_search``), run in scalar arithmetic on ``M.tolist()``.
 
@@ -507,13 +508,8 @@ def _min_norm(M: np.ndarray, cfg: FwConfig, objectives: list[float] | None = Non
     bordered, rhs = _bordered(M)
     diag = M.diagonal()
     scale = float(np.maximum.reduce(diag))
-    start = _support_start(bordered, rhs) if T > 2 and scale > 0.0 else None
-    if start is not None:
-        _, objective, gap = _gap(M, start[1], scale)
-        if gap <= cfg.tolerance:
-            objectives.append(max(objective, 0.0))
-            return start[1] / np.add.reduce(start[1]), gap, 0
-    else:
+    start = _support_start(bordered, rhs)
+    if start is None:
         vertex = int(diag.argmin())
         beta = np.zeros(T)
         beta[vertex] = 1.0

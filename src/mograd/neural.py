@@ -362,6 +362,8 @@ class TwoHeadMlp:
     """
 
     def __init__(self, trunk: MlpParams, heads: tuple[MlpParams, MlpParams]) -> None:
+        if len(heads) != 2:
+            raise ValueError(f"a two-head model needs exactly two heads, got {len(heads)}")
         out = trunk.dims[-1]
         for k, head in enumerate(heads):
             if head.dims[0] != out:

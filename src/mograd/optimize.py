@@ -122,6 +122,8 @@ class OptimizerConfig:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not (0 < self.stop_tolerance < math.inf):

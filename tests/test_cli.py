@@ -166,6 +166,19 @@ class TestImbalancedCommand:
         )
         assert rc == 2
 
+    def test_csv_non_finite_cell_is_a_data_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "ds.csv"
+        save_csv(synth_imbalanced(60, 12, 3, 3.0, seed=5), csv_path)
+        lines = csv_path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "nan"
+        lines[3] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["imbalanced", "--csv", str(csv_path), *TINY_IMBALANCED, "--out-dir", str(out)]) == 2
+        assert "non-finite value 'nan' at data row 3, column 'f1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_path_works(self, tmp_path):
         from mograd.data import save_csv, synth_imbalanced
 

@@ -102,6 +102,13 @@ class TestCsv:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path, label_column="label")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b,label\n1.0,2.0,0\n3.0,{cell},1\n")
+        with pytest.raises(DataError, match=f"non-finite value '{cell}' at data row 2, column 'b'"):
+            load_csv(path, label_column="label")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv", label_column="label")

@@ -14,6 +14,7 @@ from mograd.minnorm import (
     FwConfig,
     _bordered,
     _lu_minimizer,
+    _major_cycles,
     _support_start,
     _minor_cycles,
     combination_norm_sq,
@@ -453,6 +454,15 @@ class TestFwConfig:
         with pytest.raises(ValueError):
             FwConfig(max_iters=0)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", np.float64(4.0)])
+    def test_rejects_non_integer_iterations(self, value):
+        # A fractional cap never equals the cycle count, so it would never stop the solve.
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            FwConfig(max_iters=value)
+
+    def test_accepts_numpy_integer_iterations(self):
+        assert FwConfig(max_iters=np.int64(3)).max_iters == 3
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_tolerance(self, value):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
@@ -610,6 +620,22 @@ class TestRoundOffFloor:
             assert np.all(np.diff(res.objectives) <= 0.0)
             assert len(res.objectives) == res.iterations + 1
             assert abs(res.objectives[-1] - combination_norm_sq(M, res.weights)) <= 4 * np.finfo(float).eps * scale
+
+    def test_lone_corral_vertex_chosen_again_stops(self):
+        # A one-vertex corral whose weight is one ulp above 1 leaves a gap of
+        # round-off that a 1e-300 tolerance cannot pass, yet the chosen
+        # vertex is the corral itself, so no cycle can lower the objective.
+        # The stop test ends the solve there; a swap step would find no other
+        # corral vertex to take weight from.
+        M = np.array([[0.5, 0.6, 0.7], [0.6, 0.9, 0.2], [0.7, 0.2, 0.95]])
+        beta = np.array([1.0 + 2.0**-52, 0.0, 0.0])
+        objectives = []
+        beta, gap, iterations = _major_cycles(
+            M, *_bordered(M), 0.95, FwConfig(tolerance=1e-300), [0], beta, objectives
+        )
+        assert np.array_equal(beta / beta.sum(), [1.0, 0.0, 0.0])
+        assert 0.0 < gap <= 2e-16
+        assert iterations == 0 and len(objectives) == 1
 
 
 class TestTwoObjectives:
@@ -924,6 +950,16 @@ class TestSupportStart:
                 assert res.iterations == iterations
                 assert np.array_equal(res.objectives, objectives)
         assert rejected >= 10, rejected
+        # At T=1 the chain ends on the vertex itself, and an all-zero M
+        # leaves LU an exact zero pivot: both answer as the vertex start does.
+        for M in ([[3.0]], [[2.0**-1070]], [[0.0]], np.zeros((3, 3)), np.zeros((8, 8))):
+            M = np.array(M)
+            assert M.shape[0] == 1 or support_chain(M) is None
+            res = frank_wolfe_min_norm(M)
+            weights, iterations, objectives = self.vertex_start_reference(M)
+            assert np.array_equal(res.weights, weights)
+            assert res.iterations == iterations
+            assert np.array_equal(res.objectives, objectives)
 
     def test_warm_started_sets_certified(self, lu_solves):
         # The major cycles run from the chain's corral and point, and end

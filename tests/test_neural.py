@@ -398,6 +398,13 @@ class TestTwoHead:
             with pytest.raises(NumericalError, match=message):
                 two_task_gradients(model, X, y, y)
 
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    def test_exactly_two_heads_required(self, n_heads):
+        trunk = init_mlp([4, 6, 4], 0)
+        heads = tuple(init_mlp([4, 2], k) for k in range(n_heads))
+        with pytest.raises(ValueError, match=f"exactly two heads, got {n_heads}"):
+            TwoHeadMlp(trunk, heads)
+
     def test_head_input_dim_checked(self):
         trunk = init_mlp([4, 6, 4], 0)
         bad_head = init_mlp([5, 2], 1)

@@ -395,6 +395,14 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(method="weighted_sum", weights=np.zeros(2))
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", np.float64(2.0)])
+    def test_rejects_non_integer_max_iters(self, value):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            OptimizerConfig(max_iters=value)
+
+    def test_accepts_numpy_integer_max_iters(self):
+        assert OptimizerConfig(max_iters=np.int64(3)).max_iters == 3
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_settings(self, value):
         with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
