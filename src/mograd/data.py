@@ -35,7 +35,7 @@ __all__ = [
 _TWO_TASK_SEPARATION = 4.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Feature matrix with integer labels and optional second-task labels."""
 

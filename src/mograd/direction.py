@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .minnorm import FwConfig, _gram, _min_norm, _solve_two
+from .minnorm import FwConfig, _gram, _min_norm, _rows, _solve_two
 
 __all__ = [
     "ZERO_GRADIENT_THRESHOLD",
@@ -47,7 +47,7 @@ ZERO_GRADIENT_THRESHOLD = 1e-12
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientSet:
     """Per-objective gradients with their Gram matrix and norms.
 
@@ -82,7 +82,7 @@ class GradientSet:
         return self.gradients.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionResult:
     """A computed descent direction and the weights that built it.
 
@@ -103,16 +103,6 @@ class DirectionResult:
     normalized_direction: np.ndarray
     direction_norm: float
     support: np.ndarray
-
-
-def _rows(gradients) -> np.ndarray:
-    """``gradients`` as a (T, d) float array with T, d >= 1; a vector is one row."""
-    G = np.asarray(gradients, dtype=float)
-    if G.ndim == 1:
-        G = G[None, :]
-    if G.ndim != 2 or G.shape[0] < 1 or G.shape[1] < 1:
-        raise ValueError(f"expected (T, d) gradients with T, d >= 1, got shape {G.shape}")
-    return G
 
 
 def _as_gradient_set(grads) -> GradientSet:

@@ -84,7 +84,7 @@ class FwConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FwResult:
     """Solver output: simplex weights plus convergence diagnostics.
 
@@ -123,6 +123,11 @@ def gram_matrix(vectors) -> np.ndarray:
     -------
     ndarray, shape (T, T)
     """
+    return _gram(_rows(vectors))
+
+
+def _rows(vectors) -> np.ndarray:
+    """``vectors`` as a (T, d) float array with T, d >= 1; a vector is one row."""
     try:
         V = np.asarray(vectors, dtype=float)
     except ValueError as exc:
@@ -130,8 +135,8 @@ def gram_matrix(vectors) -> np.ndarray:
     if V.ndim == 1:
         V = V[None, :]
     if V.ndim != 2 or V.shape[0] < 1 or V.shape[1] < 1:
-        raise ValueError(f"expected at least one vector of dimension >= 1, got shape {V.shape}")
-    return _gram(V)
+        raise ValueError(f"expected (T, d) gradients with T, d >= 1, got shape {V.shape}")
+    return V
 
 
 def _gram(V: np.ndarray) -> np.ndarray:
@@ -462,7 +467,9 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
     the corral are exact zeros.
 
     This function checks M, runs the solve core ``_min_norm`` and wraps its
-    plain result in an ``FwResult``, scaling the objectives back to M.
+    plain result in an ``FwResult``, scaling the objectives back to M. For
+    T >= 3 it raises ``ValueError`` on a diagonal that no Gram matrix has:
+    a negative entry, or no positive entry while some entry is nonzero.
 
     Parameters
     ----------
@@ -481,6 +488,12 @@ def frank_wolfe_min_norm(M, cfg: FwConfig = FwConfig()) -> FwResult:
         raise ValueError("need at least one vector")
     if not np.isfinite(M).all():
         raise NumericalError("non-finite Gram matrix entries")
+    # For T >= 3 the gap certifies weights only when M's diagonal is a Gram
+    # matrix's: no negative entry, and all zero only when every entry is.
+    diag = M.diagonal()
+    if M.shape[0] > 2 and (diag.min() < 0.0 or diag.max() == 0.0 and M.any()):
+        raise ValueError("not a Gram matrix: a negative diagonal entry, or a zero diagonal"
+                         " beside a nonzero entry")
     objectives: list[float] = []
     weights, gap, iterations = _min_norm(M, cfg, objectives)
     return FwResult(weights, gap, iterations, np.ldexp(objectives, 0 if M.shape[0] == 2 else _exponent(M)))

@@ -3,8 +3,11 @@
 A network's parameters live in one flat buffer with a fixed layout: layer
 by layer, weight entries row-major, then the bias. Each per-layer weight
 matrix and bias is a view into that buffer, so writing the buffer moves
-the layers. Every gradient is a flat vector in the same layout, which is
-what the descent loops in :mod:`mograd.optimize` operate on.
+the layers. Each network type lays its views over a buffer in one step:
+construction checks the given layers and copies them into a new buffer,
+and a copy (or ``MlpParams.from_flat``) lays the views over a copy of a
+buffer. Every gradient is a flat vector in the same layout, which is what
+the descent loops in :mod:`mograd.optimize` operate on.
 
 Per-sample losses are cross-entropies and per-class or per-task losses are
 *sums* (not means) over their samples, so a class with more samples in the
@@ -12,11 +15,11 @@ batch produces a proportionally larger gradient.
 
 The per-class oracle takes one backward pass and splits its per-layer sums
 by row segment. A two-head model holds its trunk and both heads in one
-buffer, and views two heads of equal shape as layers stacked over a task
-axis; the two-task oracle backpropagates both tasks through them and the
-shared trunk in one pass. Each stacked slice runs the same matrix product
-as its own 2-D pass would, so the results are bitwise those of one pass
-per task.
+buffer. The two-task plan decides how the heads run: it views two heads
+of equal shape as layers stacked over a task axis, and the oracle
+backpropagates both tasks through them and the shared trunk in one pass.
+Each stacked slice runs the same matrix product as its own 2-D pass
+would, so the results are bitwise those of one pass per task.
 
 A backward pass is planned, then run: the plan is a gradient buffer and
 its per-layer, per-segment write views, and a run fills that buffer. A
@@ -36,7 +39,6 @@ them, whatever the heads' shapes; the next batch overwrites them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -55,25 +57,23 @@ __all__ = [
 ]
 
 
-@dataclass
 class MlpParams:
     """Feedforward parameters: rectifier between layers, linear last layer.
 
     ``layers[j]`` is ``(W_j, b_j)`` with W_j of shape (d_out, d_in). The
-    parameters are copied into one buffer ``flat`` on construction, and
-    every ``(W_j, b_j)`` is a view into it: per layer, the row-major weight
-    entries followed by the bias. ``flatten``, ``copy`` and ``from_flat``
-    return fresh copies that alias nothing, and round-trip bitwise.
+    parameters live in one buffer ``flat``, and every ``(W_j, b_j)`` is a
+    view into it: per layer, the row-major weight entries followed by the
+    bias. Construction checks the chain and copies the given layers into
+    a new buffer. ``copy`` and ``from_flat`` lay the views over a copy of
+    a buffer, so neither checks a chain again; they, and ``flatten``,
+    alias nothing and round-trip bitwise. Networks compare by identity.
     """
 
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    flat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.layers:
+    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        if not layers:
             raise ValueError("need at least one layer")
         prev_out = None
-        for j, (W, b) in enumerate(self.layers):
+        for j, (W, b) in enumerate(layers):
             if W.ndim != 2 or b.ndim != 1 or b.shape[0] != W.shape[0]:
                 raise ValueError(f"layer {j}: weight {W.shape} and bias {b.shape} do not chain")
             if prev_out is not None and W.shape[1] != prev_out:
@@ -81,9 +81,10 @@ class MlpParams:
                     f"layer {j}: input dim {W.shape[1]} does not match previous output {prev_out}"
                 )
             prev_out = W.shape[0]
-        self.flat = np.concatenate([part for W, b in self.layers for part in (W.ravel(), b)],
+        dims = [layers[0][0].shape[1]] + [W.shape[0] for W, _ in layers]
+        self.flat = np.concatenate([part for W, b in layers for part in (W.ravel(), b)],
                                    dtype=float)
-        self.layers, _ = _layer_views(self.flat, self.dims)
+        self.layers = _layer_views(self.flat, dims)
 
     @property
     def dims(self) -> list[int]:
@@ -98,26 +99,30 @@ class MlpParams:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims: list[int]) -> "MlpParams":
-        flat = np.asarray(flat, dtype=float)
-        layers, size = _layer_views(flat, dims)
-        if size != flat.shape[0]:
-            raise ValueError(f"flat vector of length {flat.shape[0]} does not match dims {dims}")
-        return cls(layers)
+        flat = np.array(flat, dtype=float)
+        if len(dims) < 2 or min(dims) < 0 or flat.shape != (_n_params(dims),):
+            raise ValueError(f"flat vector of shape {flat.shape} does not match dims {list(dims)}")
+        return cls._over(flat, dims)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(self.layers)
+        return self._over(self.flat.copy(), self.dims)
 
     @classmethod
     def _over(cls, flat: np.ndarray, dims: list[int]) -> "MlpParams":
         """The network of ``dims`` whose ``flat`` is the float vector ``flat`` itself."""
         net = cls.__new__(cls)
         net.flat = flat
-        net.layers, _ = _layer_views(flat, dims)
+        net.layers = _layer_views(flat, dims)
         return net
 
 
-def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list, int]:
-    """``(W_j, b_j)`` views into ``flat`` and the number of entries they cover.
+def _n_params(dims: list[int]) -> int:
+    """The number of parameters of a network of ``dims``."""
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
+def _layer_views(flat: np.ndarray, dims: list[int]) -> list:
+    """``(W_j, b_j)`` views into ``flat`` for a network of ``dims``.
 
     A 2-D ``flat`` holds one network per row, and the views stack them as
     :func:`_forward_cached` runs them: W_j of shape (rows, d_out, d_in) and
@@ -132,7 +137,7 @@ def _layer_views(flat: np.ndarray, dims: list[int]) -> tuple[list, int]:
         b = flat[..., offset : offset + d_out]
         layers.append((W, b[..., None, :] if lead else b))
         offset += d_out
-    return layers, offset
+    return layers
 
 
 def init_mlp(dims: list[int], rng: np.random.Generator | int) -> MlpParams:
@@ -352,13 +357,13 @@ class TwoHeadMlp:
     The trunk output passes through the same rectifier used between layers
     before it reaches either head, so the junction behaves exactly like an
     internal layer boundary. ``flat`` holds the trunk's parameters, then
-    head 0's, then head 1's (``shared_slice``, ``head_slices``). ``trunk``,
-    ``heads[k]`` and their layers are views into it, and so are the head
-    layers of each group that one two-task pass runs: both heads stacked
-    over a task axis when their ``dims`` are equal, else each on its own.
-    Construction copies the given networks into a new buffer; ``trunk`` and
-    ``heads`` are read-only, so a model with other networks is a new
-    ``TwoHeadMlp``. ``flatten`` and ``copy`` alias nothing.
+    head 0's, then head 1's (``shared_slice``, ``head_slices``), and
+    ``trunk``, ``heads[k]`` and their layers are views into it. The
+    two-task plan stacks heads of equal ``dims`` over a task axis, with
+    views into the same buffer. Construction copies the given networks into
+    a new buffer; ``trunk`` and ``heads`` are read-only, so a model with
+    other networks is a new ``TwoHeadMlp``. ``copy`` lays the model out
+    over a copy of ``flat``; it and ``flatten`` alias nothing.
     """
 
     def __init__(self, trunk: MlpParams, heads: tuple[MlpParams, MlpParams]) -> None:
@@ -371,44 +376,29 @@ class TwoHeadMlp:
                     f"head {k} input dim {head.dims[0]} does not match trunk output {out}"
                 )
         nets = (trunk, *heads)
-        self.flat = np.concatenate([net.flat for net in nets])
-        ends = np.cumsum([net.n_params for net in nets]).tolist()
-        self._trunk, *views = [
-            MlpParams._over(self.flat[lo:hi], net.dims)
-            for net, lo, hi in zip(nets, [0] + ends, ends)
-        ]
-        self._heads = tuple(views)
-        # Each head group's tasks, slice of flat, and head layers stacked over those tasks.
-        equal = heads[0].dims == heads[1].dims
-        self._head_groups = []
-        for tasks in [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]:
-            part = slice(ends[tasks.start], ends[tasks.stop])
-            block = self.flat[part].reshape(tasks.stop - tasks.start, -1)
-            layers, _ = _layer_views(block, heads[tasks.start].dims)
-            self._head_groups.append((tasks, part, layers))
+        self._lay_out(np.concatenate([net.flat for net in nets]), [net.dims for net in nets])
+
+    def _lay_out(self, flat: np.ndarray, dims: list[list[int]]) -> None:
+        """Make ``flat`` the buffer, with the trunk of ``dims[0]`` and the heads of ``dims[1:]``."""
+        ends = np.cumsum([_n_params(d) for d in dims]).tolist()
+        self.flat = flat
+        self._parts = tuple(slice(lo, hi) for lo, hi in zip([0] + ends, ends))
+        self._trunk, *heads = [MlpParams._over(flat[part], d) for part, d in zip(self._parts, dims)]
+        self._heads = tuple(heads)
 
     trunk = property(lambda self: self._trunk)
     heads = property(lambda self: self._heads)
-
-    @property
-    def n_shared(self) -> int:
-        return self._trunk.n_params
-
-    @property
-    def shared_slice(self) -> slice:
-        return slice(0, self.n_shared)
-
-    @property
-    def head_slices(self) -> tuple[slice, slice]:
-        n0 = self.n_shared
-        n1 = n0 + self._heads[0].n_params
-        return slice(n0, n1), slice(n1, self.flat.shape[0])
+    n_shared = property(lambda self: self._parts[0].stop)
+    shared_slice = property(lambda self: self._parts[0])
+    head_slices = property(lambda self: self._parts[1:])
 
     def flatten(self) -> np.ndarray:
         return self.flat.copy()
 
     def copy(self) -> "TwoHeadMlp":
-        return TwoHeadMlp(self._trunk, self._heads)
+        clone = TwoHeadMlp.__new__(TwoHeadMlp)
+        clone._lay_out(self.flat.copy(), [net.dims for net in (self._trunk, *self._heads)])
+        return clone
 
 
 def init_two_head_mlp(
@@ -430,7 +420,7 @@ def two_task_gradients(
     """Both task losses with their shared-block and head-block gradients.
 
     The trunk runs forward once. When the heads have equal ``dims``, the
-    model's stacked head layers run both heads with one matmul per layer,
+    plan's stacked head layers run both heads with one matmul per layer,
     one cross-entropy call covers both tasks' rows, and one backward pass
     through the stacked head layers and the trunk (the junction is an
     internal layer boundary) gives both tasks' gradients; heads of unequal
@@ -454,18 +444,20 @@ class _TwoTaskPlan(NamedTuple):
 
     ``labels`` are both tasks' labels, a (2, n) ``intp`` array checked
     against each head's class count. Each of ``groups`` is a ``(tasks,
-    n_classes, offsets, views)`` tuple: the task slice that one stacked
-    pass covers (both tasks when the heads have equal ``dims``, else one
-    task each), its heads' class count c, the flat offsets ``c * r`` of
-    the rows r of its stacked (len(tasks) * n, c) logits, and the views
-    (from :func:`_backward_plan`) that write its rows of ``shared`` and its
-    part of ``heads``. The buffer is ``shared``, a C-contiguous (2,
+    n_classes, offsets, head_layers, views)`` tuple: the task slice that
+    one stacked pass covers (both tasks when the heads have equal
+    ``dims``, else one task each), its heads' class count c, the flat
+    offsets ``c * r`` of the rows r of its stacked (len(tasks) * n, c)
+    logits, its heads' layers stacked over those tasks (views into the
+    model's ``flat``, so a plan serves the model it was built for), and the
+    views (from :func:`_backward_plan`) that write its rows of ``shared``
+    and its part of ``heads``. The buffer is ``shared``, a C-contiguous (2,
     n_shared) block, then ``heads``, laid out like ``flat[n_shared:]``, whose
     halves ``rows`` are. No part depends on the number of rows in a batch.
     """
 
     labels: np.ndarray
-    groups: list[tuple[slice, int, np.ndarray, list]]
+    groups: list[tuple[slice, int, np.ndarray, list, list]]
     shared: np.ndarray
     heads: np.ndarray
     rows: tuple[np.ndarray, np.ndarray]
@@ -479,17 +471,21 @@ def _two_task_plan(model: TwoHeadMlp, y1: np.ndarray, y2: np.ndarray) -> _TwoTas
     shared = grads[: 2 * n].reshape(2, n)
     # grads[n:] is as long as flat, and each head's gradient sits at that head's slice of it.
     tail = grads[n:]
+    heads, parts = model.heads, model.head_slices
     groups = []
-    for tasks, part, head_layers in model._head_groups:
-        c = model.heads[tasks.start].dims[-1]
+    for tasks in [slice(0, 2)] if heads[0].dims == heads[1].dims else [slice(0, 1), slice(1, 2)]:
+        dims = heads[tasks.start].dims
+        c = dims[-1]
         # A negative label wraps to a huge unsigned one, so one test checks both ends.
         if np.maximum.reduce(labels[tasks].view(np.uintp), axis=None) >= c:
             raise ValueError(f"task labels must lie in [0, {c})")
         t = tasks.stop - tasks.start
+        part = slice(parts[tasks.start].start, parts[tasks.stop - 1].stop)
+        head_layers = _layer_views(model.flat[part].reshape(t, -1), dims)
         views = _backward_plan(model.trunk.layers, shared[tasks, None])
         views += _backward_plan(head_layers, tail[part].reshape(t, 1, -1))
-        groups.append((tasks, c, np.arange(0, t * labels.shape[1] * c, c), views))
-    rows = tuple(tail[part] for part in model.head_slices)
+        groups.append((tasks, c, np.arange(0, t * labels.shape[1] * c, c), head_layers, views))
+    rows = tuple(tail[part] for part in parts)
     return _TwoTaskPlan(labels, groups, shared, tail[n:], rows)
 
 
@@ -499,7 +495,7 @@ def _two_task_run(
     """:func:`two_task_gradients` without its checks, into ``plan``'s buffer.
 
     ``X`` is the float (N, m) batch of the rows ``idx`` (an index array) of
-    the labels ``plan`` was built for. The losses are a fresh array; the
+    the labels ``plan`` was built for with ``model``. The losses are a fresh array; the
     shared and head gradients are ``plan.shared`` and ``plan.rows``
     themselves, which the next call with the same plan overwrites.
     """
@@ -507,7 +503,7 @@ def _two_task_run(
     np.maximum(h, 0.0, out=h)
 
     losses = np.empty(2)
-    for (tasks, c, offsets, views), (_, _, head_layers) in zip(plan.groups, model._head_groups):
+    for tasks, c, offsets, head_layers, views in plan.groups:
         head_acts, logits = _forward_cached(head_layers, h)
         if not np.isfinite(logits).all():
             first = np.isfinite(logits).all(axis=(1, 2)).argmin()

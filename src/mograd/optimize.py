@@ -31,13 +31,12 @@ from .direction import (
     DirectionResult,
     GradientSet,
     _combine,
-    _rows,
     edm_direction,
     mgda_direction,
     stationarity_residual,
 )
 from .exceptions import NumericalError
-from .minnorm import FwConfig
+from .minnorm import FwConfig, _rows
 from .neural import (
     MlpParams,
     TwoHeadMlp,
@@ -96,7 +95,7 @@ METHODS: dict[str, Callable[[np.ndarray | GradientSet, OptimizerConfig], Directi
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizerConfig:
     """Shared knobs of the descent loops.
 
@@ -139,7 +138,7 @@ class OptimizerConfig:
             object.__setattr__(self, "weights", w)
 
 
-@dataclass
+@dataclass(eq=False)
 class IterationTrace:
     iteration: int
     losses: np.ndarray
@@ -149,7 +148,7 @@ class IterationTrace:
     step_norm: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     final_point: np.ndarray
     converged: bool

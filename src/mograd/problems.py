@@ -26,7 +26,7 @@ MultiLossProblem = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 _FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticPair:
     """Two unit quadratic bowls ``L_i = 0.5 ||theta - c_i||^2``.
 

@@ -66,6 +66,11 @@ class TestGradientSet:
             with pytest.raises(NumericalError, match="gradient norm overflow"):
                 direction([(1e155, 0.0), (0.0, 1.0)])
 
+    @pytest.mark.parametrize("build", [GradientSet.from_gradients, edm_direction, mgda_direction])
+    def test_ragged_rows_are_named(self, build):
+        with pytest.raises(ValueError, match="^all vectors must share the same dimension$"):
+            build([[1.0, 2.0], [3.0]])
+
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
 CERTIFIED_CALLS = (GradientSet.from_gradients, edm_direction, mgda_direction, stationarity_residual)

@@ -218,6 +218,34 @@ class TestInputChecks:
         with pytest.raises(error, match=message):
             frank_wolfe_min_norm(bad)
 
+    @pytest.mark.parametrize("M", [
+        [[-1.0, 0.5, 0.0], [0.5, -2.0, 0.0], [0.0, 0.0, -1.0]],  # negative diagonal
+        [[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],  # zero diagonal, nonzero entry
+        [[1.0, 0.0, 0.0], [0.0, -1e-300, 0.0], [0.0, 0.0, 1.0]],
+    ], ids=["negative", "zero-diagonal", "one-tiny-negative"])
+    def test_solver_rejects_a_diagonal_no_gram_matrix_has(self, M):
+        # The gap test cannot certify weights on such a matrix: on the first,
+        # the solve used to stop at an interior point with gap 0, although
+        # vertex 1 has objective -2.
+        with pytest.raises(ValueError, match="not a Gram matrix"):
+            frank_wolfe_min_norm(np.array(M))
+
+    @pytest.mark.parametrize("rows", [
+        [[1e-170, 0.0], [1e150, 0.0]],
+        [[1e-170, 0.0], [1e150, 0.0], [0.0, 1.0]],
+        [[1e-170, 0.0], [1e-170, 1e-170], [0.0, 1e-170]],
+    ])
+    def test_underflowed_gram_diagonal_is_accepted(self, rows):
+        # Squared norms that underflow to zero, beside nonzero entries or none:
+        # a real Gram matrix, so every solve entry point takes it.
+        M = gram_matrix(rows)
+        assert M[0, 0] == 0.0
+        res = frank_wolfe_min_norm(M)
+        assert res.weights.sum() == pytest.approx(1.0)
+        assert res.weights[0] == 1.0 and res.last_eta == 0.0
+        for direction in (edm_direction, mgda_direction):
+            assert np.isfinite(direction(rows).normalized_direction).all()
+
 
 class TestCombinationNormSq:
     def test_orthonormal_half_half(self):

@@ -65,6 +65,33 @@ class TestMlpParams:
         with pytest.raises(ValueError):
             MlpParams([(np.zeros((4, 3)), np.zeros(4)), (np.zeros((2, 5)), np.zeros(2))])
 
+    @pytest.mark.parametrize("flat, dims", [
+        (np.zeros((2, 9)), [2, 3]),
+        (np.zeros((1, 9)), [2, 3]),
+        (np.float64(3.0), [1, 1]),
+        (np.zeros(0), []),
+        (np.zeros(3), [3]),
+        (np.zeros(8), [2, 3]),
+        (np.zeros(10), [2, 3]),
+        (np.zeros(3), [2, -1, 3]),
+        (np.zeros(0), [-1, 2]),
+    ])
+    def test_from_flat_rejects_a_flat_that_does_not_fit(self, flat, dims):
+        with pytest.raises(ValueError):
+            MlpParams.from_flat(flat, dims)
+
+    def test_from_flat_and_copy_keep_the_layout(self):
+        net = init_mlp([3, 5, 2], 4)
+        strided = np.zeros(2 * net.n_params)
+        strided[::2] = net.flat
+        for other in (MlpParams.from_flat(strided[::2], net.dims), net.copy()):
+            assert other.dims == net.dims and other.dims is not other.dims
+            assert other.flat.flags.c_contiguous and other.flat.dtype == float
+            assert other.flat.tobytes() == net.flat.tobytes()
+            for (W, b), (W_n, b_n) in zip(other.layers, net.layers):
+                assert W.shape == W_n.shape and b.shape == b_n.shape
+                assert W.base is other.flat and b.base is other.flat
+
     def test_init_is_seeded(self):
         a = init_mlp([4, 8, 2], 7).flatten()
         b = init_mlp([4, 8, 2], 7).flatten()
@@ -438,13 +465,20 @@ class TestOneBuffer:
     every network, layer and stacked head view is a view into it."""
 
     @staticmethod
+    def plan_groups(model):
+        """The head groups of a two-task plan for ``model``: ``(tasks, head_layers)`` pairs."""
+        from mograd.neural import _two_task_plan
+
+        y = np.zeros(1, dtype=int)
+        return [(group[0], group[3]) for group in _two_task_plan(model, y, y).groups]
+
+    @staticmethod
     def views(model):
         nets = [model.trunk, *model.heads]
         yield from (net.flat for net in nets)
         yield from (a for net in nets for layer in net.layers for a in layer)
-        for _, part, layers in model._head_groups:
+        for _, layers in TestOneBuffer.plan_groups(model):
             yield from (a for layer in layers for a in layer)
-            yield model.flat[part]
 
     @staticmethod
     def check_layout(model):
@@ -454,21 +488,19 @@ class TestOneBuffer:
         assert_same_bits(model.flat[model.shared_slice], model.trunk.flat)
         for k, head in enumerate(model.heads):
             assert_same_bits(model.flat[model.head_slices[k]], head.flat)
-        groups = model._head_groups
+        groups = TestOneBuffer.plan_groups(model)
         equal = model.heads[0].dims == model.heads[1].dims
-        assert [tasks for tasks, _, _ in groups] == (
+        assert [tasks for tasks, _ in groups] == (
             [slice(0, 2)] if equal else [slice(0, 1), slice(1, 2)]
         )
-        for tasks, part, layers in groups:
+        # each stacked slice is its head's layer itself: the same bits at the same address
+        for tasks, layers in groups:
             for k, head in enumerate(model.heads[tasks]):
                 for (W, b), (W_k, b_k) in zip(layers, head.layers):
-                    assert_same_bits(W[k], W_k)
-                    assert_same_bits(b[k, 0], b_k)
-        # each group's slice of flat: both heads when their dims are equal, else one each
-        n, (head0, head1) = model.n_shared, model.head_slices
-        assert [part for _, part, _ in groups] == (
-            [slice(n, model.flat.shape[0])] if equal else [head0, head1]
-        )
+                    for stacked, own in ((W[k], W_k), (b[k, 0], b_k)):
+                        assert_same_bits(stacked, own)
+                        assert stacked.ctypes.data == own.ctypes.data
+                        assert stacked.strides == own.strides
 
     @pytest.mark.parametrize("head_dims", [
         ([4, 2], [4, 2]), ([4, 3, 2], [4, 3, 2]), ([4, 3], [4, 2]), ([4, 5, 2], [4, 2]),

@@ -342,6 +342,59 @@ class TestUnitBowls:
                 assert abs(self.hull_distance(theta, centers) - dist) <= 1e-12 * (1.0 + dist)
 
 
+class TestLandingUnderScaling:
+    """The paper's scale invariance over a whole run. Scaling one loss by κ
+    leaves ``edm``'s direction as it is and changes only ``gamma``, its step
+    length, so as lr → 0 neither its path nor where it lands on the Pareto
+    set depends on κ. ``mgda``'s direction does depend on it.
+
+    The last loss is scaled by κ ∈ {2^-6, 1, 2^6}, from starts drawn with
+    seed 0 (two for ``edm``, three for ``mgda``). The landing point is read as x on the segment of the
+    quadratic pair (T=2), or as barycentric weights on the triangle of the
+    unit bowls (T=3, ``TestUnitBowls``'s first T=3 centers). A start's
+    spread is the largest change of any of those coordinates over κ.
+    ``mgda`` steps lr/κ for κ > 1, as its step grows with κ.
+
+    The bounds come from a sweep of the start seed over 0..199, with a
+    margin of 1.5: ``edm``'s largest spread/lr was 0.80 (T=2) and 1.52
+    (T=3) at lr 0.05; ``mgda``'s largest spread per seed was at least 0.124
+    (T=2) and 0.022 (T=3), with medians 0.84 and 0.49.
+    """
+
+    KAPPAS = (2.0 ** -6, 1.0, 2.0 ** 6)
+    TRIANGLE = np.random.default_rng(3).uniform(-2.0, 2.0, size=(3, 2))
+
+    @classmethod
+    def spreads(cls, T, run, lr, n_starts):
+        if T == 2:
+            problem, coords = QuadraticPair([0.0, 0.0], [1.0, 0.0]), lambda theta: theta[:1]
+        else:
+            A = np.vstack([cls.TRIANGLE.T, np.ones(3)])
+            problem, coords = (TestUnitBowls.bowls(cls.TRIANGLE),
+                               lambda theta: np.linalg.solve(A, np.append(theta, 1.0)))
+        out = []
+        for theta0 in np.random.default_rng(0).uniform(-3.0, 3.0, size=(n_starts, 2)):
+            landed = []
+            for kappa in cls.KAPPAS:
+                step = lr / kappa if run is run_mgda and kappa > 1.0 else lr
+                result = run(scaled(problem, np.array([1.0] * (T - 1) + [kappa])), theta0,
+                             cfg(learning_rate=step, max_iters=100_000, stop_tolerance=1e-4))
+                assert result.converged
+                landed.append(coords(result.final_point))
+            landed = np.array(landed)
+            out.append(float((landed.max(axis=0) - landed.min(axis=0)).max()))
+        return out
+
+    @pytest.mark.parametrize("T, per_lr", [(2, 1.2), (3, 2.3)])
+    def test_edm_landing_moves_at_most_in_proportion_to_lr(self, T, per_lr):
+        lr = 0.05
+        assert max(self.spreads(T, run_edm, lr, 2)) <= per_lr * lr
+
+    @pytest.mark.parametrize("T, floor", [(2, 0.08), (3, 0.014)])
+    def test_mgda_landing_moves_with_the_scale(self, T, floor):
+        assert max(self.spreads(T, run_mgda, 1.0, 3)) > floor
+
+
 class TestRunWeightedSum:
     def test_unit_weights_find_midpoint(self):
         result = run_weighted_sum(

@@ -81,3 +81,50 @@ def test_two_head_init_takes_the_workload_keywords():
     from mograd.neural import init_two_head_mlp
 
     inspect.signature(init_two_head_mlp).bind(8, trunk_hidden=(32, 16), head_classes=(2, 2), seed=0)
+
+
+def test_mlp_params_method_kinds_match_the_tracer():
+    # spans.install unwraps each class attribute by its kind: from_flat as a
+    # classmethod, flatten as a plain function.
+    from mograd.neural import MlpParams
+
+    assert isinstance(vars(MlpParams)["from_flat"], classmethod)
+    assert inspect.isfunction(vars(MlpParams)["flatten"])
+
+
+def _records():
+    """One factory per mograd record type that holds an array."""
+    from mograd.data import Dataset
+    from mograd.direction import GradientSet, edm_direction
+    from mograd.minnorm import frank_wolfe_min_norm
+    from mograd.neural import init_mlp, init_two_head_mlp
+    from mograd.optimize import IterationTrace, OptimizerConfig, RunResult
+    from mograd.problems import QuadraticPair
+
+    return {
+        "GradientSet": lambda: GradientSet.from_gradients([[1.0, 0.0], [0.0, 1.0]]),
+        "DirectionResult": lambda: edm_direction([[1.0, 0.0], [0.0, 1.0]]),
+        "FwResult": lambda: frank_wolfe_min_norm([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "OptimizerConfig": lambda: OptimizerConfig(weights=[1.0, 1.0]),
+        "IterationTrace": lambda: IterationTrace(0, [1.0, 2.0], 0.5, None, [0.5, 0.5], 0.1),
+        "RunResult": lambda: RunResult([0.0, 1.0], True, 3, [], 0.0),
+        "Dataset": lambda: Dataset([[0.0], [1.0]], [0, 1]),
+        "QuadraticPair": lambda: QuadraticPair([0.0, 0.0], [1.0, 0.0]),
+        "MlpParams": lambda: init_mlp([2, 3], 0),
+        "TwoHeadMlp": lambda: init_two_head_mlp(2, trunk_hidden=(3,), seed=0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_records_compare_by_identity(name):
+    make = _records()[name]
+    a, b = make(), make()
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert len({a, b}) == 2
+
+
+def test_solver_config_keeps_value_equality():
+    from mograd.minnorm import FwConfig
+
+    assert FwConfig() == FwConfig() and FwConfig(max_iters=7) != FwConfig()
